@@ -2,6 +2,8 @@ package surfcomm
 
 import (
 	"context"
+	"fmt"
+	"io"
 
 	"surfcomm/internal/braid"
 	"surfcomm/internal/scerr"
@@ -72,6 +74,21 @@ func (t Target) withDefaults() Target {
 		t.Window = JITWindowAuto
 	}
 	return t
+}
+
+// WriteFingerprint writes the compiling backend's name and every
+// plan-affecting field of the target to w. The serving layer's compile
+// digest and the module digests both hash these bytes, and disk stores
+// name entries by those digests, so the output must stay stable.
+func (t Target) WriteFingerprint(w io.Writer, backend string) {
+	fmt.Fprintf(w, "backend=%s\n", backend)
+	fmt.Fprintf(w, "d=%d policy=%d seed=%d window=%d bw=%d local=%t record=%t\n",
+		t.Distance, int(t.Policy), t.Seed, t.Window, t.LinkBandwidth, t.LocalTOps, t.RecordSchedule)
+	fmt.Fprintf(w, "tech=%g/%g/%g/%g/%g/%g\n",
+		t.Technology.PhysicalErrorRate, t.Technology.Threshold, t.Technology.Prefactor,
+		t.Technology.Gate1Q, t.Technology.Gate2Q, t.Technology.Meas)
+	fmt.Fprintf(w, "simd=%d/%d/%d/%t\n", t.SIMD.Regions, t.SIMD.Width, t.SIMD.Seed, t.SIMD.NaiveBanks)
+	fmt.Fprintf(w, "device=%s\n", t.Device.String())
 }
 
 // validate checks the target after defaulting. Every dimension an

@@ -23,6 +23,9 @@ import (
 	"testing"
 
 	"surfcomm"
+	"surfcomm/internal/braid"
+	"surfcomm/internal/simd"
+	"surfcomm/internal/sweep"
 )
 
 // BenchmarkTable1CommMethods measures the defining asymmetry of the two
@@ -36,13 +39,13 @@ func BenchmarkTable1CommMethods(b *testing.B) {
 		far := surfcomm.NewCircuit("far", 8)
 		far.Append(surfcomm.OpCNOT, 0, 7)
 		place := surfcomm.RowMajorPlacement(8)
-		rNear, err := surfcomm.SimulateBraids(near, surfcomm.Policy1,
-			surfcomm.BraidConfig{Distance: 9, Placement: place})
+		rNear, err := braid.Simulate(near, braid.Policy1,
+			braid.Config{Distance: 9, Placement: place})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rFar, err := surfcomm.SimulateBraids(far, surfcomm.Policy1,
-			surfcomm.BraidConfig{Distance: 9, Placement: surfcomm.RowMajorPlacement(8)})
+		rFar, err := braid.Simulate(far, braid.Policy1,
+			braid.Config{Distance: 9, Placement: surfcomm.RowMajorPlacement(8)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +91,7 @@ func BenchmarkFigure6BraidPolicies(b *testing.B) {
 				var r surfcomm.BraidResult
 				var err error
 				for i := 0; i < b.N; i++ {
-					r, err = surfcomm.SimulateBraids(w.Circuit, p, surfcomm.BraidConfig{Distance: 9, Seed: 1})
+					r, err = braid.Simulate(w.Circuit, p, braid.Config{Distance: 9, Seed: 1})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -104,7 +107,7 @@ func BenchmarkFigure6BraidPolicies(b *testing.B) {
 // Characterization cells fan across the sweep worker pool; the result
 // is identical to the serial surfcomm.ReferenceModels(1).
 var referenceModels = sync.OnceValues(func() ([]surfcomm.AppModel, error) {
-	return surfcomm.SweepModels(surfcomm.SweepOptions{Seed: 1})
+	return sweep.Models(context.Background(), sweep.Options{Seed: 1})
 })
 
 // BenchmarkFigure7Scaling regenerates the Figure 7 series: absolute
@@ -223,7 +226,7 @@ func BenchmarkSection81EPRWindow(b *testing.B) {
 			if perBank := (w.Circuit.NumQubits + regions - 1) / regions; perBank > width {
 				width = perBank
 			}
-			sched, err := surfcomm.ScheduleSIMD(w.Circuit, surfcomm.SIMDConfig{Regions: regions, Width: width, Seed: 1})
+			sched, err := simd.Run(w.Circuit, simd.Config{Regions: regions, Width: width, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -257,7 +260,8 @@ func BenchmarkSection81EPRWindow(b *testing.B) {
 // by side; their results are verified identical cell-for-cell, so the
 // speedup is pure scheduling.
 func BenchmarkSweepFigure6Grid(b *testing.B) {
-	serial, err := surfcomm.SweepFigure6(surfcomm.SweepOptions{Workers: 1, Seed: 1}, 9)
+	fopt := sweep.Figure6Options{Distance: 9}
+	serial, err := sweep.Figure6(context.Background(), sweep.Options{Workers: 1, Seed: 1}, fopt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +272,7 @@ func BenchmarkSweepFigure6Grid(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cells, err := surfcomm.SweepFigure6(surfcomm.SweepOptions{Workers: workers, Seed: 1}, 9)
+				cells, err := sweep.Figure6(context.Background(), sweep.Options{Workers: workers, Seed: 1}, fopt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -289,7 +293,7 @@ func BenchmarkSweepFigure6Grid(b *testing.B) {
 // BenchmarkAblationLocalTOps isolates the contribution of magic-state
 // traffic to braid congestion: the paper's §4.3 communication pressure.
 func BenchmarkAblationLocalTOps(b *testing.B) {
-	im := surfcomm.Ising(surfcomm.IsingConfig{N: 64, Steps: 2}, true)
+	im := must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 64, Steps: 2}, true))
 	for _, local := range []bool{false, true} {
 		local := local
 		name := "with-magic-traffic"
@@ -300,8 +304,8 @@ func BenchmarkAblationLocalTOps(b *testing.B) {
 			var r surfcomm.BraidResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = surfcomm.SimulateBraids(im, surfcomm.Policy6,
-					surfcomm.BraidConfig{Distance: 9, Seed: 1, LocalTOps: local})
+				r, err = braid.Simulate(im, braid.Policy6,
+					braid.Config{Distance: 9, Seed: 1, LocalTOps: local})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -316,14 +320,14 @@ func BenchmarkAblationLocalTOps(b *testing.B) {
 // (§6.2): Policy 1 (interleaving, naive layout) vs Policy 2
 // (interleaving + interaction-aware layout).
 func BenchmarkAblationLayout(b *testing.B) {
-	sha := surfcomm.SHA1(surfcomm.SHA1Config{Rounds: 1, WordWidth: 16})
+	sha := must(surfcomm.NewSHA1(surfcomm.SHA1Config{Rounds: 1, WordWidth: 16}))
 	for _, p := range []surfcomm.BraidPolicy{surfcomm.Policy1, surfcomm.Policy2} {
 		p := p
 		b.Run(p.String(), func(b *testing.B) {
 			var r surfcomm.BraidResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = surfcomm.SimulateBraids(sha, p, surfcomm.BraidConfig{Distance: 9, Seed: 1})
+				r, err = braid.Simulate(sha, p, braid.Config{Distance: 9, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -390,15 +394,15 @@ func BenchmarkExtensionLatticeSurgery(b *testing.B) {
 // BenchmarkAblationFactoryRefill sweeps the factory-port recovery time,
 // the space-time lever of the paper's §4.3 factory sizing discussion.
 func BenchmarkAblationFactoryRefill(b *testing.B) {
-	im := surfcomm.Ising(surfcomm.IsingConfig{N: 64, Steps: 2}, true)
+	im := must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 64, Steps: 2}, true))
 	for _, refill := range []int64{1, 9, 27} {
 		refill := refill
 		b.Run(fmt.Sprintf("refill=%d", refill), func(b *testing.B) {
 			var r surfcomm.BraidResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = surfcomm.SimulateBraids(im, surfcomm.Policy6,
-					surfcomm.BraidConfig{Distance: 9, Seed: 1, FactoryRefill: refill})
+				r, err = braid.Simulate(im, braid.Policy6,
+					braid.Config{Distance: 9, Seed: 1, FactoryRefill: refill})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,76 +1,18 @@
-// Command scflow runs the compilation frontend over the benchmark
-// applications and prints the paper's characterization tables: the
-// communication-method comparison (Table 1, measured from both backend
-// simulators) and the application summary with parallelism factors
-// (Table 2).
-//
-// The measurements run through a shared surfcomm.Toolchain (-seed,
-// -workers); `-json FILE` emits every table row as a machine-readable
-// record, and an interrupt (Ctrl-C) cancels mid-run.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"log"
-	"os"
-	"os/signal"
 
 	"surfcomm"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("scflow: ")
-	table1 := flag.Bool("table1", false, "print only the Table 1 communication comparison")
-	table2 := flag.Bool("table2", false, "print only the Table 2 application summary")
-	seed := flag.Int64("seed", 1, "layout/partition seed")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	jsonPath := flag.String("json", "", "write table rows to this JSON file")
-	flag.Parse()
-	both := !*table1 && !*table2
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	tc, err := surfcomm.NewToolchain(
-		surfcomm.WithSeed(*seed),
-		surfcomm.WithWorkers(*workers),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var records []surfcomm.SweepCellResult
-	if *table1 || both {
-		if err := printTable1(ctx, tc, &records); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if both {
-		fmt.Println()
-	}
-	if *table2 || both {
-		if err := printTable2(ctx, tc, &records); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *jsonPath != "" {
-		if err := surfcomm.WriteSweepRecordsFile(*jsonPath, records); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %d rows to %s", len(records), *jsonPath)
-	}
-}
-
-// printTable1 measures the defining properties of the two communication
+// runTable1 measures the defining properties of the two communication
 // methods: braid latency is distance-independent (low time) but braids
 // claim whole routes and bigger tiles (high space, not prefetchable);
 // teleportation transit grows with distance (high time) but vanishes
 // under EPR prefetch.
-func printTable1(ctx context.Context, tc *surfcomm.Toolchain, records *[]surfcomm.SweepCellResult) error {
+func runTable1(ctx context.Context, tc *surfcomm.Toolchain, records *[]surfcomm.SweepCellResult) error {
 	const d = 9
 
 	braidCycles := func(cols, a, b int) (int64, error) {
@@ -98,13 +40,14 @@ func printTable1(ctx context.Context, tc *surfcomm.Toolchain, records *[]surfcom
 
 	// The EPR factory sits at the bottom-right of the region grid; a
 	// "near" pair adjoins it, a "far" pair sits at the opposite corner.
+	dist := surfcomm.NewEPRDistributor()
 	teleportStall := func(from, to int, window int64) (int64, error) {
 		sched := &surfcomm.SIMDSchedule{
 			Config:    surfcomm.SIMDConfig{Regions: 16, Width: 8},
 			Timesteps: 8,
 			Moves:     []surfcomm.SIMDMove{{Timestep: 5, Qubit: 0, From: from, To: to}},
 		}
-		r, err := surfcomm.DistributeEPR(sched, window, surfcomm.TeleportConfig{Distance: d})
+		r, err := dist.Distribute(sched, window, surfcomm.TeleportConfig{Distance: d})
 		if err != nil {
 			return 0, err
 		}
@@ -155,7 +98,9 @@ func printTable1(ctx context.Context, tc *surfcomm.Toolchain, records *[]surfcom
 	return nil
 }
 
-func printTable2(ctx context.Context, tc *surfcomm.Toolchain, records *[]surfcomm.SweepCellResult) error {
+// runTable2 prints the frontend characterization of the benchmark
+// applications with their parallelism factors.
+func runTable2(ctx context.Context, tc *surfcomm.Toolchain, records *[]surfcomm.SweepCellResult) error {
 	workloads := surfcomm.Table2Suite()
 	estimates, err := tc.Estimate(ctx, workloads)
 	if err != nil {

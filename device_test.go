@@ -47,7 +47,7 @@ func TestEveryBackendPerfectDeviceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c := must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 10, Steps: 2}))
 	record := func(tg *surfcomm.Target) { tg.RecordSchedule = true }
 	for _, b := range surfcomm.Backends() {
 		pb, err := base.Compile(ctx, b, c, record)
@@ -87,7 +87,7 @@ func TestEveryBackendUnroutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c := must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 10, Steps: 2}))
 	for _, b := range surfcomm.Backends() {
 		_, err := tc.Compile(ctx, b, c)
 		if !errors.Is(err, surfcomm.ErrUnroutable) {
@@ -108,7 +108,7 @@ func TestDefectiveDeviceCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c := must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 10, Steps: 2}))
 	for _, b := range surfcomm.Backends() {
 		plan, err := tc.Compile(ctx, b, c)
 		if errors.Is(err, surfcomm.ErrUnroutable) {

@@ -21,7 +21,10 @@ func Example_toolchain() {
 		log.Fatal(err)
 	}
 
-	circ := surfcomm.Ising(surfcomm.IsingConfig{N: 8, Steps: 1}, true)
+	circ, err := surfcomm.NewIsing(surfcomm.IsingConfig{N: 8, Steps: 1}, true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	plan, err := tc.Compile(context.Background(), surfcomm.BraidBackend{}, circ)
 	if err != nil {
 		log.Fatal(err)
@@ -50,7 +53,10 @@ func Example_backendComparison() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	circ := surfcomm.Ising(surfcomm.IsingConfig{N: 8, Steps: 1}, true)
+	circ, err := surfcomm.NewIsing(surfcomm.IsingConfig{N: 8, Steps: 1}, true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, b := range surfcomm.Backends() {
 		plan, err := tc.Compile(context.Background(), b, circ)
 		if err != nil {

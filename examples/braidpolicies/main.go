@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,10 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	im := surfcomm.Ising(surfcomm.IsingConfig{N: 48, Steps: 2}, true)
+	im, err := surfcomm.NewIsing(surfcomm.IsingConfig{N: 48, Steps: 2}, true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	est, err := surfcomm.EstimateCircuit(im)
 	if err != nil {
 		log.Fatal(err)
@@ -22,24 +26,27 @@ func main() {
 	fmt.Printf("workload: %s — %d ops, parallelism %.1f\n\n", im.Name, est.LogicalOps, est.Parallelism)
 
 	fmt.Printf("%-10s %28s %14s %10s\n", "policy", "schedule/critical-path", "utilization", "adaptive")
-	base := 0.0
+	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(9), surfcomm.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	var base, last float64
 	for _, p := range surfcomm.AllBraidPolicies {
-		r, err := surfcomm.SimulateBraids(im, p, surfcomm.BraidConfig{Distance: 9, Seed: 1})
+		plan, err := tc.Compile(context.Background(), surfcomm.BraidBackend{}, im,
+			func(t *surfcomm.Target) { t.Policy = p })
 		if err != nil {
 			log.Fatal(err)
 		}
+		r := plan.Braid
 		if p == surfcomm.Policy0 {
 			base = r.Ratio
 		}
+		last = r.Ratio // Policy 6 comes last
 		bar := ""
 		for i := 0; i < int(r.Ratio*8); i++ {
 			bar += "#"
 		}
 		fmt.Printf("%-10s %6.2f %-21s %13.1f%% %10d\n", p, r.Ratio, bar, 100*r.AvgUtilization, r.AdaptiveRoutes)
 	}
-	last, err := surfcomm.SimulateBraids(im, surfcomm.Policy6, surfcomm.BraidConfig{Distance: 9, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nPolicy 6 improves on Policy 0 by %.1fx for this parallel workload.\n", base/last.Ratio)
+	fmt.Printf("\nPolicy 6 improves on Policy 0 by %.1fx for this parallel workload.\n", base/last)
 }

@@ -58,7 +58,10 @@ func main() {
 	// synthetic snapshot is deterministic in (seed, dims); 12×12 covers
 	// the junction grid this workload realizes (out-of-grid entries are
 	// ignored, like a snapshot of a larger physical chip).
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c, err := surfcomm.NewGSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
 	cal := surfcomm.SyntheticCalibration(7, 12, 12)
 	devices := []*surfcomm.Device{
 		surfcomm.PerfectDevice(),

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,14 +15,27 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	serial := surfcomm.Workload{Name: "GSE", Circuit: surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})}
-	parallel := surfcomm.Workload{Name: "IM", Circuit: surfcomm.Ising(surfcomm.IsingConfig{N: 64, Steps: 2}, true)}
+	gse, err := surfcomm.NewGSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	im, err := surfcomm.NewIsing(surfcomm.IsingConfig{N: 64, Steps: 2}, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	models, err := tc.Characterize(context.Background(), []surfcomm.Workload{
+		{Name: "GSE", Circuit: gse}, // serial
+		{Name: "IM", Circuit: im},   // parallel
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	for _, w := range []surfcomm.Workload{serial, parallel} {
-		m, err := surfcomm.Characterize(w, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, m := range models {
 		fmt.Printf("%s: parallelism %.1f, move fraction %.2f, braid congestion %.2f\n",
 			m.Name, m.Parallelism, m.MoveFraction, m.CongestionDD)
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,11 +15,21 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	sq := surfcomm.SQ(surfcomm.SQConfig{N: 8, Iters: 2})
-	sched, err := surfcomm.ScheduleSIMD(sq, surfcomm.SIMDConfig{Regions: 4, Width: 16, Seed: 1})
+	sq, err := surfcomm.NewSQ(surfcomm.SQConfig{N: 8, Iters: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
+	tc, err := surfcomm.NewToolchain()
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := tc.Compile(context.Background(), surfcomm.PlanarBackend{}, sq, func(t *surfcomm.Target) {
+		t.SIMD = surfcomm.SIMDConfig{Regions: 4, Width: 16, Seed: 1}
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sched := plan.SIMD
 	fmt.Printf("workload: %s — %d timesteps, %d EPR-consuming moves\n\n",
 		sq.Name, sched.Timesteps, len(sched.Moves))
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,12 +36,21 @@ func main() {
 	fmt.Println("frontend estimate:")
 	fmt.Printf("  %s\n\n", est)
 
-	// Double-defect backend: braided communication under the combined
-	// priority policy.
-	braidRes, err := surfcomm.SimulateBraids(c, surfcomm.Policy6, surfcomm.BraidConfig{Distance: 9})
+	// One toolchain compiles onto both architectures; seed 0 drives
+	// layout and partitioning on both.
+	ctx := context.Background()
+	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(0))
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Double-defect backend: braided communication under the combined
+	// priority policy (the toolchain default, Policy 6, at d=9).
+	braidPlan, err := tc.Compile(ctx, surfcomm.BraidBackend{}, c)
+	if err != nil {
+		log.Fatal(err)
+	}
+	braidRes := braidPlan.Braid
 	fmt.Println("double-defect (braids, Policy 6):")
 	fmt.Printf("  schedule %d cycles, critical path %d, ratio %.2f\n",
 		braidRes.ScheduleCycles, braidRes.CriticalPathCycles, braidRes.Ratio)
@@ -48,16 +58,14 @@ func main() {
 		100*braidRes.AvgUtilization, braidRes.Tiles, braidRes.PhysicalQubits)
 
 	// Planar backend: Multi-SIMD schedule plus just-in-time EPR
-	// distribution.
-	sched, err := surfcomm.ScheduleSIMD(c, surfcomm.SIMDConfig{Regions: 4, Width: 8})
+	// distribution, on a 4-region machine of width 8.
+	planarPlan, err := tc.Compile(ctx, surfcomm.PlanarBackend{}, c, func(t *surfcomm.Target) {
+		t.SIMD = surfcomm.SIMDConfig{Regions: 4, Width: 8}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := surfcomm.TeleportConfig{Distance: 9}
-	epr, err := surfcomm.DistributeEPR(sched, surfcomm.JITWindow(sched, cfg), cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sched, epr := planarPlan.SIMD, planarPlan.EPR
 	fmt.Println("planar (Multi-SIMD + teleportation, JIT window):")
 	fmt.Printf("  %d timesteps (%d critical), %d teleports, %d magic deliveries\n",
 		sched.Timesteps, sched.CriticalTimesteps, sched.Teleports, sched.MagicMoves)

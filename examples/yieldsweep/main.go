@@ -20,7 +20,10 @@ func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
 
-	c := surfcomm.GSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	c, err := surfcomm.NewGSE(surfcomm.GSEConfig{M: 10, Steps: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// One compile per device model, same circuit, same seed: any cost
 	// difference is the topology's doing.

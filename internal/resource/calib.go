@@ -13,6 +13,16 @@ import (
 // and worst tile is what the calibration sweep study quantifies: on a
 // real chip the worst tile, not the average, bounds the computation.
 
+// ScheduleLogicalRate estimates a schedule's logical failure
+// probability: tiles × cycles × the per-tile, per-cycle logical error
+// rate, saturated at 1 because a rate is a probability.
+func ScheduleLogicalRate(tiles int, cycles int64, perTileCycle float64) float64 {
+	if lr := float64(tiles) * float64(cycles) * perTileCycle; lr < 1 {
+		return lr
+	}
+	return 1
+}
+
 // TileLogicalRates returns the per-tile logical error rate per syndrome
 // cycle at distance d, row-major over the topology grid. Tiles without
 // a calibration entry (rate 0) and all tiles of an uncalibrated or nil

@@ -196,7 +196,11 @@ func TestEstimateEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &est); err != nil {
 		t.Fatal(err)
 	}
-	want, err := surfcomm.EstimateCircuit(surfcomm.GSE(surfcomm.GSEConfig{M: 8, Steps: 2}))
+	circ, err := surfcomm.NewGSE(surfcomm.GSEConfig{M: 8, Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := surfcomm.EstimateCircuit(circ)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,14 +367,7 @@ func (s *Service) resolve(req Request) (compileKey, error) {
 // of the picture at any cache size.
 func digest(backend string, canonicalQASM []byte, t surfcomm.Target) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "backend=%s\n", backend)
-	fmt.Fprintf(h, "d=%d policy=%d seed=%d window=%d bw=%d local=%t record=%t\n",
-		t.Distance, int(t.Policy), t.Seed, t.Window, t.LinkBandwidth, t.LocalTOps, t.RecordSchedule)
-	fmt.Fprintf(h, "tech=%g/%g/%g/%g/%g/%g\n",
-		t.Technology.PhysicalErrorRate, t.Technology.Threshold, t.Technology.Prefactor,
-		t.Technology.Gate1Q, t.Technology.Gate2Q, t.Technology.Meas)
-	fmt.Fprintf(h, "simd=%d/%d/%d/%t\n", t.SIMD.Regions, t.SIMD.Width, t.SIMD.Seed, t.SIMD.NaiveBanks)
-	fmt.Fprintf(h, "device=%s\n", t.Device.String())
+	t.WriteFingerprint(h, backend)
 	h.Write(canonicalQASM)
 	return hex.EncodeToString(h.Sum(nil))
 }

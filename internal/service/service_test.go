@@ -56,7 +56,11 @@ func newService(t *testing.T, cfg service.Config) *service.Service {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return service.New(tc, cfg)
+	svc := service.New(tc, cfg)
+	// Drain write-behind saves before the store's temp dir is removed
+	// (cleanups run in reverse, and the store was opened first).
+	t.Cleanup(svc.Close)
+	return svc
 }
 
 // TestCacheHitMatchesFreshCompile is the tentpole acceptance property:
@@ -386,5 +390,40 @@ func TestDigestCanonicalizesQASM(t *testing.T) {
 	}
 	if !second.Cached {
 		t.Error("canonically equal request should hit the cache")
+	}
+}
+
+// TestCompileDigestPinned pins the hex of one compile digest. Disk
+// stores name entries plans/<digest>.plan, so any drift in how the
+// digest folds the target or the circuit cold-starts every persisted
+// store.
+func TestCompileDigestPinned(t *testing.T) {
+	circ := surfcomm.NewCircuit("pin", 4)
+	circ.Append(surfcomm.OpH, 0)
+	circ.Append(surfcomm.OpCNOT, 0, 3)
+	circ.Append(surfcomm.OpT, 2)
+	circ.Append(surfcomm.OpCNOT, 1, 2)
+	var buf bytes.Buffer
+	if err := surfcomm.WriteQASM(&buf, circ); err != nil {
+		t.Fatal(err)
+	}
+	policy, seed := 3, int64(11)
+	res, err := newService(t, service.Config{}).Compile(context.Background(), service.Request{
+		QASM:           buf.String(),
+		Backend:        "braid",
+		Distance:       7,
+		Policy:         &policy,
+		Seed:           &seed,
+		Window:         40,
+		PhysicalError:  1e-6,
+		RecordSchedule: true,
+		Device:         &service.DeviceSpec{Preset: "random-yield", Frac: 0.02, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "021d2c2fd8606eb4066599ef63b7445c49c791cd0a0c3eac8c26797a6a4fcee2"
+	if res.Digest != want {
+		t.Errorf("compile digest = %s, want %s", res.Digest, want)
 	}
 }

@@ -216,11 +216,7 @@ func CalibGrid(ctx context.Context, opt Options, copt CalibOptions) ([]CalibCell
 		out.Adaptive = r.AdaptiveRoutes
 		out.Reroutes = r.Reroutes
 		out.Tiles = r.Tiles
-		if lr := float64(r.Tiles) * float64(r.ScheduleCycles) * out.RateMean; lr < 1 {
-			out.LogicalRate = lr
-		} else {
-			out.LogicalRate = 1
-		}
+		out.LogicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, out.RateMean)
 		return out, nil
 	})
 }

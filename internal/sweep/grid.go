@@ -201,7 +201,7 @@ type Figure6Cell struct {
 	Util   float64
 	Cycles int64
 	// Braids/Adaptive/Reinjections expose the engine's placement
-	// counters (the cmd/braidsim columns).
+	// counters (the cmd/sweep -fig6 columns).
 	Braids       int64
 	Adaptive     int64
 	Reinjections int64
@@ -216,8 +216,6 @@ type Figure6Cell struct {
 type Figure6Options struct {
 	// Distance is the code distance; zero selects 9.
 	Distance int
-	// LocalTOps is the magic-state ablation (states pre-delivered).
-	LocalTOps bool
 	// RecordSchedule captures each cell's static schedule for replay
 	// validation.
 	RecordSchedule bool
@@ -251,7 +249,6 @@ func Figure6(ctx context.Context, opt Options, fopt Figure6Options) ([]Figure6Ce
 		r, err := braid.SimulateContext(ctx, c.w.Circuit, c.p, braid.Config{
 			Distance:       fopt.Distance,
 			Seed:           opt.Seed,
-			LocalTOps:      fopt.LocalTOps,
 			RecordSchedule: fopt.RecordSchedule,
 		})
 		if err != nil {

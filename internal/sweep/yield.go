@@ -9,6 +9,7 @@ import (
 	"surfcomm/internal/apps"
 	"surfcomm/internal/braid"
 	"surfcomm/internal/device"
+	"surfcomm/internal/resource"
 	"surfcomm/internal/scerr"
 	"surfcomm/internal/surface"
 )
@@ -139,11 +140,7 @@ func YieldGrid(ctx context.Context, opt Options, yopt YieldOptions) ([]YieldCell
 		out.Ratio = r.Ratio
 		out.Adaptive = r.AdaptiveRoutes
 		out.Tiles = r.Tiles
-		if lr := float64(r.Tiles) * float64(r.ScheduleCycles) * perCycle; lr < 1 {
-			out.LogicalRate = lr
-		} else {
-			out.LogicalRate = 1
-		}
+		out.LogicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, perCycle)
 		return out, nil
 	})
 }

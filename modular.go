@@ -116,22 +116,6 @@ type ModularResult struct {
 	StitchCycles     int64 `json:"stitch_cycles"`
 }
 
-// targetFingerprint folds every plan-affecting knob of a resolved
-// target (everything the serving layer's digest covers except the
-// circuit text) so module digests separate by backend and target.
-func targetFingerprint(backend string, t Target) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "backend=%s\n", backend)
-	fmt.Fprintf(h, "d=%d policy=%d seed=%d window=%d bw=%d local=%t record=%t\n",
-		t.Distance, int(t.Policy), t.Seed, t.Window, t.LinkBandwidth, t.LocalTOps, t.RecordSchedule)
-	fmt.Fprintf(h, "tech=%g/%g/%g/%g/%g/%g\n",
-		t.Technology.PhysicalErrorRate, t.Technology.Threshold, t.Technology.Prefactor,
-		t.Technology.Gate1Q, t.Technology.Gate2Q, t.Technology.Meas)
-	fmt.Fprintf(h, "simd=%d/%d/%d/%t\n", t.SIMD.Regions, t.SIMD.Width, t.SIMD.Seed, t.SIMD.NaiveBanks)
-	fmt.Fprintf(h, "device=%s\n", t.Device.String())
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // CompileIncremental lowers a hierarchical program onto one backend,
 // compiling each module as an independently cached unit and linking
 // the module plans with the stitching pass (module patches placed by
@@ -181,16 +165,20 @@ func (tc *Toolchain) CompileIncremental(ctx context.Context, b Backend, p *Progr
 	modTarget := target
 	modTarget.Placement = nil
 
-	fp := targetFingerprint(b.Name(), modTarget)
-	channel := float64(surface.DoubleDefectTileQubits(targetDistance(target)))
+	// The fingerprint folds every plan-affecting knob of the module
+	// target, so module digests separate by backend and target.
+	h := sha256.New()
+	modTarget.WriteFingerprint(h, b.Name())
+	resolved := target.withDefaults()
+	channel := float64(surface.DoubleDefectTileQubits(resolved.Distance))
 	if b.Name() == "planar" {
-		channel = float64(surface.PlanarTileQubits(targetDistance(target)))
+		channel = float64(surface.PlanarTileQubits(resolved.Distance))
 	}
 
 	res, err := modcompile.Run(ctx, p, modcompile.Config{
 		Workers:              tc.workers,
-		TargetFingerprint:    fp,
-		Distance:             targetDistance(target),
+		TargetFingerprint:    hex.EncodeToString(h.Sum(nil)),
+		Distance:             resolved.Distance,
 		ChannelQubitsPerLink: channel,
 		Seed:                 tc.seed,
 		Cache:                moduleCacheAdapter{tc.modCache},
@@ -236,35 +224,17 @@ func (tc *Toolchain) CompileIncremental(ctx context.Context, b Backend, p *Progr
 	plan := Plan{
 		Backend:        b.Name(),
 		Circuit:        p.Entry,
-		Distance:       targetDistance(target),
+		Distance:       resolved.Distance,
 		Seed:           modTarget.Seed,
 		Device:         target.Device.String(),
 		Cycles:         res.Cycles,
-		Seconds:        float64(res.Cycles) * resolvedTechnology(target).SyndromeCycleTime(),
+		Seconds:        float64(res.Cycles) * resolved.Technology.SyndromeCycleTime(),
 		PhysicalQubits: res.PhysicalQubits,
 		CommOps:        res.CommOps,
 		Modular:        mr,
 	}
 	tc.emit(Event{Stage: "compile", Backend: b.Name(), Cell: p.Entry, Total: 1})
 	return plan, nil
-}
-
-// targetDistance mirrors Target.withDefaults for the one field the
-// linker prices directly.
-func targetDistance(t Target) int {
-	if t.Distance == 0 {
-		return 9
-	}
-	return t.Distance
-}
-
-// resolvedTechnology mirrors Target.withDefaults for cycle-time
-// conversion.
-func resolvedTechnology(t Target) Technology {
-	if t.Technology == (Technology{}) {
-		return Superconducting(1e-8)
-	}
-	return t.Technology
 }
 
 // moduleCacheAdapter bridges the public ModuleCache (Plan values) to

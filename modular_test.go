@@ -288,3 +288,28 @@ func TestCloneWithModuleCacheShares(t *testing.T) {
 			plan.Modular.Hits, plan.Modular.Compiled)
 	}
 }
+
+// TestModuleDigestsPinned pins the hex of one module digest and one
+// link digest. Module plans persist under their digests, so drift in
+// the target fingerprint cold-starts every persisted module store.
+func TestModuleDigestsPinned(t *testing.T) {
+	tc := modularToolchain(t, WithDistance(5), WithSeed(1))
+	p, err := PipelineProgram(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tc.CompileIncremental(context.Background(), BraidBackend{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantModule = "b661165ec288f51d3bdf0601da18847f5d135751cfa7409b76a650f78c6f640f"
+		wantLink   = "3063192b4bd5b33712548207120d920e583d014bf6027145ca74e392692dc4d4"
+	)
+	if got := plan.Modular.Modules[0].Digest; got != wantModule {
+		t.Errorf("module %s digest = %s, want %s", plan.Modular.Modules[0].Name, got, wantModule)
+	}
+	if got := plan.Modular.LinkDigest; got != wantLink {
+		t.Errorf("link digest = %s, want %s", got, wantLink)
+	}
+}

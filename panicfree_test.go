@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"surfcomm"
+	"surfcomm/internal/apps"
 )
 
 // TestValidatingConstructorsRejectBadConfigs pins the panic-free
@@ -52,9 +53,9 @@ func TestValidatingConstructorsMatchGenerators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := surfcomm.SQ(surfcomm.SQConfig{N: 6, Iters: 2})
+	want := apps.SQ(apps.SQConfig{N: 6, Iters: 2})
 	if got.Name != want.Name || got.NumQubits != want.NumQubits || len(got.Gates) != len(want.Gates) {
-		t.Errorf("NewSQ diverges from SQ: %s/%d/%d vs %s/%d/%d",
+		t.Errorf("NewSQ diverges from apps.SQ: %s/%d/%d vs %s/%d/%d",
 			got.Name, got.NumQubits, len(got.Gates), want.Name, want.NumQubits, len(want.Gates))
 	}
 }
@@ -69,7 +70,7 @@ func TestCompileRejectsBadTargetsWithoutPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := surfcomm.GSE(surfcomm.GSEConfig{M: 6, Steps: 1})
+	good := must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 6, Steps: 1}))
 
 	outOfRange := surfcomm.NewCircuit("bad-gate", 2)
 	outOfRange.Gates = append(outOfRange.Gates, surfcomm.Gate{Op: surfcomm.OpCNOT, Qubits: []int{0, 5}})

@@ -24,7 +24,6 @@
 package surfcomm
 
 import (
-	"context"
 	"io"
 	"math/rand"
 
@@ -109,35 +108,6 @@ type (
 	IsingConfig = apps.IsingConfig
 )
 
-// GSE generates the Ground State Estimation workload, panicking on a
-// malformed config.
-//
-// Deprecated: use NewGSE, which rejects bad configs with an error
-// matching ErrBadConfig instead of panicking. This wrapper remains for
-// callers that predate the serving layer.
-func GSE(cfg GSEConfig) *Circuit { return apps.GSE(cfg) }
-
-// SQ generates the Square Root (Grover) workload, panicking on a
-// malformed config.
-//
-// Deprecated: use NewSQ, which rejects bad configs with an error
-// matching ErrBadConfig instead of panicking.
-func SQ(cfg SQConfig) *Circuit { return apps.SQ(cfg) }
-
-// SHA1 generates the SHA-1 decryption workload, panicking on a
-// malformed config.
-//
-// Deprecated: use NewSHA1, which rejects bad configs with an error
-// matching ErrBadConfig instead of panicking.
-func SHA1(cfg SHA1Config) *Circuit { return apps.SHA1(cfg) }
-
-// Ising generates the Ising-model workload at the chosen inlining
-// level, panicking on a malformed config.
-//
-// Deprecated: use NewIsing, which rejects bad configs with an error
-// matching ErrBadConfig instead of panicking.
-func Ising(cfg IsingConfig, fullyInline bool) *Circuit { return apps.Ising(cfg, fullyInline) }
-
 // NewGSE generates the Ground State Estimation workload; a malformed
 // config returns an error matching ErrBadConfig.
 func NewGSE(cfg GSEConfig) (*Circuit, error) { return apps.NewGSE(cfg) }
@@ -208,15 +178,6 @@ type BraidConfig = braid.Config
 // BraidResult reports one braid simulation (one Figure 6 bar).
 type BraidResult = braid.Result
 
-// SimulateBraids discovers a static braid schedule for the circuit.
-//
-// Deprecated: compile through a BraidBackend via Toolchain.Compile,
-// which adds cancellation and progress events. This shim remains for
-// callers that predate the Toolchain API.
-func SimulateBraids(c *Circuit, p BraidPolicy, cfg BraidConfig) (BraidResult, error) {
-	return braid.Simulate(c, p, cfg)
-}
-
 // BraidArch is the tiled double-defect floorplan a recorded schedule
 // was discovered on.
 type BraidArch = braid.Arch
@@ -243,12 +204,6 @@ type SIMDSchedule = simd.Schedule
 // SIMDMove is one teleportation in a Multi-SIMD schedule's move list.
 type SIMDMove = simd.Move
 
-// ScheduleSIMD schedules a circuit on the Multi-SIMD machine.
-//
-// Deprecated: compile through a PlanarBackend via Toolchain.Compile,
-// which fuses scheduling with EPR distribution and adds cancellation.
-func ScheduleSIMD(c *Circuit, cfg SIMDConfig) (*SIMDSchedule, error) { return simd.Run(c, cfg) }
-
 // TeleportConfig sets EPR-network parameters.
 type TeleportConfig = teleport.Config
 
@@ -257,13 +212,6 @@ type TeleportResult = teleport.Result
 
 // PrefetchAll launches every EPR pair at cycle zero (the §8.1 baseline).
 const PrefetchAll = teleport.PrefetchAll
-
-// DistributeEPR replays a schedule's moves at a look-ahead window.
-//
-// Deprecated: compile through a PlanarBackend via Toolchain.Compile.
-func DistributeEPR(s *SIMDSchedule, window int64, cfg TeleportConfig) (TeleportResult, error) {
-	return teleport.Distribute(s, window, cfg)
-}
 
 // EPRDistributor owns reusable EPR-distribution scratch: repeated
 // distributions through one distributor (a window sweep, a batch of
@@ -291,12 +239,6 @@ type DesignPoint = toolflow.DesignPoint
 
 // BoundaryPoint is one (p_P, K*) sample of a Figure 9 line.
 type BoundaryPoint = toolflow.BoundaryPoint
-
-// Characterize measures an application's model at reference scale.
-//
-// Deprecated: use Toolchain.Characterize, which parallelizes across
-// workloads and supports cancellation.
-func Characterize(w Workload, seed int64) (AppModel, error) { return toolflow.Characterize(w, seed) }
 
 // Evaluate costs one design point.
 func Evaluate(m AppModel, totalOps, physicalError float64) (DesignPoint, error) {
@@ -359,7 +301,7 @@ type SweepEPRCell = sweep.EPRCell
 type SweepDecoderCell = sweep.DecoderCell
 
 // SweepFigure6Options selects the Figure 6 grid variant (distance,
-// magic-state ablation, schedule recording, app filter).
+// schedule recording, app filter).
 type SweepFigure6Options = sweep.Figure6Options
 
 // SweepYieldCell is one braid compile on one realized defective device
@@ -376,53 +318,6 @@ type SweepCalibCell = sweep.CalibCell
 
 // SweepCalibOptions selects the calibration-study grid.
 type SweepCalibOptions = sweep.CalibOptions
-
-// SweepModels characterizes the reference suite across a worker pool;
-// results are deterministic and identical to ReferenceModels at any
-// worker count.
-//
-// Deprecated: use Toolchain.Models, which adds cancellation and
-// progress streaming.
-func SweepModels(opt SweepOptions) ([]AppModel, error) {
-	return sweep.Models(context.Background(), opt)
-}
-
-// SweepCharacterize characterizes arbitrary workloads across the pool.
-//
-// Deprecated: use Toolchain.Characterize.
-func SweepCharacterize(opt SweepOptions, ws []Workload) ([]AppModel, error) {
-	return sweep.Characterize(context.Background(), opt, ws)
-}
-
-// SweepCurve evaluates a Figure 7/8 K-sweep cell-parallel.
-//
-// Deprecated: use Toolchain.Curve.
-func SweepCurve(opt SweepOptions, m AppModel, physicalError float64, fromExp, toExp, pointsPerDecade int) ([]DesignPoint, error) {
-	return sweep.Curve(context.Background(), opt, m, physicalError, fromExp, toExp, pointsPerDecade)
-}
-
-// SweepBoundary computes every model's Figure 9 boundary on the
-// (application × error-rate) grid.
-//
-// Deprecated: use Toolchain.Boundary.
-func SweepBoundary(opt SweepOptions, models []AppModel, rates []float64) ([][]BoundaryPoint, error) {
-	return sweep.Boundary(context.Background(), opt, models, rates)
-}
-
-// SweepFigure6 runs the full Figure 6 (application × policy) grid.
-//
-// Deprecated: use Toolchain.Figure6.
-func SweepFigure6(opt SweepOptions, distance int) ([]SweepFigure6Cell, error) {
-	return sweep.Figure6(context.Background(), opt, sweep.Figure6Options{Distance: distance})
-}
-
-// SweepEPRStudy runs the §8.1 window study per application on the
-// worker pool (one cell per workload).
-//
-// Deprecated: use Toolchain.EPRStudy.
-func SweepEPRStudy(opt SweepOptions, cfg TeleportConfig) ([]SweepEPRCell, error) {
-	return sweep.EPRWindows(context.Background(), opt, cfg)
-}
 
 // WriteSweepRecords serializes grid cells as stable JSON (BENCH_*.json).
 func WriteSweepRecords(w io.Writer, cells []SweepCellResult) error {

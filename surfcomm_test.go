@@ -1,18 +1,28 @@
 package surfcomm_test
 
 import (
+	"context"
 	"testing"
 
 	"surfcomm"
 )
 
+// must unwraps a workload constructor whose config is known valid.
+func must(c *surfcomm.Circuit, err error) *surfcomm.Circuit {
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // TestEndToEndPipeline exercises the full public API the way the paper's
 // toolflow runs: generate an application, analyze it, map it to both
 // architectures, and evaluate the design space.
 func TestEndToEndPipeline(t *testing.T) {
+	ctx := context.Background()
 	w := surfcomm.Workload{
 		Name:    "IM",
-		Circuit: surfcomm.Ising(surfcomm.IsingConfig{N: 32, Steps: 1}, true),
+		Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 32, Steps: 1}, true)),
 	}
 
 	est, err := surfcomm.EstimateCircuit(w.Circuit)
@@ -23,32 +33,33 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("estimate implausible: %+v", est)
 	}
 
-	braidRes, err := surfcomm.SimulateBraids(w.Circuit, surfcomm.Policy6, surfcomm.BraidConfig{Distance: 5})
+	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if braidRes.ScheduleCycles < braidRes.CriticalPathCycles {
+	braidPlan, err := tc.Compile(ctx, surfcomm.BraidBackend{}, w.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if braidPlan.Cycles < braidPlan.Braid.CriticalPathCycles {
 		t.Fatal("braid schedule beats critical path")
 	}
 
-	sched, err := surfcomm.ScheduleSIMD(w.Circuit, surfcomm.SIMDConfig{Regions: 4, Width: 16})
+	planarPlan, err := tc.Compile(ctx, surfcomm.PlanarBackend{}, w.Circuit, func(tg *surfcomm.Target) {
+		tg.SIMD = surfcomm.SIMDConfig{Regions: 4, Width: 16}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := surfcomm.TeleportConfig{Distance: 5}
-	epr, err := surfcomm.DistributeEPR(sched, surfcomm.JITWindow(sched, cfg), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epr.ScheduleCycles < epr.BaseCycles {
+	if planarPlan.EPR.ScheduleCycles < planarPlan.EPR.BaseCycles {
 		t.Fatal("EPR schedule below base")
 	}
 
-	m, err := surfcomm.Characterize(w, 1)
+	models, err := tc.Characterize(ctx, []surfcomm.Workload{w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := surfcomm.Evaluate(m, 1e6, 1e-5)
+	dp, err := surfcomm.Evaluate(models[0], 1e6, 1e-5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +72,21 @@ func TestEndToEndPipeline(t *testing.T) {
 // public API: the combined policy beats program order for a parallel
 // workload.
 func TestPolicySweepViaFacade(t *testing.T) {
-	im := surfcomm.Ising(surfcomm.IsingConfig{N: 32, Steps: 1}, true)
-	p0, err := surfcomm.SimulateBraids(im, surfcomm.Policy0, surfcomm.BraidConfig{Distance: 5, Seed: 1})
+	im := must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 32, Steps: 1}, true))
+	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p6, err := surfcomm.SimulateBraids(im, surfcomm.Policy6, surfcomm.BraidConfig{Distance: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	ratio := func(p surfcomm.BraidPolicy) float64 {
+		plan, err := tc.Compile(context.Background(), surfcomm.BraidBackend{}, im,
+			func(tg *surfcomm.Target) { tg.Policy = p })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Braid.Ratio
 	}
-	if p6.Ratio >= p0.Ratio {
-		t.Errorf("Policy 6 (%.2f) should beat Policy 0 (%.2f)", p6.Ratio, p0.Ratio)
+	if p0, p6 := ratio(surfcomm.Policy0), ratio(surfcomm.Policy6); p6 >= p0 {
+		t.Errorf("Policy 6 (%.2f) should beat Policy 0 (%.2f)", p6, p0)
 	}
 }
 
@@ -97,11 +112,18 @@ func TestBuilderFacade(t *testing.T) {
 
 // TestEPRWindowTradeoffViaFacade checks the §8.1 claim end to end.
 func TestEPRWindowTradeoffViaFacade(t *testing.T) {
-	sq := surfcomm.SQ(surfcomm.SQConfig{N: 6, Iters: 1})
-	sched, err := surfcomm.ScheduleSIMD(sq, surfcomm.SIMDConfig{Regions: 4, Width: 8, Seed: 1})
+	sq := must(surfcomm.NewSQ(surfcomm.SQConfig{N: 6, Iters: 1}))
+	tc, err := surfcomm.NewToolchain()
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := tc.Compile(context.Background(), surfcomm.PlanarBackend{}, sq, func(tg *surfcomm.Target) {
+		tg.SIMD = surfcomm.SIMDConfig{Regions: 4, Width: 8, Seed: 1}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := plan.SIMD
 	cfg := surfcomm.TeleportConfig{Distance: 9}
 	results, err := surfcomm.SweepEPRWindows(sched,
 		[]int64{surfcomm.JITWindow(sched, cfg), surfcomm.PrefetchAll}, cfg)

@@ -11,14 +11,18 @@ import (
 	"time"
 
 	"surfcomm"
+	"surfcomm/internal/braid"
+	"surfcomm/internal/simd"
+	"surfcomm/internal/sweep"
+	"surfcomm/internal/teleport"
 )
 
-// --- API parity: the Toolchain must reproduce the deprecated
-// free-function paths byte-for-byte at the same seed. ---
+// --- API parity: the Toolchain must reproduce the engine entry points
+// it wraps byte-for-byte at the same seed. ---
 
 // TestBraidBackendParity compiles every Fig6Suite workload through
 // Toolchain.Compile and asserts the plan — including the recorded
-// static schedule — is identical to the deprecated SimulateBraids path.
+// static schedule — is identical to a direct braid.Simulate run.
 func TestBraidBackendParity(t *testing.T) {
 	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1))
 	if err != nil {
@@ -30,19 +34,19 @@ func TestBraidBackendParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		ref, err := surfcomm.SimulateBraids(w.Circuit, surfcomm.Policy6,
-			surfcomm.BraidConfig{Distance: 5, Seed: 1, RecordSchedule: true})
+		ref, err := braid.Simulate(w.Circuit, braid.Policy6,
+			braid.Config{Distance: 5, Seed: 1, RecordSchedule: true})
 		if err != nil {
-			t.Fatalf("%s: deprecated path: %v", w.Name, err)
+			t.Fatalf("%s: reference path: %v", w.Name, err)
 		}
 		if plan.Cycles != ref.ScheduleCycles {
-			t.Errorf("%s: plan cycles %d != deprecated %d", w.Name, plan.Cycles, ref.ScheduleCycles)
+			t.Errorf("%s: plan cycles %d != reference %d", w.Name, plan.Cycles, ref.ScheduleCycles)
 		}
 		if plan.PhysicalQubits != float64(ref.PhysicalQubits) {
-			t.Errorf("%s: plan qubits %g != deprecated %d", w.Name, plan.PhysicalQubits, ref.PhysicalQubits)
+			t.Errorf("%s: plan qubits %g != reference %d", w.Name, plan.PhysicalQubits, ref.PhysicalQubits)
 		}
 		if plan.CommOps != ref.BraidsPlaced {
-			t.Errorf("%s: plan comm ops %d != deprecated %d", w.Name, plan.CommOps, ref.BraidsPlaced)
+			t.Errorf("%s: plan comm ops %d != reference %d", w.Name, plan.CommOps, ref.BraidsPlaced)
 		}
 		if !reflect.DeepEqual(plan.Braid.Schedule, ref.Schedule) {
 			t.Errorf("%s: recorded schedules diverge (%d vs %d entries)",
@@ -53,7 +57,7 @@ func TestBraidBackendParity(t *testing.T) {
 
 // TestPlanarBackendParity compiles every Fig6Suite workload through the
 // planar backend and asserts the fused schedule + distribution match
-// the deprecated ScheduleSIMD → JITWindow → DistributeEPR chain.
+// a direct simd.Run → teleport.JITWindow → teleport.Distribute chain.
 func TestPlanarBackendParity(t *testing.T) {
 	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
 	if err != nil {
@@ -72,15 +76,14 @@ func TestPlanarBackendParity(t *testing.T) {
 		if perBank := (w.Circuit.NumQubits + regions - 1) / regions; perBank > width {
 			width = perBank
 		}
-		sched, err := surfcomm.ScheduleSIMD(w.Circuit,
-			surfcomm.SIMDConfig{Regions: regions, Width: width, Seed: 1})
+		sched, err := simd.Run(w.Circuit, simd.Config{Regions: regions, Width: width, Seed: 1})
 		if err != nil {
-			t.Fatalf("%s: deprecated path: %v", w.Name, err)
+			t.Fatalf("%s: reference path: %v", w.Name, err)
 		}
-		cfg := surfcomm.TeleportConfig{Distance: 9}
-		ref, err := surfcomm.DistributeEPR(sched, surfcomm.JITWindow(sched, cfg), cfg)
+		cfg := teleport.Config{Distance: 9}
+		ref, err := teleport.Distribute(sched, teleport.JITWindow(sched, cfg), cfg)
 		if err != nil {
-			t.Fatalf("%s: deprecated path: %v", w.Name, err)
+			t.Fatalf("%s: reference path: %v", w.Name, err)
 		}
 		if *plan.EPR != ref {
 			t.Errorf("%s: EPR result diverges: %+v vs %+v", w.Name, *plan.EPR, ref)
@@ -90,7 +93,7 @@ func TestPlanarBackendParity(t *testing.T) {
 				w.Name, len(plan.SIMD.Moves), len(sched.Moves))
 		}
 		if plan.Cycles != ref.ScheduleCycles {
-			t.Errorf("%s: plan cycles %d != deprecated %d", w.Name, plan.Cycles, ref.ScheduleCycles)
+			t.Errorf("%s: plan cycles %d != reference %d", w.Name, plan.Cycles, ref.ScheduleCycles)
 		}
 	}
 }
@@ -147,8 +150,8 @@ func syntheticModel(name string) surfcomm.AppModel {
 }
 
 // TestToolchainRecordParity asserts the Toolchain grids serialize to
-// byte-identical JSON records as the deprecated Sweep* free functions
-// at the same seed — the BENCH_sweep.json compatibility guarantee.
+// byte-identical JSON records as the internal/sweep grid functions at
+// the same seed — the BENCH_sweep.json compatibility guarantee.
 func TestToolchainRecordParity(t *testing.T) {
 	ctx := context.Background()
 	const seed = 3
@@ -159,17 +162,17 @@ func TestToolchainRecordParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := surfcomm.SweepOptions{Seed: seed}
+	opt := sweep.Options{Seed: seed}
 
 	workloads := []surfcomm.Workload{
-		{Name: "GSE", Circuit: surfcomm.GSE(surfcomm.GSEConfig{M: 4, Steps: 1})},
-		{Name: "IM", Circuit: surfcomm.Ising(surfcomm.IsingConfig{N: 10, Steps: 1}, true)},
+		{Name: "GSE", Circuit: must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 4, Steps: 1}))},
+		{Name: "IM", Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 10, Steps: 1}, true))},
 	}
 	newModels, err := tc.Characterize(ctx, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldModels, err := surfcomm.SweepCharacterize(opt, workloads)
+	oldModels, err := sweep.Characterize(ctx, opt, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,7 @@ func TestToolchainRecordParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldCurve, err := surfcomm.SweepCurve(opt, m, 1e-6, 0, 8, 2)
+	oldCurve, err := sweep.Curve(ctx, opt, m, 1e-6, 0, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +198,7 @@ func TestToolchainRecordParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldBound, err := surfcomm.SweepBoundary(opt, models, rates)
+	oldBound, err := sweep.Boundary(ctx, opt, models, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestToolchainRecordParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("toolchain records differ from deprecated free-function records")
+		t.Error("toolchain records differ from internal/sweep records")
 	}
 }
 
@@ -225,7 +228,7 @@ func TestFigure6GridParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldCells, err := surfcomm.SweepFigure6(surfcomm.SweepOptions{Seed: 1}, 5)
+	oldCells, err := sweep.Figure6(context.Background(), sweep.Options{Seed: 1}, sweep.Figure6Options{Distance: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +240,7 @@ func TestFigure6GridParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("Figure 6 grid records differ between toolchain and deprecated path")
+		t.Error("Figure 6 grid records differ between toolchain and internal/sweep")
 	}
 }
 
@@ -264,7 +267,7 @@ func testBackendCancellation(t *testing.T, b surfcomm.Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	circ := surfcomm.Ising(surfcomm.IsingConfig{N: 32, Steps: 1}, true)
+	circ := must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 32, Steps: 1}, true))
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -357,11 +360,11 @@ func TestSentinelErrors(t *testing.T) {
 
 	c := surfcomm.NewCircuit("bad", 2)
 	c.Append(surfcomm.OpCNOT, 0, 1)
-	if _, err := surfcomm.SimulateBraids(c, surfcomm.BraidPolicy(42), surfcomm.BraidConfig{}); !errors.Is(err, surfcomm.ErrBadConfig) {
-		t.Errorf("SimulateBraids bad policy: %v, want ErrBadConfig", err)
+	if _, err := braid.Simulate(c, braid.Policy(42), braid.Config{}); !errors.Is(err, surfcomm.ErrBadConfig) {
+		t.Errorf("braid.Simulate bad policy: %v, want ErrBadConfig", err)
 	}
-	if _, err := surfcomm.ScheduleSIMD(c, surfcomm.SIMDConfig{Regions: 3}); !errors.Is(err, surfcomm.ErrBadConfig) {
-		t.Errorf("ScheduleSIMD regions=3: %v, want ErrBadConfig", err)
+	if _, err := simd.Run(c, simd.Config{Regions: 3}); !errors.Is(err, surfcomm.ErrBadConfig) {
+		t.Errorf("simd.Run regions=3: %v, want ErrBadConfig", err)
 	}
 
 	if _, err := surfcomm.ModelFor(nil, "nope"); !errors.Is(err, surfcomm.ErrUnknownModel) {
@@ -389,7 +392,7 @@ func TestToolchainRunPipeline(t *testing.T) {
 	}
 	w := surfcomm.Workload{
 		Name:    "IM",
-		Circuit: surfcomm.Ising(surfcomm.IsingConfig{N: 16, Steps: 1}, true),
+		Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 16, Steps: 1}, true)),
 	}
 	res, err := tc.Run(context.Background(), w, 1e6)
 	if err != nil {
