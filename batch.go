@@ -1,10 +1,10 @@
 package surfcomm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
-	"surfcomm/internal/scerr"
 	"surfcomm/internal/sweep"
 )
 
@@ -46,41 +46,20 @@ type CompileResult struct {
 // request.
 func (tc *Toolchain) CompileBatch(ctx context.Context, reqs []CompileRequest) []CompileResult {
 	label := func(i int) string {
-		name := reqs[i].Backend
-		if name == "" {
-			name = "braid"
-		}
 		circ := "<nil>"
 		if reqs[i].Circuit != nil {
 			circ = reqs[i].Circuit.Name
 		}
-		return fmt.Sprintf("%s/%s", name, circ)
+		return fmt.Sprintf("%s/%s", cmp.Or(reqs[i].Backend, "braid"), circ)
 	}
 	return sweep.MapFill(ctx, tc.sweepOpts("batch", label), reqs,
-		func(i int, req CompileRequest) CompileResult { return tc.compileOne(ctx, req) },
+		func(_ int, req CompileRequest) CompileResult {
+			b, err := BackendByName(cmp.Or(req.Backend, "braid"))
+			if err != nil {
+				return CompileResult{Err: err}
+			}
+			plan, err := tc.compile(ctx, b, req.Circuit, req.Override)
+			return CompileResult{Plan: plan, Err: err}
+		},
 		func(err error) CompileResult { return CompileResult{Err: err} })
-}
-
-// compileOne resolves and compiles a single batch request.
-func (tc *Toolchain) compileOne(ctx context.Context, req CompileRequest) CompileResult {
-	name := req.Backend
-	if name == "" {
-		name = "braid"
-	}
-	b, err := BackendByName(name)
-	if err != nil {
-		return CompileResult{Err: err}
-	}
-	if req.Circuit == nil {
-		return CompileResult{Err: scerr.BadConfig("batch: nil circuit")}
-	}
-	target := tc.Target()
-	if req.Override != nil {
-		req.Override(&target)
-	}
-	plan, err := b.Compile(ctx, req.Circuit, &target)
-	if err != nil {
-		return CompileResult{Err: fmt.Errorf("batch: %s/%s: %w", name, req.Circuit.Name, err)}
-	}
-	return CompileResult{Plan: plan}
 }

@@ -29,6 +29,7 @@ func (e *StreamError) Error() string { return "surfcommd: decode stream: " + e.M
 type DecodeSession struct {
 	ack     service.DecodeAck
 	pw      *io.PipeWriter
+	stop    func() bool // detaches the context hook that ends pw
 	enc     *json.Encoder
 	resp    *http.Response
 	dec     *json.Decoder
@@ -41,17 +42,27 @@ type DecodeSession struct {
 // decides whether to re-run a failed session. A non-200 acceptance
 // (bad header 400, shed or chaos 503, rate limit 429) returns a
 // *StatusError with Attempts=1.
-func (c *Client) DecodeStream(ctx context.Context, start service.DecodeStart) (*DecodeSession, error) {
+func (c *Client) DecodeStream(ctx context.Context, start service.DecodeStart) (_ *DecodeSession, err error) {
 	header, err := json.Marshal(start)
 	if err != nil {
 		return nil, err
 	}
 	header = append(header, '\n')
 	pr, pw := io.Pipe()
+	// The transport can wait for the request body to finish before Do
+	// reports a canceled request, and this body is a pipe the caller
+	// only feeds after Do returns: end the pipe with ctx so an expired
+	// or canceled session never strands the caller inside Do.
+	stop := context.AfterFunc(ctx, func() { pw.CloseWithError(context.Cause(ctx)) })
+	defer func() {
+		if err != nil {
+			stop()
+			pw.Close()
+		}
+	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/decode",
 		io.MultiReader(bytes.NewReader(header), pr))
 	if err != nil {
-		pw.Close()
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
@@ -60,26 +71,23 @@ func (c *Client) DecodeStream(ctx context.Context, start service.DecodeStart) (*
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		pw.Close()
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
-		pw.Close()
 		return nil, &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(body)), Attempts: 1}
 	}
 	dec := json.NewDecoder(resp.Body)
 	var ack service.DecodeAck
 	if err := dec.Decode(&ack); err != nil || !ack.OK {
 		resp.Body.Close()
-		pw.Close()
 		if err == nil {
 			err = &StreamError{Msg: "server ack not ok"}
 		}
 		return nil, fmt.Errorf("surfcommd: decode ack: %w", err)
 	}
-	return &DecodeSession{ack: ack, pw: pw, enc: json.NewEncoder(pw), resp: resp, dec: dec}, nil
+	return &DecodeSession{ack: ack, pw: pw, stop: stop, enc: json.NewEncoder(pw), resp: resp, dec: dec}, nil
 }
 
 // Ack returns the server's session acceptance (checks and qubits size
@@ -166,6 +174,7 @@ func (ds *DecodeSession) Close() error {
 		return nil
 	}
 	ds.closed = true
+	ds.stop()
 	ds.pw.CloseWithError(errors.New("surfcommd: decode session closed"))
 	return ds.resp.Body.Close()
 }

@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -33,25 +33,15 @@ type shardResult struct {
 // group's 429 fails the whole batch, because the client's token bucket
 // is shared across replicas via the forwarded client key.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxProxyBody {
-		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var reqs []service.Request
 	if err := json.Unmarshal(body, &reqs); err != nil {
 		// Not a request array the router can split: forward verbatim to
 		// one replica and let it produce the authoritative 400.
-		ranked := rt.rankedAllowed("")
-		if len(ranked) == 0 {
-			rt.refuse(w)
-			return
-		}
-		rt.forward(w, r, ranked, body)
+		rt.forward(w, r, "", body)
 		return
 	}
 	if len(reqs) == 0 {
@@ -131,17 +121,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if allFailed {
-		if sawRetryAfter == "" {
-			rt.refuse(w)
-			return
-		}
-		rt.refused.Add(1)
-		w.Header().Set("Retry-After", sawRetryAfter)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
-			"error": "cluster: every batch shard failed",
-		})
+		rt.refuse(w, sawRetryAfter, "cluster: every batch shard failed")
 		return
 	}
 
@@ -165,14 +145,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) doGroup(r *http.Request, ranked []*replica, subBody []byte, slots int) (res shardResult) {
 	res.errText = "cluster: no replica available for this shard"
 	for i, rep := range ranked {
-		resp, err := rt.do(r.Context(), rep, r, subBody)
+		resp, err := rt.do(r.Context(), rep, r, bytes.NewReader(subBody))
 		if failover(resp, err) {
-			rep.fail()
-			if resp != nil {
-				if ra := resp.Header.Get("Retry-After"); ra != "" {
-					res.retryAfter = ra
-				}
-				discard(resp)
+			if ra := rep.fail(resp); ra != "" {
+				res.retryAfter = ra
 			}
 			if i+1 < len(ranked) {
 				rt.failovers.Add(1)
@@ -234,37 +210,25 @@ func (rt *Router) handleDecodeStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if rep == nil {
-		rt.refuse(w)
+		rt.refuse(w, "", "")
 		return
-	}
-	u := rep.base.JoinPath(r.URL.Path)
-	u.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), r.Body)
-	if err != nil {
-		http.Error(w, "cluster: building upstream request: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	copyHeaders(req.Header, r.Header)
-	if host, _, splitErr := net.SplitHostPort(r.RemoteAddr); splitErr == nil {
-		req.Header.Set(service.ForwardedForHeader, host)
-	} else if r.RemoteAddr != "" {
-		req.Header.Set(service.ForwardedForHeader, r.RemoteAddr)
 	}
 	// Full duplex: the client keeps sending syndrome rounds while the
 	// replica's corrections flow back through us.
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex() //nolint:errcheck // unsupported writers just degrade to half-duplex
-	resp, err := rt.client.Do(req)
+	// One session per client connection, as on the replica: a reused
+	// full-duplex connection races the next request's read against the
+	// finished session's body reader.
+	w.Header().Set("Connection", "close")
+	resp, err := rt.do(r.Context(), rep, r, r.Body)
 	if err != nil {
-		rep.fail()
+		rep.fail(nil)
 		rt.refused.Add(1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "cluster: decode replica unavailable", http.StatusServiceUnavailable)
 		return
 	}
-	rep.br.Success()
-	rep.served.Add(1)
-	rt.forwarded.Add(1)
 	rt.relay(w, resp, rep)
 }
 
@@ -321,9 +285,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	h.Status = "ok"
-	if routable == 0 {
-		h.Status = "degraded"
-	} else if routable < len(rt.replicas) {
+	if routable < len(rt.replicas) {
 		h.Status = "degraded"
 	}
 	if p50, n := rt.lat.Percentile(0.50); n > 0 {

@@ -162,7 +162,9 @@ func New(cfg Config) (*Router, error) {
 	mux.HandleFunc("POST /estimate", rt.handleKeyed)
 	mux.HandleFunc("POST /batch", rt.handleBatch)
 	mux.HandleFunc("POST /decode", rt.handleDecodeStream)
-	mux.HandleFunc("GET /models", rt.handleUnkeyed)
+	// Body-less GETs: any replica can answer, so walk ring order with
+	// failover.
+	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) { rt.forward(w, r, "", nil) })
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	mux.HandleFunc("GET /readyz", rt.handleReady)
 	rt.mux = mux
@@ -316,41 +318,55 @@ func (rt *Router) rankedAllowed(key string) []*replica {
 	return out
 }
 
-// refuse answers the honest all-owners-open 503: every routable replica
-// is broken, so tell the client when the earliest breaker will re-admit
-// a trial rather than hanging or lying with a 200.
-func (rt *Router) refuse(w http.ResponseWriter) {
+// refuse answers the router's 503 and counts it: every allowed replica
+// failed, or none was routable. A replica's own Retry-After (a
+// draining replica's 503) is relayed with msg. Without one the answer
+// is the breaker view, whatever msg says: the client learns when the
+// earliest breaker will re-admit a trial, rather than the router
+// hanging or lying with a 200.
+func (rt *Router) refuse(w http.ResponseWriter, retryAfter, msg string) {
 	rt.refused.Add(1)
-	const maxDur = time.Duration(1<<63 - 1)
-	retry := maxDur
-	for _, rep := range rt.replicas {
-		if ra := rep.br.RetryAfter(); ra < retry {
-			retry = ra
+	if retryAfter == "" {
+		const maxDur = time.Duration(1<<63 - 1)
+		retry := maxDur
+		for _, rep := range rt.replicas {
+			if ra := rep.br.RetryAfter(); ra < retry {
+				retry = ra
+			}
 		}
+		secs := 1
+		if retry > 0 && retry < maxDur {
+			secs = int(retry/time.Second) + 1
+		}
+		retryAfter, msg = strconv.Itoa(secs), "cluster: no replica available; all circuit breakers open"
 	}
-	secs := 1
-	if retry > 0 && retry < maxDur {
-		secs = int(retry/time.Second) + 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", retryAfter)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
-		"error": "cluster: no replica available; all circuit breakers open",
-	})
+	json.NewEncoder(w).Encode(map[string]string{"error": msg}) //nolint:errcheck
+}
+
+// readBody buffers a request body up to the replicas' own size cap. On
+// failure it has already answered the client.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	if err != nil {
+		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	if len(body) > maxProxyBody {
+		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return body, true
 }
 
 // handleKeyed serves /compile and /estimate: buffer the body, derive
 // the routing key from the request content, and forward along the
 // key's failover sequence.
 func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxProxyBody {
-		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	key := ""
@@ -361,23 +377,7 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 		// answers with its usual 400.
 		key, _ = service.RoutingKey(req) //nolint:errcheck
 	}
-	ranked := rt.rankedAllowed(key)
-	if len(ranked) == 0 {
-		rt.refuse(w)
-		return
-	}
-	rt.forward(w, r, ranked, body)
-}
-
-// handleUnkeyed serves body-less GETs (/models): any replica can
-// answer, so walk ring order with failover.
-func (rt *Router) handleUnkeyed(w http.ResponseWriter, r *http.Request) {
-	ranked := rt.rankedAllowed("")
-	if len(ranked) == 0 {
-		rt.refuse(w)
-		return
-	}
-	rt.forward(w, r, ranked, nil)
+	rt.forward(w, r, key, body)
 }
 
 // failover reports whether one upstream result is a replica-level
@@ -389,16 +389,13 @@ func failover(resp *http.Response, err error) bool {
 	return err != nil || resp.StatusCode >= 500
 }
 
-// do sends one copy of the request to one replica. A nil body means a
-// body-less method (GET).
-func (rt *Router) do(ctx context.Context, rep *replica, r *http.Request, body []byte) (*http.Response, error) {
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
+// do sends one copy of the request to one replica: same method, path
+// and query, the end-to-end headers, and body (a buffered copy, or the
+// live stream of an unbuffered relay).
+func (rt *Router) do(ctx context.Context, rep *replica, r *http.Request, body io.Reader) (*http.Response, error) {
 	u := rep.base.JoinPath(r.URL.Path)
 	u.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(ctx, r.Method, u.String(), rdr)
+	req, err := http.NewRequestWithContext(ctx, r.Method, u.String(), body)
 	if err != nil {
 		return nil, err
 	}
@@ -423,87 +420,67 @@ func discard(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// fail records a replica-level failure on both the breaker and the
-// per-replica counter.
-func (rep *replica) fail() {
+// fail charges one failed attempt to the replica's breaker and failure
+// counter and drains its response, if any, returning the Retry-After
+// the replica sent with it.
+func (rep *replica) fail(resp *http.Response) (retryAfter string) {
 	rep.br.Failure()
 	rep.failed.Add(1)
+	if resp != nil {
+		retryAfter = resp.Header.Get("Retry-After")
+		discard(resp)
+	}
+	return retryAfter
 }
 
-// forward proxies one buffered (or body-less) request along its ranked
-// failover sequence, optionally hedging the first attempt, and relays
-// the first usable response. NDJSON responses are flushed chunk-by-
-// chunk so streaming compiles pass through unbuffered.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ranked []*replica, body []byte) {
+// forward proxies one buffered (or body-less) request along key's
+// failover sequence (ring order for an empty key), optionally hedging
+// the first attempt, and relays the first usable response. NDJSON
+// responses are flushed chunk-by-chunk so streaming compiles pass
+// through unbuffered.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+	ranked := rt.rankedAllowed(key)
 	stream := strings.Contains(r.Header.Get("Accept"), service.NDJSONContentType)
 	var sawRetryAfter string
-	i := 0
-	for i < len(ranked) {
-		rep := ranked[i]
-		start := time.Now()
-
+	for i := 0; i < len(ranked); {
+		rep, start := ranked[i], time.Now()
+		var (
+			delay    time.Duration
+			hedged   bool
+			resp     *http.Response
+			err      error
+			consumed = 1
+		)
 		// Hedge only the first attempt of non-streaming requests: a
 		// hedged stream would race two live NDJSON feeds for one
 		// client connection.
 		if i == 0 && !stream && len(ranked) > 1 {
-			if delay, ok := rt.hedgeDelay(); ok {
-				resp, winner, consumed, err := rt.hedgedDo(r, ranked[0], ranked[1], body, delay)
-				if err == nil {
-					// hedgedDo guarantees a relayable response on nil
-					// error; failures were already charged inside.
-					winner.br.Success()
-					winner.served.Add(1)
-					rt.forwarded.Add(1)
-					rt.lat.Observe(time.Since(start))
-					rt.relay(w, resp, winner)
-					return
-				}
-				i += consumed
-				if i < len(ranked) {
-					rt.failovers.Add(1)
-					rt.logf("cluster: failing over %s %s after hedged attempts (%v)", r.Method, r.URL.Path, err)
-				}
-				continue
+			delay, hedged = rt.hedgeDelay()
+		}
+		if hedged {
+			// hedgedDo charges every failed candidate itself and returns a
+			// relayable response on nil error.
+			resp, rep, consumed, err = rt.hedgedDo(r, ranked[0], ranked[1], body, delay)
+		} else if resp, err = rt.do(r.Context(), rep, r, bytes.NewReader(body)); failover(resp, err) {
+			if ra := rep.fail(resp); ra != "" {
+				sawRetryAfter = ra
 			}
 		}
-
-		resp, err := rt.do(r.Context(), rep, r, body)
 		if failover(resp, err) {
-			rep.fail()
-			if resp != nil {
-				if ra := resp.Header.Get("Retry-After"); ra != "" {
-					sawRetryAfter = ra
-				}
-				discard(resp)
-			}
-			i++
-			if i < len(ranked) {
+			if i += consumed; i < len(ranked) {
 				rt.failovers.Add(1)
-				rt.logf("cluster: failing over %s %s from %s (err=%v)", r.Method, r.URL.Path, rep.name, err)
+				rt.logf("cluster: failing over %s %s from %s (err=%v)", r.Method, r.URL.Path, ranked[i-consumed].name, err)
 			}
 			continue
 		}
-		rep.br.Success()
-		rep.served.Add(1)
-		rt.forwarded.Add(1)
 		rt.lat.Observe(time.Since(start))
 		rt.relay(w, resp, rep)
 		return
 	}
-	// Every allowed replica failed. If one of them told us when to come
-	// back (a draining replica's 503 Retry-After), pass that through;
-	// otherwise fall back to the breaker view.
-	if sawRetryAfter != "" {
-		rt.refused.Add(1)
-		w.Header().Set("Retry-After", sawRetryAfter)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
-			"error": "cluster: all failover attempts exhausted",
-		})
-		return
-	}
-	rt.refuse(w)
+	// Every allowed replica failed, or none was allowed. If one of them
+	// told us when to come back (a draining replica's 503 Retry-After),
+	// pass that through; otherwise refuse with the breaker view.
+	rt.refuse(w, sawRetryAfter, "cluster: all failover attempts exhausted")
 }
 
 // hedgeDelay reports the armed hedge trigger, if any.
@@ -548,7 +525,7 @@ func (rt *Router) hedgedDo(r *http.Request, primary, partner *replica, body []by
 	}
 	ch := make(chan result, 2)
 	launch := func(ctx context.Context, rep *replica) {
-		resp, err := rt.do(ctx, rep, r, body)
+		resp, err := rt.do(ctx, rep, r, bytes.NewReader(body))
 		ch <- result{resp, err, rep}
 	}
 	go launch(ctx1, primary)
@@ -595,8 +572,7 @@ func (rt *Router) hedgedDo(r *http.Request, primary, partner *replica, body []by
 			}
 			// A failed candidate: charge it now, keep waiting if the
 			// other attempt is still in flight.
-			res.rep.fail()
-			discard(res.resp)
+			res.rep.fail(res.resp)
 			if pending > 0 {
 				continue
 			}
@@ -626,10 +602,14 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// relay copies one upstream response to the client, flushing per chunk
-// when the payload is a stream.
+// relay books one usable upstream response (breaker success, served
+// and forwarded counters) and copies it to the client, flushing per
+// chunk when the payload is a stream.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, rep *replica) {
 	defer resp.Body.Close()
+	rep.br.Success()
+	rep.served.Add(1)
+	rt.forwarded.Add(1)
 	copyHeaders(w.Header(), resp.Header)
 	w.Header().Set(ReplicaHeader, rep.name)
 	w.WriteHeader(resp.StatusCode)

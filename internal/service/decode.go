@@ -388,6 +388,11 @@ func handleDecode(s *Service) http.HandlerFunc {
 		// ignorable.)
 		rc := http.NewResponseController(w)
 		rc.EnableFullDuplex() //nolint:errcheck // see comment
+		// One session per connection. When the handler returns, the
+		// server closes the session's unread body; that read can hit EOF
+		// and start a background read that races the reading of the next
+		// request on a reused connection ("invalid concurrent Body.Read").
+		w.Header().Set("Connection", "close")
 		if err := s.AllowClient(s.ClientKeyFor(r), 1); err != nil {
 			writeErr(w, err)
 			return

@@ -22,7 +22,13 @@ var errBodyTooLarge = errors.New("service: request body exceeds the size cap")
 
 // PlanSummary is the JSON view of a compiled plan: the schedule and
 // footprint metrics without the backend-specific artifacts (schedules
-// and move lists stay server-side in the cache).
+// and move lists stay server-side in the cache). It is both the wire
+// form of a plan and the form the disk store persists.
+//
+// Field order is load-bearing: encoding/json emits struct fields in
+// declaration order, which (with Go's shortest-float formatting) makes
+// the encoding deterministic — a recompiled plan persists
+// byte-identically, the property the crash-recovery tests pin.
 type PlanSummary struct {
 	Backend        string  `json:"backend"`
 	Circuit        string  `json:"circuit"`
@@ -58,6 +64,19 @@ type CompileResponse struct {
 	Cached bool   `json:"cached"`
 	Digest string `json:"digest,omitempty"`
 	Error  string `json:"error,omitempty"`
+}
+
+// compileResponse projects one served compile onto the wire: the plan
+// summary on success, the error text in its place on failure.
+func compileResponse(res Result) CompileResponse {
+	out := CompileResponse{Cached: res.Cached, Digest: res.Digest}
+	if res.Err != nil {
+		out.Error = res.Err.Error()
+		return out
+	}
+	plan := Summarize(res.Plan)
+	out.Plan = &plan
+	return out
 }
 
 // EstimateResponse is the /estimate reply (the Table 2 columns).
@@ -270,8 +289,7 @@ func NewHandler(s *Service) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		plan := Summarize(res.Plan)
-		writeJSON(w, http.StatusOK, CompileResponse{Plan: &plan, Cached: res.Cached, Digest: res.Digest})
+		writeJSON(w, http.StatusOK, compileResponse(res))
 	})
 
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
@@ -299,13 +317,7 @@ func NewHandler(s *Service) http.Handler {
 		results := s.CompileBatch(r.Context(), reqs)
 		out := make([]CompileResponse, len(results))
 		for i, res := range results {
-			out[i] = CompileResponse{Cached: res.Cached, Digest: res.Digest}
-			if res.Err != nil {
-				out[i].Error = res.Err.Error()
-				continue
-			}
-			plan := Summarize(res.Plan)
-			out[i].Plan = &plan
+			out[i] = compileResponse(res)
 		}
 		writeJSON(w, http.StatusOK, out)
 	})

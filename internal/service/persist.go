@@ -10,61 +10,31 @@ import (
 	"surfcomm/internal/store"
 )
 
-// storedPlan is the portable on-disk projection of a Plan: the schedule
-// and footprint metrics the serving API returns. Backend-specific
-// artifacts (recorded braid schedules, SIMD move lists, EPR traces) are
-// deliberately not persisted — they are replay/debug payloads, not
-// serving state — so requests compiled with record_schedule bypass the
-// disk layer entirely rather than resurface artifact-less.
-//
-// Field order is load-bearing: encoding/json emits struct fields in
-// declaration order, which (with Go's shortest-float formatting) makes
-// the encoding deterministic — a recompiled plan persists
-// byte-identically, the property the crash-recovery tests pin.
-type storedPlan struct {
-	Backend        string  `json:"backend"`
-	Circuit        string  `json:"circuit"`
-	Distance       int     `json:"distance"`
-	Seed           int64   `json:"seed"`
-	Device         string  `json:"device"`
-	Cycles         int64   `json:"cycles"`
-	Seconds        float64 `json:"seconds"`
-	PhysicalQubits float64 `json:"physical_qubits"`
-	CommOps        int64   `json:"comm_ops"`
-}
-
-func encodePlan(p surfcomm.Plan) ([]byte, error) {
-	return json.Marshal(storedPlan{
-		Backend:        p.Backend,
-		Circuit:        p.Circuit,
-		Distance:       p.Distance,
-		Seed:           p.Seed,
-		Device:         p.Device,
-		Cycles:         p.Cycles,
-		Seconds:        p.Seconds,
-		PhysicalQubits: p.PhysicalQubits,
-		CommOps:        p.CommOps,
-	})
-}
-
+// decodePlan reads a stored plan back: the store persists each plan as
+// its PlanSummary, the schedule and footprint metrics the serving API
+// returns. Backend-specific artifacts (recorded braid schedules, SIMD
+// move lists, EPR traces) are deliberately not persisted — they are
+// replay/debug payloads, not serving state — so requests compiled with
+// record_schedule bypass the disk layer entirely rather than resurface
+// artifact-less.
 func decodePlan(data []byte) (surfcomm.Plan, error) {
-	var sp storedPlan
-	if err := json.Unmarshal(data, &sp); err != nil {
+	var ps PlanSummary
+	if err := json.Unmarshal(data, &ps); err != nil {
 		return surfcomm.Plan{}, fmt.Errorf("service: stored plan: %w", err)
 	}
-	if sp.Backend == "" || sp.Cycles <= 0 {
+	if ps.Backend == "" || ps.Cycles <= 0 {
 		return surfcomm.Plan{}, fmt.Errorf("service: stored plan: missing backend/cycles")
 	}
 	return surfcomm.Plan{
-		Backend:        sp.Backend,
-		Circuit:        sp.Circuit,
-		Distance:       sp.Distance,
-		Seed:           sp.Seed,
-		Device:         sp.Device,
-		Cycles:         sp.Cycles,
-		Seconds:        sp.Seconds,
-		PhysicalQubits: sp.PhysicalQubits,
-		CommOps:        sp.CommOps,
+		Backend:        ps.Backend,
+		Circuit:        ps.Circuit,
+		Distance:       ps.Distance,
+		Seed:           ps.Seed,
+		Device:         ps.Device,
+		Cycles:         ps.Cycles,
+		Seconds:        ps.Seconds,
+		PhysicalQubits: ps.PhysicalQubits,
+		CommOps:        ps.CommOps,
 	}, nil
 }
 
@@ -119,7 +89,7 @@ func (d *diskLayer) save(digest string, p surfcomm.Plan) {
 	if d == nil {
 		return
 	}
-	payload, err := encodePlan(p)
+	payload, err := json.Marshal(Summarize(p))
 	if err != nil {
 		log.Printf("service: encode plan %.12s…: %v", digest, err)
 		return

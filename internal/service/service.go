@@ -12,6 +12,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -256,13 +257,61 @@ type Request struct {
 	RecordSchedule bool `json:"record_schedule,omitempty"`
 }
 
-// compileKey is one resolved request: everything the compile needs,
-// plus the digest identifying it in the cache. Exactly one of circuit
-// (flat dialect) and program (hierarchical dialect) is non-nil.
-type compileKey struct {
-	backend surfcomm.Backend
+// parsedQASM is a request's circuit after the front end: exactly one of
+// circuit (flat dialect) and program (hierarchical dialect) is non-nil.
+type parsedQASM struct {
 	circuit *surfcomm.Circuit
 	program *surfcomm.Program
+}
+
+// parseQASM is the service's one QASM front end: it rejects empty text,
+// sniffs the dialect, and parses. Every failure matches
+// scerr.ErrBadConfig, so callers answer 400 without further wrapping.
+func parseQASM(text string) (parsedQASM, error) {
+	if strings.TrimSpace(text) == "" {
+		return parsedQASM{}, scerr.BadConfig("service: empty qasm")
+	}
+	var (
+		src parsedQASM
+		err error
+	)
+	if surfcomm.LooksHierarchicalQASM(text) {
+		src.program, err = surfcomm.ReadProgramQASM(strings.NewReader(text))
+	} else {
+		src.circuit, err = surfcomm.ReadQASM(strings.NewReader(text))
+	}
+	if err != nil {
+		return parsedQASM{}, scerr.BadConfig("service: qasm: %v", err)
+	}
+	return src, nil
+}
+
+// canonical re-emits the parsed circuit (or program), so spacing and
+// comments in the submitted text split neither cache lines nor router
+// shards. The two dialects canonicalize into disjoint byte spaces (flat
+// text opens with a comment/qubits line, hierarchical with an entry
+// directive), so they can never collide on a digest.
+func (src parsedQASM) canonical() ([]byte, error) {
+	var (
+		buf bytes.Buffer
+		err error
+	)
+	if src.program != nil {
+		err = surfcomm.WriteProgramQASM(&buf, src.program)
+	} else {
+		err = surfcomm.WriteQASM(&buf, src.circuit)
+	}
+	if err != nil {
+		return nil, scerr.BadConfig("service: qasm: %v", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// compileKey is one resolved request: everything the compile needs,
+// plus the digest identifying it in the cache.
+type compileKey struct {
+	parsedQASM
+	backend surfcomm.Backend
 	target  surfcomm.Target
 	digest  string
 }
@@ -273,28 +322,14 @@ type compileKey struct {
 // textually different requests meaning the same compile share a cache
 // line.
 func (s *Service) resolve(req Request) (compileKey, error) {
-	name := req.Backend
-	if name == "" {
-		name = "braid"
-	}
+	name := cmp.Or(req.Backend, "braid")
 	backend, err := surfcomm.BackendByName(name)
 	if err != nil {
 		return compileKey{}, err
 	}
-	if strings.TrimSpace(req.QASM) == "" {
-		return compileKey{}, scerr.BadConfig("service: empty qasm")
-	}
-	var (
-		circ *surfcomm.Circuit
-		prog *surfcomm.Program
-	)
-	if surfcomm.LooksHierarchicalQASM(req.QASM) {
-		prog, err = surfcomm.ReadProgramQASM(strings.NewReader(req.QASM))
-	} else {
-		circ, err = surfcomm.ReadQASM(strings.NewReader(req.QASM))
-	}
+	src, err := parseQASM(req.QASM)
 	if err != nil {
-		return compileKey{}, scerr.BadConfig("service: qasm: %v", err)
+		return compileKey{}, err
 	}
 
 	if req.Distance < 0 {
@@ -337,27 +372,15 @@ func (s *Service) resolve(req Request) (compileKey, error) {
 		}
 		target.Device = target.Device.WithCalibration(cal)
 	}
-
-	// Canonical circuit bytes: re-emit the parsed circuit (or program)
-	// so spacing and comments in the submitted text do not split the
-	// cache key. The two dialects canonicalize into disjoint byte
-	// spaces (flat text opens with a comment/qubits line, hierarchical
-	// with an entry directive), so they can never collide on a digest.
-	var canon bytes.Buffer
-	if prog != nil {
-		err = surfcomm.WriteProgramQASM(&canon, prog)
-	} else {
-		err = surfcomm.WriteQASM(&canon, circ)
-	}
+	canon, err := src.canonical()
 	if err != nil {
-		return compileKey{}, scerr.BadConfig("service: qasm: %v", err)
+		return compileKey{}, err
 	}
 	return compileKey{
-		backend: backend,
-		circuit: circ,
-		program: prog,
-		target:  target,
-		digest:  digest(name, canon.Bytes(), target),
+		parsedQASM: src,
+		backend:    backend,
+		target:     target,
+		digest:     digest(name, canon, target),
 	}, nil
 }
 
@@ -375,42 +398,26 @@ func digest(backend string, canonicalQASM []byte, t surfcomm.Target) string {
 // RoutingKey fingerprints a request for consistent-hash routing across
 // a replica fleet: requests that would resolve to the same compile on
 // any replica share a key, so each shard's LRU and disk store stay hot
-// for their slice of the keyspace. It canonicalizes the circuit exactly
-// like resolve (whitespace and comments don't split shards) but hashes
-// the raw request knobs rather than a resolved target — the router
-// doesn't know each replica's defaults, and it doesn't need to: the key
-// only has to be consistent, not equal to the replica's cache digest.
+// for their slice of the keyspace. It runs the replica's own front end
+// and canonical form (whitespace and comments don't split shards) but
+// hashes the raw request knobs rather than a resolved target — the
+// router doesn't know each replica's defaults, and it doesn't need to:
+// the key only has to be consistent, not equal to the replica's cache
+// digest.
 // Malformed requests fail with errors matching scerr.ErrBadConfig so a
 // router can answer 400 without spending a replica's time.
 func RoutingKey(req Request) (string, error) {
-	if strings.TrimSpace(req.QASM) == "" {
-		return "", scerr.BadConfig("service: empty qasm")
+	src, err := parseQASM(req.QASM)
+	if err != nil {
+		return "", err
 	}
-	var canon bytes.Buffer
-	if surfcomm.LooksHierarchicalQASM(req.QASM) {
-		prog, err := surfcomm.ReadProgramQASM(strings.NewReader(req.QASM))
-		if err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
-		if err := surfcomm.WriteProgramQASM(&canon, prog); err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
-	} else {
-		circ, err := surfcomm.ReadQASM(strings.NewReader(req.QASM))
-		if err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
-		if err := surfcomm.WriteQASM(&canon, circ); err != nil {
-			return "", scerr.BadConfig("service: qasm: %v", err)
-		}
-	}
-	backend := req.Backend
-	if backend == "" {
-		backend = "braid"
+	canon, err := src.canonical()
+	if err != nil {
+		return "", err
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "route/1 backend=%s d=%d window=%d pe=%g record=%t\n",
-		backend, req.Distance, req.Window, req.PhysicalError, req.RecordSchedule)
+		cmp.Or(req.Backend, "braid"), req.Distance, req.Window, req.PhysicalError, req.RecordSchedule)
 	if req.Policy != nil {
 		fmt.Fprintf(h, "policy=%d\n", *req.Policy)
 	}
@@ -425,7 +432,7 @@ func RoutingKey(req Request) (string, error) {
 		// spend parse time, and the key only has to be consistent.
 		fmt.Fprintf(h, "cal=%x\n", sha256.Sum256(req.Calibration))
 	}
-	h.Write(canon.Bytes())
+	h.Write(canon)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
@@ -468,8 +475,8 @@ func (s *Service) Compile(ctx context.Context, req Request) (Result, error) {
 // compile is Compile with an optional stage-event emitter (nil for the
 // plain path). Events fire on the caller's goroutine, in order: the
 // emitter only ever observes this request's own progress — a deduped
-// request reports "deduped", not the leader's compile stages.
-func (s *Service) compile(ctx context.Context, req Request, emit func(StageEvent)) (Result, error) {
+// request reports "cached", not the leader's compile stages.
+func (s *Service) compile(ctx context.Context, req Request, emit func(surfcomm.Event)) (Result, error) {
 	if ctx.Err() != nil {
 		err := scerr.Canceled(ctx)
 		return Result{Err: err}, err
@@ -479,7 +486,7 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(StageEvent
 		return Result{Err: err}, err
 	}
 	if emit != nil {
-		emit(StageEvent{Stage: StageResolved, Digest: key.digest, Backend: key.backend.Name()})
+		emit(surfcomm.Event{Stage: StageResolved, Backend: key.backend.Name(), Digest: key.digest})
 	}
 	// Recorded-schedule plans carry artifacts the disk store does not
 	// persist; keep them out of the disk layer so a disk hit never
@@ -499,7 +506,7 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(StageEvent
 	defer cancel()
 	plan, cached, err := s.cache.do(ctx, key.digest, persist, func() (surfcomm.Plan, error) {
 		if emit != nil {
-			emit(StageEvent{Stage: StageQueued})
+			emit(surfcomm.Event{Stage: StageQueued})
 		}
 		if err := s.adm.acquire(ctx); err != nil {
 			return surfcomm.Plan{}, err
@@ -519,13 +526,14 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(StageEvent
 		}
 		tc := s.tc
 		if emit != nil {
-			emit(StageEvent{Stage: StageCompiling, Backend: key.backend.Name()})
+			emit(surfcomm.Event{Stage: StageCompiling, Backend: key.backend.Name()})
 			// The per-request progress clone forwards the toolchain's own
-			// compile events into this request's stream; the shared
-			// toolchain (and whatever observer it was built with) is
-			// untouched.
+			// compile events into this request's stream under a
+			// "toolchain/" stage prefix; the shared toolchain (and whatever
+			// observer it was built with) is untouched.
 			tc = s.tc.CloneWithProgress(func(ev surfcomm.Event) {
-				emit(StageEvent{Stage: "toolchain/" + ev.Stage, Backend: ev.Backend, Cell: ev.Cell})
+				ev.Stage = "toolchain/" + ev.Stage
+				emit(ev)
 			})
 		}
 		var p surfcomm.Plan
@@ -551,7 +559,7 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(StageEvent
 	if emit != nil && cached {
 		// LRU hit, deduped flight, or disk read-through — all served
 		// without compiling for this request.
-		emit(StageEvent{Stage: StageCached})
+		emit(surfcomm.Event{Stage: StageCached})
 	}
 	if err != nil {
 		return Result{Digest: key.digest, Err: err}, err
@@ -577,26 +585,17 @@ func (s *Service) CompileBatch(ctx context.Context, reqs []Request) []Result {
 // Estimate runs the frontend characterization (Table 2 columns) over
 // the request's circuit; only the QASM field is consulted.
 func (s *Service) Estimate(req Request) (surfcomm.Estimate, error) {
-	if strings.TrimSpace(req.QASM) == "" {
-		return surfcomm.Estimate{}, scerr.BadConfig("service: empty qasm")
+	src, err := parseQASM(req.QASM)
+	if err != nil {
+		return surfcomm.Estimate{}, err
 	}
-	var (
-		circ *surfcomm.Circuit
-		err  error
-	)
-	if surfcomm.LooksHierarchicalQASM(req.QASM) {
+	circ := src.circuit
+	if src.program != nil {
 		// Characterization is a flat-circuit analysis: flatten the
 		// program fully inlined (the maximal-parallelism view).
-		prog, perr := surfcomm.ReadProgramQASM(strings.NewReader(req.QASM))
-		if perr != nil {
-			return surfcomm.Estimate{}, scerr.BadConfig("service: qasm: %v", perr)
+		if circ, err = src.program.Flatten(surfcomm.InlineAll); err != nil {
+			return surfcomm.Estimate{}, scerr.BadConfig("service: qasm: %v", err)
 		}
-		circ, err = prog.Flatten(surfcomm.InlineAll)
-	} else {
-		circ, err = surfcomm.ReadQASM(strings.NewReader(req.QASM))
-	}
-	if err != nil {
-		return surfcomm.Estimate{}, scerr.BadConfig("service: qasm: %v", err)
 	}
 	return surfcomm.EstimateCircuit(circ)
 }

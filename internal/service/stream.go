@@ -1,10 +1,11 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
+
+	"surfcomm"
 )
 
 // Streaming compile progress: a client that sets
@@ -18,7 +19,7 @@ import (
 //
 // Frame grammar (one JSON value per line):
 //
-//	{"stage":"resolved","digest":"...","backend":"braid"}
+//	{"stage":"resolved","backend":"braid","digest":"..."}
 //	{"stage":"queued"}                       (cache miss entering admission)
 //	{"stage":"compiling","backend":"braid"}  (slot acquired, work started)
 //	{"stage":"toolchain/compile","backend":"braid","cell":"gse_8"}
@@ -26,26 +27,22 @@ import (
 //	{"plan":{...},"cached":false,"digest":"..."}   (final line, success)
 //	{"error":"...","status":503}                   (final line, failure)
 //
-// Stage lines always carry "stage"; the final line never does. Errors
-// before the first stage line (malformed body, rate limit, bad
-// deadline) are plain HTTP statuses — the stream only commits to 200
-// once the request has resolved.
+// Stage lines are surfcomm.Event values in their JSON form (stage,
+// backend, cell, digest; empty fields omitted), so the service and the
+// toolchain share one event vocabulary. Stage lines always carry
+// "stage"; the final line never does. Errors before the first stage
+// line (malformed body, rate limit, bad deadline) are plain HTTP
+// statuses — the stream only commits to 200 once the request has
+// resolved.
 
-// Stage names emitted on the /compile NDJSON stream.
+// Stage names the service emits on the /compile NDJSON stream; the
+// toolchain's own events follow under a "toolchain/" prefix.
 const (
 	StageResolved  = "resolved"
 	StageQueued    = "queued"
 	StageCompiling = "compiling"
 	StageCached    = "cached"
 )
-
-// StageEvent is one progress line on a streaming compile.
-type StageEvent struct {
-	Stage   string `json:"stage"`
-	Backend string `json:"backend,omitempty"`
-	Cell    string `json:"cell,omitempty"`
-	Digest  string `json:"digest,omitempty"`
-}
 
 // StreamErrorResponse is the final NDJSON line of a failed streaming
 // compile: by the time the failure is known the 200 status line is long
@@ -65,13 +62,6 @@ func wantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), NDJSONContentType)
 }
 
-// CompileStream serves one request like Compile while forwarding stage
-// events to emit (which must be non-nil and is called on this
-// goroutine, strictly in order).
-func (s *Service) CompileStream(ctx context.Context, req Request, emit func(StageEvent)) (Result, error) {
-	return s.compile(ctx, req, emit)
-}
-
 // streamCompile is the NDJSON branch of POST /compile. The caller has
 // already applied the rate limiter, deadline header, and body decode —
 // their failures are still plain HTTP statuses.
@@ -86,7 +76,7 @@ func streamCompile(s *Service, w http.ResponseWriter, r *http.Request, req Reque
 			rc.Flush() //nolint:errcheck // best-effort; a dead client surfaces on the next write
 		}
 	}
-	res, err := s.CompileStream(r.Context(), req, func(ev StageEvent) { send(ev) })
+	res, err := s.compile(r.Context(), req, func(ev surfcomm.Event) { send(ev) })
 	if err != nil {
 		if !wrote {
 			// Nothing on the wire yet (resolve failed): the client gets
@@ -97,6 +87,5 @@ func streamCompile(s *Service, w http.ResponseWriter, r *http.Request, req Reque
 		send(StreamErrorResponse{Error: err.Error(), Status: httpStatus(err)})
 		return
 	}
-	plan := Summarize(res.Plan)
-	send(CompileResponse{Plan: &plan, Cached: res.Cached, Digest: res.Digest})
+	send(compileResponse(res))
 }

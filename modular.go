@@ -155,10 +155,7 @@ func (tc *Toolchain) CompileIncremental(ctx context.Context, b Backend, p *Progr
 		return tc.Compile(ctx, b, flat, override...)
 	}
 
-	target := tc.Target()
-	for _, fn := range override {
-		fn(&target)
-	}
+	target := tc.resolveTarget(override)
 	// Module compiles resolve their own placements: a program-level
 	// placement override describes entry-module qubits, which don't
 	// exist inside a module patch.
@@ -189,12 +186,7 @@ func (tc *Toolchain) CompileIncremental(ctx context.Context, b Backend, p *Progr
 			if err != nil {
 				return modcompile.ModulePlan{}, err
 			}
-			return modcompile.ModulePlan{
-				Cycles:         plan.Cycles,
-				PhysicalQubits: plan.PhysicalQubits,
-				CommOps:        plan.CommOps,
-				Payload:        plan,
-			}, nil
+			return modulePlan(plan), nil
 		},
 	})
 	if err != nil {
@@ -237,6 +229,12 @@ func (tc *Toolchain) CompileIncremental(ctx context.Context, b Backend, p *Progr
 	return plan, nil
 }
 
+// modulePlan is the linker's view of one compiled module: the metrics
+// it stitches with, and the Plan itself as the opaque payload.
+func modulePlan(p Plan) modcompile.ModulePlan {
+	return modcompile.ModulePlan{Cycles: p.Cycles, PhysicalQubits: p.PhysicalQubits, CommOps: p.CommOps, Payload: p}
+}
+
 // moduleCacheAdapter bridges the public ModuleCache (Plan values) to
 // the driver's payload-opaque cache interface. A nil inner cache
 // disables reuse.
@@ -250,12 +248,7 @@ func (a moduleCacheAdapter) GetModule(digest string) (modcompile.ModulePlan, boo
 	if !ok {
 		return modcompile.ModulePlan{}, false
 	}
-	return modcompile.ModulePlan{
-		Cycles:         plan.Cycles,
-		PhysicalQubits: plan.PhysicalQubits,
-		CommOps:        plan.CommOps,
-		Payload:        plan,
-	}, true
+	return modulePlan(plan), true
 }
 
 func (a moduleCacheAdapter) PutModule(mp modcompile.ModulePlan) {

@@ -18,19 +18,26 @@ import (
 // Event is one structured progress notification from a Toolchain run:
 // which stage produced it, which grid cell completed, and how far the
 // grid has progressed. Events let callers stream partial results of
-// wide studies instead of waiting for the full grid.
+// wide studies instead of waiting for the full grid. The serving layer
+// streams the same type, one JSON object per line, as the stage lines
+// of a streaming /compile; the JSON field order below is that wire
+// order.
 type Event struct {
 	// Stage names the pipeline stage: "characterize", "compile",
-	// "cost", "figure6", "curve", "boundary", "epr", or "decoder".
-	Stage string
+	// "cost", "figure6", "curve", "boundary", "epr", or "decoder" (the
+	// serving layer adds its own request stages).
+	Stage string `json:"stage"`
 	// Backend is the compiling backend's name (compile events only).
-	Backend string
+	Backend string `json:"backend,omitempty"`
 	// Cell labels the completed grid cell, when the stage has one.
-	Cell string
+	Cell string `json:"cell,omitempty"`
+	// Digest is the serving layer's compile digest (its resolve stage
+	// only); toolchain runs leave it empty.
+	Digest string `json:"digest,omitempty"`
 	// Index is the completed cell's 0-based index; Total is the grid
 	// size. On pooled runs events may arrive out of index order.
-	Index int
-	Total int
+	Index int `json:"-"`
+	Total int `json:"-"`
 }
 
 // ToolchainOption configures a Toolchain; invalid options surface from
@@ -277,23 +284,39 @@ func (tc *Toolchain) sweepOpts(stage string, label func(i int) string) sweep.Opt
 // Optional override functions adjust the target for this call only
 // (e.g. a fixed placement or an ablation knob).
 func (tc *Toolchain) Compile(ctx context.Context, b Backend, c *Circuit, override ...func(*Target)) (Plan, error) {
+	plan, err := tc.compile(ctx, b, c, override...)
+	if err == nil {
+		tc.emit(Event{Stage: "compile", Backend: b.Name(), Cell: plan.Circuit, Total: 1})
+	}
+	return plan, err
+}
+
+// compile is the toolchain's one compile step: resolve the target,
+// lower c onto b, and name the backend in any failure. It emits no
+// progress event, so CompileBatch's pool workers never invoke the
+// progress callback concurrently; callers report their own progress.
+func (tc *Toolchain) compile(ctx context.Context, b Backend, c *Circuit, override ...func(*Target)) (Plan, error) {
 	if b == nil {
 		return Plan{}, scerr.BadConfig("toolchain: nil backend")
 	}
-	target := tc.Target()
-	for _, fn := range override {
-		fn(&target)
-	}
+	target := tc.resolveTarget(override)
 	plan, err := b.Compile(ctx, c, &target)
 	if err != nil {
 		return Plan{}, fmt.Errorf("toolchain: %s: %w", b.Name(), err)
 	}
-	name := ""
-	if c != nil {
-		name = c.Name
-	}
-	tc.emit(Event{Stage: "compile", Backend: b.Name(), Cell: name, Total: 1})
 	return plan, nil
+}
+
+// resolveTarget is the toolchain's target with the per-call overrides
+// applied in order (nil overrides are skipped).
+func (tc *Toolchain) resolveTarget(override []func(*Target)) Target {
+	t := tc.Target()
+	for _, fn := range override {
+		if fn != nil {
+			fn(&t)
+		}
+	}
+	return t
 }
 
 // CompileAll compiles the circuit through every backend, in Backends()
