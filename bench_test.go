@@ -260,8 +260,13 @@ func BenchmarkSection81EPRWindow(b *testing.B) {
 // by side; their results are verified identical cell-for-cell, so the
 // speedup is pure scheduling.
 func BenchmarkSweepFigure6Grid(b *testing.B) {
-	fopt := sweep.Figure6Options{Distance: 9}
-	serial, err := sweep.Figure6(context.Background(), sweep.Options{Workers: 1, Seed: 1}, fopt)
+	var grid []sweep.Figure6Cell
+	for _, w := range surfcomm.Fig6Suite() {
+		for _, p := range surfcomm.AllBraidPolicies {
+			grid = append(grid, sweep.Figure6Cell{Workload: w, Policy: p})
+		}
+	}
+	serial, err := sweep.Figure6(context.Background(), sweep.Options{Workers: 1, Seed: 1}, grid, 9, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +277,7 @@ func BenchmarkSweepFigure6Grid(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cells, err := sweep.Figure6(context.Background(), sweep.Options{Workers: workers, Seed: 1}, fopt)
+				cells, err := sweep.Figure6(context.Background(), sweep.Options{Workers: workers, Seed: 1}, grid, 9, false)
 				if err != nil {
 					b.Fatal(err)
 				}

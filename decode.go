@@ -1,8 +1,7 @@
 package surfcomm
 
-// Streaming decode facade: strategy selection by name, the windowed
-// streaming decoder the /decode service wraps, and the records behind
-// the committed BENCH_decode.json artifact.
+// Streaming decode facade: strategy selection by name and the windowed
+// streaming decoder the /decode service wraps.
 
 import (
 	"surfcomm/internal/decoder"
@@ -11,8 +10,6 @@ import (
 	// every layer built on the facade (cmd/sweep, internal/service,
 	// cmd/surfcommd, client programs) can resolve "unionfind" by name.
 	_ "surfcomm/internal/ufdecoder"
-
-	"surfcomm/internal/sweep"
 )
 
 // Decoding strategy names accepted by WithDecoderStrategy,
@@ -45,12 +42,4 @@ func NewStreamDecoder(d, window int, strategy string) (*StreamDecoder, error) {
 		return nil, err
 	}
 	return decoder.NewWindowDecoder(l, window, s)
-}
-
-// SweepDecodeBenchRecords converts a strategy-comparison grid to the
-// BENCH_decode.json cell records: every cell names its strategy and
-// carries the deterministic work-op count the crossover analysis
-// compares.
-func SweepDecodeBenchRecords(study string, cells []SweepDecoderCell) []SweepCellResult {
-	return sweep.DecodeBenchRecords(study, cells)
 }

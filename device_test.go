@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"surfcomm"
@@ -127,28 +129,33 @@ func TestDefectiveDeviceCompiles(t *testing.T) {
 }
 
 // TestYieldGridViaToolchain runs the yield study through the facade and
-// checks worker-count invariance end to end.
+// checks worker-count invariance end to end, plus each record's
+// identity: the study name, the cell's derived seed, and the realized
+// device it compiled on.
 func TestYieldGridViaToolchain(t *testing.T) {
 	ctx := context.Background()
-	yopt := surfcomm.SweepYieldOptions{Distance: 5, Fractions: []float64{0, 0.02}, Trials: 2}
-	run := func(workers int) []surfcomm.SweepYieldCell {
-		tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1), surfcomm.WithWorkers(workers))
+	params := surfcomm.StudyParams{Fractions: []float64{0, 0.02}}
+	run := func(workers int) []surfcomm.SweepCellResult {
+		tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1), surfcomm.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, err := tc.YieldGrid(ctx, yopt)
+		recs, err := tc.RunStudies(ctx, []string{"yield"}, params, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cells
+		return recs
 	}
 	serial, parallel := run(1), run(4)
 	if len(serial) != 4 || len(parallel) != 4 {
 		t.Fatalf("cell counts: %d, %d", len(serial), len(parallel))
 	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("cell %d differs: %+v vs %+v", i, serial[i], parallel[i])
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("records differ:\n%+v\nvs\n%+v", serial, parallel)
+	}
+	for i, r := range serial {
+		if r.Study != "yield" || r.Seed != 1+int64(i) || r.Device == "" {
+			t.Errorf("record %d identity: study %q seed %d device %q", i, r.Study, r.Seed, r.Device)
 		}
 	}
 }

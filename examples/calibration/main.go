@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"surfcomm"
 )
@@ -100,43 +101,18 @@ func main() {
 	fmt.Printf("\nlive defects (%d coupler deaths): cycles=%d reroutes=%d\n",
 		len(sched.Events), plan.Cycles, plan.Braid.Reroutes)
 
-	// The systematic version: the CalibGrid study sweeps coupling
-	// topology × {uniform, calibrated, live-defect} cells with derived
-	// per-cell seeds, and reports the per-tile logical-rate spread that
-	// local calibration opens up (on a real chip the worst tile, not
-	// the average, bounds the computation). `cmd/sweep -calib` runs the
-	// same grid and commits it as BENCH_calib.json.
+	// The systematic version: the calib study sweeps coupling topology ×
+	// {uniform, calibrated, live-defect} cells with derived per-cell
+	// seeds, and reports the per-tile logical-rate spread that local
+	// calibration opens up (on a real chip the worst tile, not the
+	// average, bounds the computation). `cmd/sweep -calib` prints the
+	// same table and commits its records as BENCH_calib.json.
 	tc, err = surfcomm.NewToolchain(surfcomm.WithSeed(1), surfcomm.WithWorkers(4))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cells, err := tc.CalibGrid(ctx, surfcomm.SweepCalibOptions{Trials: 1})
-	if err != nil {
+	fmt.Println()
+	if _, err := tc.RunStudies(ctx, []string{"calib"}, surfcomm.StudyParams{}, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\ncalibration study (per-tile logical-rate spread & defect survival):")
-	fmt.Printf("  %-10s %6s %8s %10s %10s %10s\n",
-		"topology", "cell", "cycles", "p_tile min", "p_tile max", "reroutes")
-	survived, defectRuns := 0, 0
-	for _, cell := range cells {
-		kind := "uniform"
-		if cell.Calibrated {
-			kind = "calib"
-		}
-		if cell.Defects > 0 {
-			kind = "defects"
-			defectRuns++
-			if cell.Survived {
-				survived++
-			}
-		}
-		if !cell.Survived {
-			fmt.Printf("  %-10s %6s %8s\n", cell.Topology, kind, "unroutable")
-			continue
-		}
-		fmt.Printf("  %-10s %6s %8d %10.3e %10.3e %10d\n",
-			cell.Topology, kind, cell.Cycles, cell.RateMin, cell.RateMax, cell.Reroutes)
-	}
-	fmt.Printf("  live-defect survival: %d/%d runs re-routed instead of failing\n",
-		survived, defectRuns)
 }

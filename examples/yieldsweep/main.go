@@ -3,8 +3,8 @@
 // pluggable device-topology layer exists for. Real superconducting
 // chips have dead tiles, broken couplers, and slow links; this example
 // compares the perfect grid against random-yield and clustered-defect
-// realizations of the same machine, then runs the deterministic
-// YieldGrid study through the Toolchain.
+// realizations of the same machine, then runs the deterministic yield
+// study through the Toolchain.
 package main
 
 import (
@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"os"
 
 	"surfcomm"
 )
@@ -54,29 +55,17 @@ func main() {
 			plan.Device, plan.Cycles, plan.Braid.Ratio, plan.Braid.AdaptiveRoutes)
 	}
 
-	// The systematic version: the YieldGrid study sweeps defect
-	// fractions with independent device realizations per fraction.
-	// Per-cell seeds derive from the toolchain seed, so the records are
-	// bit-identical at any worker count.
+	// The systematic version: the yield study sweeps defect fractions
+	// with independent device realizations per fraction and prints the
+	// same table as `cmd/sweep -yield`. Per-cell seeds derive from the
+	// toolchain seed, so the records are bit-identical at any worker
+	// count.
 	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1), surfcomm.WithWorkers(4))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cells, err := tc.YieldGrid(ctx, surfcomm.SweepYieldOptions{
-		Fractions: []float64{0, 0.02, 0.05},
-		Trials:    2,
-	})
-	if err != nil {
+	fmt.Println()
+	if _, err := tc.RunStudies(ctx, []string{"yield"}, surfcomm.StudyParams{}, os.Stdout); err != nil {
 		log.Fatal(err)
-	}
-	fmt.Println("\nyield study (logical error rate & latency vs. defect fraction):")
-	fmt.Printf("  %-10s %6s %10s %8s %12s\n", "p_defect", "trial", "cycles", "ratio", "p_L(sched)")
-	for _, cell := range cells {
-		if cell.Unroutable {
-			fmt.Printf("  %-10g %6d %10s\n", cell.DefectFrac, cell.Trial, "unroutable")
-			continue
-		}
-		fmt.Printf("  %-10g %6d %10d %8.3f %12.3e\n",
-			cell.DefectFrac, cell.Trial, cell.Cycles, cell.Ratio, cell.LogicalRate)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"surfcomm/internal/apps"
 	"surfcomm/internal/braid"
@@ -64,78 +63,18 @@ type CalibCell struct {
 	LogicalRate float64
 }
 
-// CalibOptions selects the calibration-study grid.
-type CalibOptions struct {
-	// Distance is the code distance; zero selects 9.
-	Distance int
-	// App restricts the grid to one application; empty selects GSE.
-	App string
-	// Trials is the number of independent calibrations (and defect
-	// schedules) per topology; zero selects 2.
-	Trials int
-	// DefectEvents is the number of live coupler deaths per defect
-	// cell; zero selects 3.
-	DefectEvents int
-	// PhysicalError is the uniform p_P baseline; zero selects 1e-3
-	// (calibration-scale error rates, so spreads are visible).
-	PhysicalError float64
-	// SquareOnly drops the heavy-hex rows; the zero value keeps them
-	// (the topology comparison is the study's point).
-	SquareOnly bool
-	// Calibration overrides the synthetic snapshot with a loaded one
-	// (applied to every calibrated cell; the cell seed then only
-	// drives defect schedules).
-	Calibration *device.Calibration
-}
-
-func (o CalibOptions) withDefaults() CalibOptions {
-	if o.Distance == 0 {
-		o.Distance = 9
-	}
-	if o.App == "" {
-		o.App = "GSE"
-	}
-	if o.Trials == 0 {
-		o.Trials = 2
-	}
-	if o.DefectEvents == 0 {
-		o.DefectEvents = 3
-	}
-	if o.PhysicalError == 0 {
-		o.PhysicalError = 1e-3
-	}
-	return o
-}
-
-// calibCellSpec is one grid coordinate before execution.
-type calibCellSpec struct {
-	topology   string
-	calibrated bool
-	defects    int
-	trial      int
-}
-
-// CalibGrid runs the calibration study. A serial pre-pass compiles the
-// workload once on the perfect square device to learn the junction-grid
-// dimensions (shared by every cell — neither heavy-hex nor calibration
-// kills tiles) and the baseline schedule length that scales the
-// defect-event horizon; the grid cells then fan across the worker pool,
-// each deriving its seed from the base seed and cell index.
-func CalibGrid(ctx context.Context, opt Options, copt CalibOptions) ([]CalibCell, error) {
-	copt = copt.withDefaults()
-	var workload *apps.Workload
-	for _, w := range apps.Fig6Suite() {
-		if strings.EqualFold(w.Name, copt.App) {
-			workload = &w
-			break
-		}
-	}
-	if workload == nil {
-		return nil, scerr.BadConfig("sweep: unknown calib app %q", copt.App)
-	}
-	tech := surface.Superconducting(copt.PhysicalError)
-	base, err := braid.SimulateContext(ctx, workload.Circuit, braid.Policy6, braid.Config{
-		Distance:       copt.Distance,
+// CalibGrid runs the calibration study on w. The caller sets each
+// cell's Topology, Calibrated, Defects and Trial. A serial pre-pass
+// compiles the workload once on the perfect square device to learn the
+// junction-grid dimensions (shared by every cell — neither heavy-hex
+// nor calibration kills tiles) and the baseline schedule length that
+// scales the defect-event horizon; the cells then fan across the worker
+// pool, each deriving its seed from the base seed and cell index.
+// Calibrated cells run under cal, or under a synthetic per-cell
+// snapshot when cal is nil. tech is the uniform p_P baseline.
+func CalibGrid(ctx context.Context, opt Options, w apps.Workload, cells []CalibCell, d int, tech surface.Technology, cal *device.Calibration) ([]CalibCell, error) {
+	base, err := braid.SimulateContext(ctx, w.Circuit, braid.Policy6, braid.Config{
+		Distance:       d,
 		Seed:           opt.Seed,
 		RecordSchedule: true, // only to learn the floorplan dims
 	})
@@ -148,75 +87,48 @@ func CalibGrid(ctx context.Context, opt Options, copt CalibOptions) ([]CalibCell
 		horizon = 1
 	}
 
-	topologies := []string{CalibSquare}
-	if !copt.SquareOnly {
-		topologies = append(topologies, CalibHeavyHex)
-	}
-	var cells []calibCellSpec
-	for _, topo := range topologies {
-		cells = append(cells, calibCellSpec{topology: topo})
-	}
-	for t := 0; t < copt.Trials; t++ {
-		for _, topo := range topologies {
-			cells = append(cells, calibCellSpec{topology: topo, calibrated: true, trial: t})
-		}
-	}
-	for t := 0; t < copt.Trials; t++ {
-		for _, topo := range topologies {
-			cells = append(cells, calibCellSpec{topology: topo, defects: copt.DefectEvents, trial: t})
-		}
-	}
-
-	return Map(ctx, opt, cells, func(i int, c calibCellSpec) (CalibCell, error) {
-		seed := device.CellSeed(opt.Seed, i)
+	return Map(ctx, opt, cells, func(i int, c CalibCell) (CalibCell, error) {
+		c.App = w.Name
+		c.Seed = device.CellSeed(opt.Seed, i)
 		dev := device.Perfect()
-		if c.topology == CalibHeavyHex {
-			dev = device.HeavyHex(seed)
+		if c.Topology == CalibHeavyHex {
+			dev = device.HeavyHex(c.Seed)
 		}
-		if c.calibrated {
-			cal := copt.Calibration
-			if cal == nil {
-				cal = device.SyntheticCalibration(seed, jrows, jcols)
+		if c.Calibrated {
+			snap := cal
+			if snap == nil {
+				snap = device.SyntheticCalibration(c.Seed, jrows, jcols)
 			}
-			dev = dev.WithCalibration(cal)
+			dev = dev.WithCalibration(snap)
 		}
 		var defects *device.DefectSchedule
-		if c.defects > 0 {
-			defects = device.RandomDefectSchedule(seed, jrows, jcols, c.defects, horizon)
+		if c.Defects > 0 {
+			defects = device.RandomDefectSchedule(c.Seed, jrows, jcols, c.Defects, horizon)
 		}
-		out := CalibCell{
-			App:        workload.Name,
-			Topology:   c.topology,
-			Calibrated: c.calibrated,
-			Defects:    c.defects,
-			Trial:      c.trial,
-			Seed:       seed,
-			Device:     dev.String(),
-			Survived:   true,
-		}
+		c.Device = dev.String()
+		c.Survived = true
 		// Per-tile logical-rate spread on the realized junction grid.
-		topo := dev.Instance(jrows, jcols)
-		rates := resource.TileLogicalRates(topo, tech, copt.Distance)
-		out.RateMin, out.RateMax, out.RateMean = resource.RateSpread(rates)
-		r, err := braid.SimulateContext(ctx, workload.Circuit, braid.Policy6, braid.Config{
-			Distance: copt.Distance,
+		rates := resource.TileLogicalRates(dev.Instance(jrows, jcols), tech, d)
+		c.RateMin, c.RateMax, c.RateMean = resource.RateSpread(rates)
+		r, err := braid.SimulateContext(ctx, w.Circuit, braid.Policy6, braid.Config{
+			Distance: d,
 			Seed:     opt.Seed,
 			Device:   dev,
 			Defects:  defects,
 		})
 		if err != nil {
 			if errors.Is(err, scerr.ErrUnroutable) {
-				out.Survived = false
-				return out, nil
+				c.Survived = false
+				return c, nil
 			}
-			return CalibCell{}, fmt.Errorf("sweep: calib %s trial %d: %w", c.topology, c.trial, err)
+			return CalibCell{}, fmt.Errorf("sweep: calib %s trial %d: %w", c.Topology, c.Trial, err)
 		}
-		out.Cycles = r.ScheduleCycles
-		out.Ratio = r.Ratio
-		out.Adaptive = r.AdaptiveRoutes
-		out.Reroutes = r.Reroutes
-		out.Tiles = r.Tiles
-		out.LogicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, out.RateMean)
-		return out, nil
+		c.Cycles = r.ScheduleCycles
+		c.Ratio = r.Ratio
+		c.Adaptive = r.AdaptiveRoutes
+		c.Reroutes = r.Reroutes
+		c.Tiles = r.Tiles
+		c.LogicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, c.RateMean)
+		return c, nil
 	})
 }

@@ -1,11 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"strings"
-
-	"context"
 
 	"surfcomm/internal/apps"
 	"surfcomm/internal/braid"
@@ -19,7 +17,9 @@ import (
 // The domain grids: each study of the paper's evaluation expressed as
 // independent cells over the Map runner. Every grid is a pure function
 // of (inputs, seed), so runs at any worker count agree cell-for-cell
-// with a serial run.
+// with a serial run. Grids that take a cell slice evaluate exactly the
+// cells the caller enumerated, in that order, so the caller can label
+// each cell once (the surfcomm Study registry does).
 
 // Characterize measures app models for the given workloads in parallel
 // — one cell per workload, each running the full frontend + Multi-SIMD
@@ -91,12 +91,12 @@ type EPRCell struct {
 	Rows     []teleport.Result
 }
 
-// EPRWindows runs the §8.1 pipelined-EPR window study for every Fig. 6
+// EPRWindows runs the §8.1 pipelined-EPR window study for every
 // workload in parallel — one cell per application, each scheduling the
 // circuit on the Multi-SIMD machine and sweeping look-ahead windows
 // around the JIT heuristic.
-func EPRWindows(ctx context.Context, opt Options, cfg teleport.Config) ([]EPRCell, error) {
-	return Map(ctx, opt, apps.Fig6Suite(), func(_ int, w apps.Workload) (EPRCell, error) {
+func EPRWindows(ctx context.Context, opt Options, suite []apps.Workload, cfg teleport.Config) ([]EPRCell, error) {
+	return Map(ctx, opt, suite, func(_ int, w apps.Workload) (EPRCell, error) {
 		sched, err := simd.RunContext(ctx, w.Circuit, simd.ConfigFor(w.Circuit.NumQubits, opt.Seed))
 		if err != nil {
 			return EPRCell{}, err
@@ -121,7 +121,8 @@ func EPRWindows(ctx context.Context, opt Options, cfg teleport.Config) ([]EPRCel
 
 // DecoderCell is one Monte Carlo decoding cell of the §2.3 error-model
 // validation grid: a (distance, physical rate) point with its measured
-// failure count.
+// failure count. The caller sets Distance, PhysicalRate and Trials; the
+// grid fills in the rest.
 type DecoderCell struct {
 	Distance     int
 	PhysicalRate float64
@@ -141,132 +142,83 @@ type DecoderCell struct {
 	WorkOps uint64
 }
 
-// DecoderGrid measures the logical error rate across the (distance ×
-// physical rate) plane — the decoding counterpart of the Figure 9
-// boundary studies. Each cell derives its seed deterministically from
-// the base seed and its index, runs its Monte Carlo serially (the grid
-// itself fans across the worker pool), and is bit-identical at any
-// worker count. A nil strategy selects the default (MWPM) and leaves
-// the per-cell Strategy field empty, keeping pre-strategy records
-// byte-identical.
-func DecoderGrid(ctx context.Context, opt Options, distances []int, rates []float64, trials int, strategy decoder.Strategy) ([]DecoderCell, error) {
-	type cell struct {
-		d    int
-		rate float64
-	}
-	cells := make([]cell, 0, len(distances)*len(rates))
-	for _, d := range distances {
-		for _, r := range rates {
-			cells = append(cells, cell{d, r})
-		}
-	}
+// DecoderGrid measures the logical error rate of every cell — the
+// decoding counterpart of the Figure 9 boundary studies. Each cell
+// derives its seed deterministically from the base seed and its index,
+// runs its Monte Carlo serially (the grid itself fans across the
+// worker pool), and is bit-identical at any worker count. A nil
+// strategy selects the default (MWPM) and leaves the per-cell Strategy
+// field empty, keeping pre-strategy records byte-identical.
+func DecoderGrid(ctx context.Context, opt Options, cells []DecoderCell, strategy decoder.Strategy) ([]DecoderCell, error) {
 	name := ""
 	if strategy != nil {
 		name = strategy.Name()
 	}
-	return Map(ctx, opt, cells, func(i int, c cell) (DecoderCell, error) {
-		seed := device.CellSeed(opt.Seed, i)
-		l, err := decoder.NewLattice(c.d)
+	return Map(ctx, opt, cells, func(i int, c DecoderCell) (DecoderCell, error) {
+		c.Seed = device.CellSeed(opt.Seed, i)
+		c.Strategy = name
+		l, err := decoder.NewLattice(c.Distance)
 		if err != nil {
 			return DecoderCell{}, err
 		}
 		mc := &decoder.MonteCarlo{
 			Lattice: l,
-			Rng:     rand.New(rand.NewSource(seed)),
+			Rng:     rand.New(rand.NewSource(c.Seed)),
 			Config:  decoder.Config{Workers: 1, Strategy: strategy},
 		}
-		r, err := mc.RunContext(ctx, c.rate, trials)
+		r, err := mc.RunContext(ctx, c.PhysicalRate, c.Trials)
 		if err != nil {
 			return DecoderCell{}, err
 		}
-		return DecoderCell{
-			Distance:     c.d,
-			PhysicalRate: c.rate,
-			Trials:       trials,
-			Seed:         seed,
-			Failures:     r.Failures,
-			LogicalRate:  r.LogicalRate,
-			Strategy:     name,
-			WorkOps:      r.WorkOps,
-		}, nil
+		c.Failures, c.LogicalRate, c.WorkOps = r.Failures, r.LogicalRate, r.WorkOps
+		return c, nil
 	})
 }
 
 // Figure6Cell is one (application, policy) braid simulation of the
-// Figure 6 grid.
+// Figure 6 grid. The caller sets Workload and Policy; the grid fills in
+// the rest.
 type Figure6Cell struct {
-	App    string
-	Policy int
-	Ratio  float64
-	Util   float64
-	Cycles int64
+	Workload apps.Workload
+	Policy   braid.Policy
+	Ratio    float64
+	Util     float64
+	Cycles   int64
 	// Braids/Adaptive/Reinjections expose the engine's placement
 	// counters (the cmd/sweep -fig6 columns).
 	Braids       int64
 	Adaptive     int64
 	Reinjections int64
-	// Result carries the full simulation result so callers can
-	// replay-validate cells. It is populated only when
-	// Figure6Options.RecordSchedule is set, keeping default cells
-	// directly comparable across runs (the parallel==serial checks).
-	Result *braid.Result
+	// Replayed counts the static-schedule entries replay-validated on
+	// a verified grid (zero otherwise).
+	Replayed int
 }
 
-// Figure6Options selects the Figure 6 grid variant.
-type Figure6Options struct {
-	// Distance is the code distance; zero selects 9.
-	Distance int
-	// RecordSchedule captures each cell's static schedule for replay
-	// validation.
-	RecordSchedule bool
-	// App restricts the grid to one application (case-insensitive
-	// name); empty runs the full suite.
-	App string
-}
-
-// Figure6 runs the Figure 6 policy sweep — every application under
-// every braid policy — across the worker pool. Each cell is an
-// independent braid simulation with its own mesh, so the grid scales to
-// the core count.
-func Figure6(ctx context.Context, opt Options, fopt Figure6Options) ([]Figure6Cell, error) {
-	if fopt.Distance == 0 {
-		fopt.Distance = 9
-	}
-	type cell struct {
-		w apps.Workload
-		p braid.Policy
-	}
-	var cells []cell
-	for _, w := range apps.Fig6Suite() {
-		if fopt.App != "" && !strings.EqualFold(fopt.App, w.Name) {
-			continue
-		}
-		for _, p := range braid.AllPolicies {
-			cells = append(cells, cell{w, p})
-		}
-	}
-	return Map(ctx, opt, cells, func(_ int, c cell) (Figure6Cell, error) {
-		r, err := braid.SimulateContext(ctx, c.w.Circuit, c.p, braid.Config{
-			Distance:       fopt.Distance,
+// Figure6 runs the Figure 6 policy sweep across the worker pool. Each
+// cell is an independent braid simulation with its own mesh, so the
+// grid scales to the core count. With verify, every cell records its
+// static schedule and replay-validates it (dependencies respected, no
+// double-booked tiles, junctions or links); a schedule that fails
+// validation fails the grid.
+func Figure6(ctx context.Context, opt Options, cells []Figure6Cell, distance int, verify bool) ([]Figure6Cell, error) {
+	return Map(ctx, opt, cells, func(_ int, c Figure6Cell) (Figure6Cell, error) {
+		w := c.Workload
+		r, err := braid.SimulateContext(ctx, w.Circuit, c.Policy, braid.Config{
+			Distance:       distance,
 			Seed:           opt.Seed,
-			RecordSchedule: fopt.RecordSchedule,
+			RecordSchedule: verify,
 		})
 		if err != nil {
-			return Figure6Cell{}, fmt.Errorf("sweep: %s under %v: %w", c.w.Name, c.p, err)
+			return Figure6Cell{}, fmt.Errorf("sweep: %s under %v: %w", w.Name, c.Policy, err)
 		}
-		out := Figure6Cell{
-			App:          c.w.Name,
-			Policy:       int(c.p),
-			Ratio:        r.Ratio,
-			Util:         r.AvgUtilization,
-			Cycles:       r.ScheduleCycles,
-			Braids:       r.BraidsPlaced,
-			Adaptive:     r.AdaptiveRoutes,
-			Reinjections: r.Reinjections,
+		if verify {
+			if err := braid.Replay(w.Circuit, r.Arch, r.Schedule); err != nil {
+				return Figure6Cell{}, fmt.Errorf("sweep: %s under %v: replay validation failed: %w", w.Name, c.Policy, err)
+			}
+			c.Replayed = len(r.Schedule)
 		}
-		if fopt.RecordSchedule {
-			out.Result = &r
-		}
-		return out, nil
+		c.Ratio, c.Util, c.Cycles = r.Ratio, r.AvgUtilization, r.ScheduleCycles
+		c.Braids, c.Adaptive, c.Reinjections = r.BraidsPlaced, r.AdaptiveRoutes, r.Reinjections
+		return c, nil
 	})
 }

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"surfcomm/internal/device"
-	"surfcomm/internal/teleport"
-	"surfcomm/internal/toolflow"
 )
 
 // CellResult is one machine-readable grid cell: which study it belongs
@@ -54,236 +50,4 @@ func WriteRecordsFile(path string, cells []CellResult) error {
 		return fmt.Errorf("sweep: encoding %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// ModelRecords converts characterized app models to cell results.
-func ModelRecords(seed int64, models []toolflow.AppModel) []CellResult {
-	out := make([]CellResult, 0, len(models))
-	for _, m := range models {
-		out = append(out, CellResult{
-			Study:  "characterization",
-			Device: device.PresetPerfect,
-			Cell:   m.Name,
-			Seed:   seed,
-			Metrics: map[string]float64{
-				"parallelism":       m.Parallelism,
-				"sched_parallelism": m.SchedParallelism,
-				"move_fraction":     m.MoveFraction,
-				"congestion_dd":     m.CongestionDD,
-			},
-		})
-	}
-	return out
-}
-
-// CurveRecords converts Figure 7/8 design points to cell results.
-func CurveRecords(study, app string, physicalError float64, seed int64, pts []toolflow.DesignPoint) []CellResult {
-	out := make([]CellResult, 0, len(pts))
-	for _, dp := range pts {
-		out = append(out, CellResult{
-			Study:  study,
-			Device: device.PresetPerfect,
-			Cell:   fmt.Sprintf("%s/K=%.1e/pp=%.0e", app, dp.TotalOps, physicalError),
-			Seed:   seed,
-			Metrics: map[string]float64{
-				"distance":         float64(dp.Distance),
-				"planar_seconds":   dp.PlanarSeconds,
-				"dd_seconds":       dp.DDSeconds,
-				"planar_qubits":    dp.PlanarQubits,
-				"dd_qubits":        dp.DDQubits,
-				"space_time_ratio": dp.SpaceTimeRatio,
-			},
-		})
-	}
-	return out
-}
-
-// BoundaryRecords converts a Figure 9 boundary grid (one row per
-// model, as Boundary returns it) to cell results. Off-chart points —
-// planar favored across the whole K range — carry the -1 sentinel.
-func BoundaryRecords(seed int64, models []toolflow.AppModel, boundaries [][]toolflow.BoundaryPoint) []CellResult {
-	var out []CellResult
-	for mi, m := range models {
-		for _, pt := range boundaries[mi] {
-			k := pt.CrossoverOps
-			if pt.OffChart {
-				k = -1
-			}
-			out = append(out, CellResult{
-				Study:   "figure9",
-				Device:  device.PresetPerfect,
-				Cell:    fmt.Sprintf("%s/pp=%.1e", m.Name, pt.PhysicalError),
-				Seed:    seed,
-				Metrics: map[string]float64{"crossover_k": k},
-			})
-		}
-	}
-	return out
-}
-
-// EPRWindowLabel names a window row the way the §8.1 tables print it.
-func EPRWindowLabel(windowCycles int64) string {
-	if windowCycles == teleport.PrefetchAll {
-		return "prefetch-all"
-	}
-	return fmt.Sprintf("%d", windowCycles)
-}
-
-// EPRRecords converts the §8.1 window study to cell results.
-func EPRRecords(seed int64, cells []EPRCell) []CellResult {
-	var out []CellResult
-	for _, c := range cells {
-		for _, r := range c.Rows {
-			out = append(out, CellResult{
-				Study:  "epr",
-				Device: device.PresetPerfect,
-				Cell:   fmt.Sprintf("%s/window=%s", c.Name, EPRWindowLabel(r.WindowCycles)),
-				Seed:   seed,
-				Metrics: map[string]float64{
-					"peak_live_epr":    float64(r.PeakLiveEPR),
-					"stall_cycles":     float64(r.StallCycles),
-					"latency_overhead": r.LatencyOverhead,
-				},
-			})
-		}
-	}
-	return out
-}
-
-// DecoderRecords converts an error-model validation grid to cell
-// results; each record carries the cell's own derived seed.
-func DecoderRecords(cells []DecoderCell) []CellResult {
-	out := make([]CellResult, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, CellResult{
-			Study:    "decoder",
-			Device:   device.PresetPerfect,
-			Strategy: c.Strategy,
-			Cell:     fmt.Sprintf("d=%d/p=%.2e", c.Distance, c.PhysicalRate),
-			Seed:     c.Seed,
-			Metrics: map[string]float64{
-				"failures":     float64(c.Failures),
-				"logical_rate": c.LogicalRate,
-				"trials":       float64(c.Trials),
-			},
-		})
-	}
-	return out
-}
-
-// DecodeBenchRecords converts a strategy-comparison grid (the
-// BENCH_decode.json study) to cell results: unlike DecoderRecords it
-// names the strategy in every cell and records the deterministic
-// work-op count — the machine-independent wall-clock proxy the
-// crossover analysis compares (work-ops per trial, not seconds, so the
-// artifact reproduces bit-identically on any machine).
-func DecodeBenchRecords(study string, cells []DecoderCell) []CellResult {
-	out := make([]CellResult, 0, len(cells))
-	for _, c := range cells {
-		strategy := c.Strategy
-		if strategy == "" {
-			strategy = "mwpm"
-		}
-		out = append(out, CellResult{
-			Study:    study,
-			Device:   device.PresetPerfect,
-			Strategy: strategy,
-			Cell:     fmt.Sprintf("d=%d/p=%.2e/%s", c.Distance, c.PhysicalRate, strategy),
-			Seed:     c.Seed,
-			Metrics: map[string]float64{
-				"failures":          float64(c.Failures),
-				"logical_rate":      c.LogicalRate,
-				"trials":            float64(c.Trials),
-				"workops":           float64(c.WorkOps),
-				"workops_per_trial": float64(c.WorkOps) / float64(c.Trials),
-			},
-		})
-	}
-	return out
-}
-
-// YieldRecords converts a yield study to cell results; each record
-// names the realized device it compiled on and carries the cell's own
-// derived realization seed.
-func YieldRecords(cells []YieldCell) []CellResult {
-	out := make([]CellResult, 0, len(cells))
-	for _, c := range cells {
-		unroutable := 0.0
-		if c.Unroutable {
-			unroutable = 1
-		}
-		out = append(out, CellResult{
-			Study:  "yield",
-			Device: c.Device,
-			Cell:   fmt.Sprintf("%s/p=%g/trial%d", c.App, c.DefectFrac, c.Trial),
-			Seed:   c.Seed,
-			Metrics: map[string]float64{
-				"cycles":       float64(c.Cycles),
-				"ratio":        c.Ratio,
-				"adaptive":     float64(c.Adaptive),
-				"tiles":        float64(c.Tiles),
-				"logical_rate": c.LogicalRate,
-				"unroutable":   unroutable,
-			},
-		})
-	}
-	return out
-}
-
-// CalibRecords converts a calibration study to cell results; each
-// record names the realized device (including the calibration snapshot
-// digest when one is attached) and carries the cell's derived seed.
-func CalibRecords(cells []CalibCell) []CellResult {
-	out := make([]CellResult, 0, len(cells))
-	for _, c := range cells {
-		survived := 0.0
-		if c.Survived {
-			survived = 1
-		}
-		label := "uniform"
-		if c.Calibrated {
-			label = "calibrated"
-		}
-		if c.Defects > 0 {
-			label = fmt.Sprintf("defects=%d", c.Defects)
-		}
-		out = append(out, CellResult{
-			Study:  "calib",
-			Device: c.Device,
-			Cell:   fmt.Sprintf("%s/%s/%s/trial%d", c.App, c.Topology, label, c.Trial),
-			Seed:   c.Seed,
-			Metrics: map[string]float64{
-				"cycles":       float64(c.Cycles),
-				"ratio":        c.Ratio,
-				"adaptive":     float64(c.Adaptive),
-				"reroutes":     float64(c.Reroutes),
-				"tiles":        float64(c.Tiles),
-				"rate_min":     c.RateMin,
-				"rate_max":     c.RateMax,
-				"rate_mean":    c.RateMean,
-				"logical_rate": c.LogicalRate,
-				"survived":     survived,
-			},
-		})
-	}
-	return out
-}
-
-// Figure6Records converts a Figure 6 policy grid to cell results.
-func Figure6Records(seed int64, cells []Figure6Cell) []CellResult {
-	out := make([]CellResult, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, CellResult{
-			Study:  "figure6",
-			Device: device.PresetPerfect,
-			Cell:   fmt.Sprintf("%s/policy%d", c.App, c.Policy),
-			Seed:   seed,
-			Metrics: map[string]float64{
-				"ratio":  c.Ratio,
-				"util":   c.Util,
-				"cycles": float64(c.Cycles),
-			},
-		})
-	}
-	return out
 }

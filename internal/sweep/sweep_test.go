@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"surfcomm/internal/apps"
+	"surfcomm/internal/braid"
 	"surfcomm/internal/scerr"
 	"surfcomm/internal/teleport"
 	"surfcomm/internal/toolflow"
@@ -176,11 +177,17 @@ func TestCharacterizeParallelEqualsSerial(t *testing.T) {
 // full simulation, so any shared mutable state across cells would show
 // up here as serial/parallel divergence.
 func TestFigure6ParallelEqualsSerial(t *testing.T) {
-	serial, err := Figure6(context.Background(), Options{Workers: 1, Seed: 1}, Figure6Options{Distance: 5})
+	var cells []Figure6Cell
+	for _, w := range apps.Fig6Suite() {
+		for _, p := range braid.AllPolicies {
+			cells = append(cells, Figure6Cell{Workload: w, Policy: p})
+		}
+	}
+	serial, err := Figure6(context.Background(), Options{Workers: 1, Seed: 1}, cells, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Figure6(context.Background(), Options{Workers: 8, Seed: 1}, Figure6Options{Distance: 5})
+	wide, err := Figure6(context.Background(), Options{Workers: 8, Seed: 1}, cells, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +203,11 @@ func TestFigure6ParallelEqualsSerial(t *testing.T) {
 
 func TestEPRWindowsParallelEqualsSerial(t *testing.T) {
 	cfg := teleport.Config{Distance: 9}
-	serial, err := EPRWindows(context.Background(), Options{Workers: 1, Seed: 1}, cfg)
+	serial, err := EPRWindows(context.Background(), Options{Workers: 1, Seed: 1}, apps.Fig6Suite(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := EPRWindows(context.Background(), Options{Workers: 8, Seed: 1}, cfg)
+	wide, err := EPRWindows(context.Background(), Options{Workers: 8, Seed: 1}, apps.Fig6Suite(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

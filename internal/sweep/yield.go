@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"surfcomm/internal/apps"
 	"surfcomm/internal/braid"
@@ -39,108 +38,42 @@ type YieldCell struct {
 	LogicalRate float64
 }
 
-// YieldOptions selects the yield-study grid.
-type YieldOptions struct {
-	// Distance is the code distance; zero selects 9.
-	Distance int
-	// App restricts the grid to one application (case-insensitive
-	// name); empty selects GSE (the fastest braid workload — the grid
-	// regenerates in CI).
-	App string
-	// Fractions are the defect fractions swept; empty selects
-	// {0, 0.02, 0.05}.
-	Fractions []float64
-	// Trials is the number of independent device realizations per
-	// fraction; zero selects 2.
-	Trials int
-	// Clustered selects spatially correlated defects
-	// (device.ClusteredDefects) instead of independent random yield.
-	Clustered bool
-	// PhysicalError is p_P for the logical-rate estimate; zero selects
-	// 1e-8.
-	PhysicalError float64
-}
-
-func (o YieldOptions) withDefaults() YieldOptions {
-	if o.Distance == 0 {
-		o.Distance = 9
-	}
-	if o.App == "" {
-		o.App = "GSE"
-	}
-	if len(o.Fractions) == 0 {
-		o.Fractions = []float64{0, 0.02, 0.05}
-	}
-	if o.Trials == 0 {
-		o.Trials = 2
-	}
-	if o.PhysicalError == 0 {
-		o.PhysicalError = 1e-8
-	}
-	return o
-}
-
-// YieldGrid compiles one workload through the braid backend across a
-// grid of defective devices — logical error rate and schedule latency
+// YieldGrid compiles w through the braid backend on one realized
+// defective device per cell — logical error rate and schedule latency
 // vs. defect fraction, the communication-yield study no ideal-grid
-// model can express. Each cell realizes its own device from a seed
-// derived deterministically from the base seed and the cell index, so
-// the grid is bit-identical at any worker count; unroutable cells are
-// recorded, not fatal.
-func YieldGrid(ctx context.Context, opt Options, yopt YieldOptions) ([]YieldCell, error) {
-	yopt = yopt.withDefaults()
-	var workload *apps.Workload
-	for _, w := range apps.Fig6Suite() {
-		if strings.EqualFold(w.Name, yopt.App) {
-			workload = &w
-			break
+// model can express. The caller sets each cell's DefectFrac and Trial.
+// Each cell realizes its device (clustered or random-yield defects)
+// from a seed derived deterministically from the base seed and the
+// cell index, so the grid is bit-identical at any worker count;
+// unroutable cells are recorded, not fatal. tech prices the logical
+// rate at distance d.
+func YieldGrid(ctx context.Context, opt Options, w apps.Workload, cells []YieldCell, d int, tech surface.Technology, clustered bool) ([]YieldCell, error) {
+	perCycle := tech.LogicalErrorPerCycle(d)
+	return Map(ctx, opt, cells, func(i int, c YieldCell) (YieldCell, error) {
+		c.App = w.Name
+		c.Seed = device.CellSeed(opt.Seed, i)
+		dev := device.RandomYield(c.DefectFrac, c.Seed)
+		if clustered {
+			dev = device.ClusteredDefects(c.DefectFrac, c.Seed)
 		}
-	}
-	if workload == nil {
-		return nil, scerr.BadConfig("sweep: unknown yield app %q", yopt.App)
-	}
-	tech := surface.Superconducting(yopt.PhysicalError)
-	perCycle := tech.LogicalErrorPerCycle(yopt.Distance)
-	type cell struct {
-		frac  float64
-		trial int
-	}
-	cells := make([]cell, 0, len(yopt.Fractions)*yopt.Trials)
-	for _, f := range yopt.Fractions {
-		for t := 0; t < yopt.Trials; t++ {
-			cells = append(cells, cell{f, t})
-		}
-	}
-	return Map(ctx, opt, cells, func(i int, c cell) (YieldCell, error) {
-		seed := device.CellSeed(opt.Seed, i)
-		dev := device.RandomYield(c.frac, seed)
-		if yopt.Clustered {
-			dev = device.ClusteredDefects(c.frac, seed)
-		}
-		out := YieldCell{
-			App:        workload.Name,
-			DefectFrac: c.frac,
-			Trial:      c.trial,
-			Seed:       seed,
-			Device:     dev.String(),
-		}
-		r, err := braid.SimulateContext(ctx, workload.Circuit, braid.Policy6, braid.Config{
-			Distance: yopt.Distance,
+		c.Device = dev.String()
+		r, err := braid.SimulateContext(ctx, w.Circuit, braid.Policy6, braid.Config{
+			Distance: d,
 			Seed:     opt.Seed,
 			Device:   dev,
 		})
 		if err != nil {
 			if errors.Is(err, scerr.ErrUnroutable) {
-				out.Unroutable = true
-				return out, nil
+				c.Unroutable = true
+				return c, nil
 			}
-			return YieldCell{}, fmt.Errorf("sweep: %s at p=%g trial %d: %w", workload.Name, c.frac, c.trial, err)
+			return YieldCell{}, fmt.Errorf("sweep: %s at p=%g trial %d: %w", w.Name, c.DefectFrac, c.Trial, err)
 		}
-		out.Cycles = r.ScheduleCycles
-		out.Ratio = r.Ratio
-		out.Adaptive = r.AdaptiveRoutes
-		out.Tiles = r.Tiles
-		out.LogicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, perCycle)
-		return out, nil
+		c.Cycles = r.ScheduleCycles
+		c.Ratio = r.Ratio
+		c.Adaptive = r.AdaptiveRoutes
+		c.Tiles = r.Tiles
+		c.LogicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, perCycle)
+		return c, nil
 	})
 }

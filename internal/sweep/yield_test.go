@@ -1,37 +1,44 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
+
+	"surfcomm/internal/apps"
+	"surfcomm/internal/surface"
 )
 
+// yieldCells enumerates the fraction-major (fraction × trial) cells of a
+// yield grid.
+func yieldCells(fracs []float64, trials int) []YieldCell {
+	var cells []YieldCell
+	for _, f := range fracs {
+		for t := 0; t < trials; t++ {
+			cells = append(cells, YieldCell{DefectFrac: f, Trial: t})
+		}
+	}
+	return cells
+}
+
+func gse() apps.Workload { return apps.Fig6Suite()[0] }
+
 // TestYieldGridWorkerParity asserts the yield grid — cells, derived
-// device seeds, and serialized records — is bit-identical at any worker
+// device seeds, and realized devices — is bit-identical at any worker
 // count.
 func TestYieldGridWorkerParity(t *testing.T) {
-	yopt := YieldOptions{Distance: 5, Fractions: []float64{0, 0.03}, Trials: 2}
-	serial, err := YieldGrid(context.Background(), Options{Workers: 1, Seed: 1}, yopt)
+	cells := yieldCells([]float64{0, 0.03}, 2)
+	tech := surface.Superconducting(1e-8)
+	serial, err := YieldGrid(context.Background(), Options{Workers: 1, Seed: 1}, gse(), cells, 5, tech, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := YieldGrid(context.Background(), Options{Workers: 4, Seed: 1}, yopt)
+	parallel, err := YieldGrid(context.Background(), Options{Workers: 4, Seed: 1}, gse(), cells, 5, tech, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel yield grid differs from serial:\n%+v\nvs\n%+v", serial, parallel)
-	}
-	var a, b bytes.Buffer
-	if err := WriteRecords(&a, YieldRecords(serial)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRecords(&b, YieldRecords(parallel)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("serialized yield records differ between worker counts")
 	}
 }
 
@@ -39,8 +46,8 @@ func TestYieldGridWorkerParity(t *testing.T) {
 // derive from base seed + index, device strings name the realization,
 // and the zero-fraction cells match the perfect-device baseline.
 func TestYieldGridSeedsAndDevices(t *testing.T) {
-	cells, err := YieldGrid(context.Background(), Options{Workers: 2, Seed: 10},
-		YieldOptions{Distance: 5, Fractions: []float64{0, 0.02}, Trials: 2})
+	cells, err := YieldGrid(context.Background(), Options{Workers: 2, Seed: 10}, gse(),
+		yieldCells([]float64{0, 0.02}, 2), 5, surface.Superconducting(1e-8), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,28 +61,12 @@ func TestYieldGridSeedsAndDevices(t *testing.T) {
 		if c.Device == "" {
 			t.Errorf("cell %d has empty device string", i)
 		}
+		if c.App != "GSE" {
+			t.Errorf("cell %d app %q, want GSE", i, c.App)
+		}
 	}
 	// Zero-defect realizations are the perfect grid: both trials agree.
 	if cells[0].Cycles != cells[1].Cycles || cells[0].Ratio != cells[1].Ratio {
 		t.Errorf("zero-fraction trials differ: %+v vs %+v", cells[0], cells[1])
-	}
-	// Records carry the device string through.
-	recs := YieldRecords(cells)
-	for i, r := range recs {
-		if r.Device != cells[i].Device {
-			t.Errorf("record %d device %q != cell %q", i, r.Device, cells[i].Device)
-		}
-		if r.Study != "yield" {
-			t.Errorf("record %d study %q", i, r.Study)
-		}
-	}
-}
-
-// TestNonYieldRecordsPerfectDevice asserts every pre-device record
-// constructor stamps the appended device field with "perfect".
-func TestNonYieldRecordsPerfectDevice(t *testing.T) {
-	recs := DecoderRecords([]DecoderCell{{Distance: 3, PhysicalRate: 0.05, Trials: 10, Seed: 4}})
-	if len(recs) != 1 || recs[0].Device != "perfect" {
-		t.Fatalf("decoder record device = %+v, want perfect", recs)
 	}
 }

@@ -1,0 +1,137 @@
+package surfcomm_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"slices"
+	"strings"
+	"testing"
+
+	"surfcomm"
+	"surfcomm/internal/device"
+)
+
+// TestStudiesWorkerParity runs every registered study through
+// RunStudies at one and at four workers and compares the serialized
+// records and the printed table byte for byte. It also checks that
+// every record names the device its cell ran on, and that every
+// progress event carries the study's name and the label its cell's
+// records start with. Grids shrink to distance 5.
+// Figures 7–9 are left to the Characterize, Curve and Boundary parity
+// tests in internal/sweep.
+func TestStudiesWorkerParity(t *testing.T) {
+	const realized = "realized" // each cell names its own realized device
+	cases := map[string]struct {
+		params surfcomm.StudyParams
+		device string
+	}{
+		"table1":  {device: ""}, // Tables 1–2 predate the device field
+		"table2":  {device: ""},
+		"fig6":    {params: surfcomm.StudyParams{App: "IM", Verify: true}, device: device.PresetPerfect},
+		"epr":     {device: device.PresetPerfect},
+		"decoder": {device: device.PresetPerfect},
+		"decode":  {device: device.PresetPerfect},
+		"modular": {device: device.PresetPerfect},
+		"yield":   {params: surfcomm.StudyParams{Clustered: true}, device: realized},
+		"calib":   {device: realized},
+	}
+	for _, st := range surfcomm.Studies() {
+		c, ok := cases[st.Name]
+		if !ok {
+			if st.Name == "fig7" || st.Name == "fig8" || st.Name == "fig9" {
+				continue
+			}
+			t.Errorf("registered study %q has no worker-parity case", st.Name)
+			continue
+		}
+		t.Run(st.Name, func(t *testing.T) {
+			run := func(workers int) (records, table []byte) {
+				var events []surfcomm.Event // delivered serialized
+				tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithWorkers(workers),
+					surfcomm.WithProgress(func(ev surfcomm.Event) { events = append(events, ev) }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out bytes.Buffer
+				recs, err := tc.RunStudies(context.Background(), []string{st.Name}, c.params, &out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) == 0 || out.Len() == 0 {
+					t.Fatalf("workers=%d: %d records, %d table bytes", workers, len(recs), out.Len())
+				}
+				for _, r := range recs {
+					if r.Study == "" || r.Cell == "" {
+						t.Errorf("record without identity: %+v", r)
+					}
+					if c.device == realized && r.Device == "" || c.device != realized && r.Device != c.device {
+						t.Errorf("%s: device %q, want %q", r.Cell, r.Device, c.device)
+					}
+				}
+				for _, ev := range events {
+					labelled := slices.ContainsFunc(recs, func(r surfcomm.SweepCellResult) bool {
+						return r.Cell == ev.Cell || strings.HasPrefix(r.Cell, ev.Cell+"/")
+					})
+					if ev.Stage != st.Name || !labelled {
+						t.Errorf("event %s %q names no record of the study", ev.Stage, ev.Cell)
+					}
+				}
+				table = out.Bytes()
+				if st.Name == "modular" {
+					recs, table = stripWallClock(recs, table)
+				}
+				if records, err = json.Marshal(recs); err != nil {
+					t.Fatal(err)
+				}
+				return records, table
+			}
+			serialRecs, serialTable := run(1)
+			pooledRecs, pooledTable := run(4)
+			if !bytes.Equal(serialRecs, pooledRecs) {
+				t.Errorf("records differ between 1 and 4 workers:\n%s\nvs\n%s", serialRecs, pooledRecs)
+			}
+			if !bytes.Equal(serialTable, pooledTable) {
+				t.Errorf("tables differ between 1 and 4 workers:\n%s\nvs\n%s", serialTable, pooledTable)
+			}
+		})
+	}
+}
+
+// stripWallClock drops the modular study's machine-local timings: the
+// wall_* metrics and the table's last (wall speedup) column.
+func stripWallClock(recs []surfcomm.SweepCellResult, table []byte) ([]surfcomm.SweepCellResult, []byte) {
+	for _, r := range recs {
+		for key := range r.Metrics {
+			if strings.HasPrefix(key, "wall_") {
+				delete(r.Metrics, key)
+			}
+		}
+	}
+	var out bytes.Buffer
+	for _, line := range strings.Split(string(table), "\n") {
+		if f := strings.Fields(line); len(f) > 1 {
+			line = strings.Join(f[:len(f)-1], " ")
+		}
+		out.WriteString(line + "\n")
+	}
+	return recs, out.Bytes()
+}
+
+// TestRunStudiesUnknownStudy asserts an unknown study name fails with
+// ErrBadConfig before anything runs or prints.
+func TestRunStudiesUnknownStudy(t *testing.T) {
+	tc, err := surfcomm.NewToolchain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	_, err = tc.RunStudies(context.Background(), []string{"table1", "fig10"}, surfcomm.StudyParams{}, &out)
+	if !errors.Is(err, surfcomm.ErrBadConfig) || !strings.Contains(err.Error(), `"fig10"`) {
+		t.Fatalf("err = %v, want ErrBadConfig naming fig10", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed before failing:\n%s", out.Bytes())
+	}
+}

@@ -282,103 +282,15 @@ func EvaluateSurgery(m AppModel, totalOps, physicalError float64) (SurgeryPoint,
 	return toolflow.EvaluateSurgery(m, totalOps, physicalError)
 }
 
-// --- Parallel sweep (evaluation-grid worker pool) ---
-
-// SweepOptions tunes a parallel grid run (worker count, base seed).
-type SweepOptions = sweep.Options
+// --- Study records (BENCH_*.json) ---
 
 // SweepCellResult is one machine-readable grid cell (BENCH_*.json).
 type SweepCellResult = sweep.CellResult
-
-// SweepFigure6Cell is one (application, policy) braid simulation.
-type SweepFigure6Cell = sweep.Figure6Cell
-
-// SweepEPRCell is one application's §8.1 window study.
-type SweepEPRCell = sweep.EPRCell
-
-// SweepDecoderCell is one (distance, physical rate) Monte Carlo cell of
-// the error-model validation grid.
-type SweepDecoderCell = sweep.DecoderCell
-
-// SweepFigure6Options selects the Figure 6 grid variant (distance,
-// schedule recording, app filter).
-type SweepFigure6Options = sweep.Figure6Options
-
-// SweepYieldCell is one braid compile on one realized defective device
-// (a defect-fraction × trial point of the yield study).
-type SweepYieldCell = sweep.YieldCell
-
-// SweepYieldOptions selects the yield-study grid (distance, app,
-// defect fractions, trials per fraction, clustered vs. random defects).
-type SweepYieldOptions = sweep.YieldOptions
-
-// SweepCalibCell is one braid compile of the calibration study
-// (topology × calibration × live-defect grid).
-type SweepCalibCell = sweep.CalibCell
-
-// SweepCalibOptions selects the calibration-study grid.
-type SweepCalibOptions = sweep.CalibOptions
-
-// WriteSweepRecords serializes grid cells as stable JSON (BENCH_*.json).
-func WriteSweepRecords(w io.Writer, cells []SweepCellResult) error {
-	return sweep.WriteRecords(w, cells)
-}
 
 // WriteSweepRecordsFile writes cells to path (the BENCH_*.json
 // convention).
 func WriteSweepRecordsFile(path string, cells []SweepCellResult) error {
 	return sweep.WriteRecordsFile(path, cells)
-}
-
-// SweepModelRecords converts characterized app models to cell results.
-func SweepModelRecords(seed int64, models []AppModel) []SweepCellResult {
-	return sweep.ModelRecords(seed, models)
-}
-
-// SweepCurveRecords converts Figure 7/8 design points to cell results.
-func SweepCurveRecords(study, app string, physicalError float64, seed int64, pts []DesignPoint) []SweepCellResult {
-	return sweep.CurveRecords(study, app, physicalError, seed, pts)
-}
-
-// SweepBoundaryRecords converts a Figure 9 boundary grid to cell
-// results.
-func SweepBoundaryRecords(seed int64, models []AppModel, boundaries [][]BoundaryPoint) []SweepCellResult {
-	return sweep.BoundaryRecords(seed, models, boundaries)
-}
-
-// SweepEPRRecords converts the §8.1 window study to cell results.
-func SweepEPRRecords(seed int64, cells []SweepEPRCell) []SweepCellResult {
-	return sweep.EPRRecords(seed, cells)
-}
-
-// SweepDecoderRecords converts an error-model validation grid to cell
-// results.
-func SweepDecoderRecords(cells []SweepDecoderCell) []SweepCellResult {
-	return sweep.DecoderRecords(cells)
-}
-
-// SweepFigure6Records converts a Figure 6 policy grid to cell results.
-func SweepFigure6Records(seed int64, cells []SweepFigure6Cell) []SweepCellResult {
-	return sweep.Figure6Records(seed, cells)
-}
-
-// SweepYieldRecords converts a yield study to cell results; each
-// record names the realized device it compiled on.
-func SweepYieldRecords(cells []SweepYieldCell) []SweepCellResult {
-	return sweep.YieldRecords(cells)
-}
-
-// SweepCalibRecords converts a calibration study to cell results; each
-// record names the realized device (with calibration digest) it
-// compiled on.
-func SweepCalibRecords(cells []SweepCalibCell) []SweepCellResult {
-	return sweep.CalibRecords(cells)
-}
-
-// SweepEPRWindowLabel names a window row the way the §8.1 tables print
-// it.
-func SweepEPRWindowLabel(windowCycles int64) string {
-	return sweep.EPRWindowLabel(windowCycles)
 }
 
 // --- Device topology ---

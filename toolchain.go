@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"surfcomm/internal/decoder"
 	"surfcomm/internal/modcompile"
-	"surfcomm/internal/resource"
 	"surfcomm/internal/scerr"
 	"surfcomm/internal/sweep"
-	"surfcomm/internal/teleport"
 	"surfcomm/internal/toolflow"
 )
 
@@ -24,8 +21,9 @@ import (
 // order.
 type Event struct {
 	// Stage names the pipeline stage: "characterize", "compile",
-	// "cost", "figure6", "curve", "boundary", "epr", or "decoder" (the
-	// serving layer adds its own request stages).
+	// "cost", "decoder" (MeasureLogicalErrorRate), or the Name of the
+	// running Study, whose events label each completed cell with its
+	// record's cell (the serving layer adds its own request stages).
 	Stage string `json:"stage"`
 	// Backend is the compiling backend's name (compile events only).
 	Backend string `json:"backend,omitempty"`
@@ -138,7 +136,7 @@ func WithSeed(s int64) ToolchainOption {
 }
 
 // WithDecoderStrategy selects the decoding algorithm behind
-// MeasureLogicalErrorRate and DecoderGrid by name: "mwpm" (the
+// MeasureLogicalErrorRate and the decoder study by name: "mwpm" (the
 // matching-based default) or "unionfind" (the almost-linear-time
 // union-find decoder). Unknown names fail with ErrBadConfig listing
 // the registered strategies; the empty name keeps the default.
@@ -335,16 +333,6 @@ func (tc *Toolchain) CompileAll(ctx context.Context, c *Circuit, override ...fun
 	return plans, nil
 }
 
-// Estimate runs the frontend characterization (the Table 2 columns:
-// op counts, critical path, parallelism) for each workload across the
-// worker pool.
-func (tc *Toolchain) Estimate(ctx context.Context, ws []Workload) ([]Estimate, error) {
-	return sweep.Map(ctx, tc.sweepOpts("estimate", func(i int) string { return ws[i].Name }), ws,
-		func(_ int, w Workload) (Estimate, error) {
-			return resource.EstimateCircuit(w.Circuit)
-		})
-}
-
 // Characterize measures application models across the worker pool; the
 // result is identical to serial characterization at any worker count.
 func (tc *Toolchain) Characterize(ctx context.Context, ws []Workload) ([]AppModel, error) {
@@ -379,12 +367,6 @@ func (tc *Toolchain) CostSurgery(m AppModel, totalOps float64) (SurgeryPoint, er
 	return sp, nil
 }
 
-// Crossover returns the computation size where double-defect codes
-// overtake planar codes at the toolchain's technology.
-func (tc *Toolchain) Crossover(m AppModel) (kStar float64, ok bool) {
-	return toolflow.Crossover(m, tc.tech.PhysicalErrorRate)
-}
-
 // PipelineResult is one workload carried through the full pipeline:
 // its measured model, its compiled plan under every backend, and its
 // costed design point under all three communication schemes.
@@ -414,48 +396,6 @@ func (tc *Toolchain) Run(ctx context.Context, w Workload, totalOps float64) (Pip
 	return PipelineResult{Model: m, Plans: plans, Point: sp}, nil
 }
 
-// Figure6 runs the braid policy grid (every suite application under
-// every policy) across the worker pool. The zero Figure6Options value
-// selects the toolchain's distance and the full suite.
-func (tc *Toolchain) Figure6(ctx context.Context, fopt SweepFigure6Options) ([]SweepFigure6Cell, error) {
-	if fopt.Distance == 0 {
-		fopt.Distance = tc.distance
-	}
-	var label func(int) string
-	if tc.progress != nil {
-		var labels []string
-		for _, w := range Fig6Suite() {
-			if fopt.App != "" && !strings.EqualFold(fopt.App, w.Name) {
-				continue
-			}
-			for _, p := range AllBraidPolicies {
-				labels = append(labels, fmt.Sprintf("%s/policy%d", w.Name, int(p)))
-			}
-		}
-		label = func(i int) string { return labels[i] }
-	}
-	return sweep.Figure6(ctx, tc.sweepOpts("figure6", label), fopt)
-}
-
-// Curve evaluates a log-spaced K sweep for one model (the Figure 7/8
-// series) at the toolchain's technology.
-func (tc *Toolchain) Curve(ctx context.Context, m AppModel, fromExp, toExp, pointsPerDecade int) ([]DesignPoint, error) {
-	label := func(i int) string { return fmt.Sprintf("%s/point%d", m.Name, i) }
-	return sweep.Curve(ctx, tc.sweepOpts("curve", label), m, tc.tech.PhysicalErrorRate, fromExp, toExp, pointsPerDecade)
-}
-
-// Boundary computes the Figure 9 crossover boundaries for every model
-// over the given error-rate axis.
-func (tc *Toolchain) Boundary(ctx context.Context, models []AppModel, rates []float64) ([][]BoundaryPoint, error) {
-	label := func(i int) string {
-		return fmt.Sprintf("%s/pp=%.1e", models[i/len(rates)].Name, rates[i%len(rates)])
-	}
-	if len(rates) == 0 {
-		label = nil
-	}
-	return sweep.Boundary(ctx, tc.sweepOpts("boundary", label), models, rates)
-}
-
 // MeasureLogicalErrorRate runs the decoding Monte Carlo at the
 // toolchain's seed, decoding trials across the WithWorkers pool. The
 // failure count is bit-identical at any worker count (trial randomness
@@ -474,62 +414,6 @@ func (tc *Toolchain) MeasureLogicalErrorRate(ctx context.Context, d int, p float
 	if err != nil {
 		return DecoderResult{}, fmt.Errorf("toolchain: %w", err)
 	}
-	tc.emit(Event{Stage: "decoder", Cell: fmt.Sprintf("d=%d/p=%.2e", d, p), Total: 1})
+	tc.emit(Event{Stage: "decoder", Cell: decoderLabel(d, p), Total: 1})
 	return res, nil
-}
-
-// DecoderGrid runs the §2.3 error-model validation grid (distance ×
-// physical rate, Monte Carlo per cell) across the worker pool, with
-// per-cell seeds derived from the toolchain's seed.
-func (tc *Toolchain) DecoderGrid(ctx context.Context, distances []int, rates []float64, trials int) ([]SweepDecoderCell, error) {
-	var label func(int) string
-	if tc.progress != nil && len(rates) > 0 {
-		label = func(i int) string {
-			return fmt.Sprintf("d=%d/p=%.2e", distances[i/len(rates)], rates[i%len(rates)])
-		}
-	}
-	return sweep.DecoderGrid(ctx, tc.sweepOpts("decoder", label), distances, rates, trials, tc.decodeStrategy)
-}
-
-// YieldGrid runs the communication-yield study: the braid backend
-// compiled across a grid of defective devices (defect fraction ×
-// independent realizations), reporting schedule latency and logical
-// error rate per cell. Per-cell device seeds derive deterministically
-// from the toolchain's seed, so records are bit-identical at any
-// worker count; unroutable realizations are recorded, not fatal.
-func (tc *Toolchain) YieldGrid(ctx context.Context, yopt SweepYieldOptions) ([]SweepYieldCell, error) {
-	var label func(int) string
-	if tc.progress != nil {
-		label = func(i int) string { return fmt.Sprintf("cell%d", i) }
-	}
-	return sweep.YieldGrid(ctx, tc.sweepOpts("yield", label), yopt)
-}
-
-// CalibGrid runs the calibration study: square vs. heavy-hex coupling,
-// uniform vs. calibrated devices, and live-defect survival, compiled
-// through the braid backend across the worker pool. Per-cell seeds
-// derive deterministically from the toolchain's seed.
-func (tc *Toolchain) CalibGrid(ctx context.Context, copt SweepCalibOptions) ([]SweepCalibCell, error) {
-	if copt.Calibration == nil {
-		copt.Calibration = tc.calibration
-	}
-	var label func(int) string
-	if tc.progress != nil {
-		label = func(i int) string { return fmt.Sprintf("cell%d", i) }
-	}
-	return sweep.CalibGrid(ctx, tc.sweepOpts("calib", label), copt)
-}
-
-// EPRStudy runs the §8.1 pipelined-EPR window study per suite
-// application at the toolchain's distance.
-func (tc *Toolchain) EPRStudy(ctx context.Context) ([]SweepEPRCell, error) {
-	var label func(int) string
-	if tc.progress != nil {
-		names := make([]string, 0, 4)
-		for _, w := range Fig6Suite() {
-			names = append(names, w.Name)
-		}
-		label = func(i int) string { return names[i] }
-	}
-	return sweep.EPRWindows(ctx, tc.sweepOpts("epr", label), teleport.Config{Distance: tc.distance})
 }

@@ -1,9 +1,9 @@
 package surfcomm_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -149,9 +149,10 @@ func syntheticModel(name string) surfcomm.AppModel {
 	}
 }
 
-// TestToolchainRecordParity asserts the Toolchain grids serialize to
-// byte-identical JSON records as the internal/sweep grid functions at
-// the same seed — the BENCH_sweep.json compatibility guarantee.
+// TestToolchainRecordParity asserts the Toolchain characterizes
+// workloads exactly as the internal/sweep grid does at the same seed:
+// every field the characterization records carry (BENCH_sweep.json)
+// must match.
 func TestToolchainRecordParity(t *testing.T) {
 	ctx := context.Background()
 	const seed = 3
@@ -162,8 +163,6 @@ func TestToolchainRecordParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := sweep.Options{Seed: seed}
-
 	workloads := []surfcomm.Workload{
 		{Name: "GSE", Circuit: must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 4, Steps: 1}))},
 		{Name: "IM", Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 10, Steps: 1}, true))},
@@ -172,75 +171,16 @@ func TestToolchainRecordParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldModels, err := sweep.Characterize(ctx, opt, workloads)
+	oldModels, err := sweep.Characterize(ctx, sweep.Options{Seed: seed}, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var newRecs, oldRecs []surfcomm.SweepCellResult
-	newRecs = append(newRecs, surfcomm.SweepModelRecords(seed, newModels)...)
-	oldRecs = append(oldRecs, surfcomm.SweepModelRecords(seed, oldModels)...)
-
-	m := syntheticModel("synthetic")
-	newCurve, err := tc.Curve(ctx, m, 0, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldCurve, err := sweep.Curve(ctx, opt, m, 1e-6, 0, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRecs = append(newRecs, surfcomm.SweepCurveRecords("figure7", m.Name, 1e-6, seed, newCurve)...)
-	oldRecs = append(oldRecs, surfcomm.SweepCurveRecords("figure7", m.Name, 1e-6, seed, oldCurve)...)
-
-	models := []surfcomm.AppModel{m, syntheticModel("synthetic2")}
-	rates := surfcomm.Figure9ErrorRates()
-	newBound, err := tc.Boundary(ctx, models, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldBound, err := sweep.Boundary(ctx, opt, models, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRecs = append(newRecs, surfcomm.SweepBoundaryRecords(seed, models, newBound)...)
-	oldRecs = append(oldRecs, surfcomm.SweepBoundaryRecords(seed, models, oldBound)...)
-
-	var a, b bytes.Buffer
-	if err := surfcomm.WriteSweepRecords(&a, newRecs); err != nil {
-		t.Fatal(err)
-	}
-	if err := surfcomm.WriteSweepRecords(&b, oldRecs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("toolchain records differ from internal/sweep records")
-	}
-}
-
-// TestFigure6GridParity runs the Figure 6 grid both ways at a reduced
-// distance and compares the serialized records byte-for-byte.
-func TestFigure6GridParity(t *testing.T) {
-	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCells, err := tc.Figure6(context.Background(), surfcomm.SweepFigure6Options{Distance: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldCells, err := sweep.Figure6(context.Background(), sweep.Options{Seed: 1}, sweep.Figure6Options{Distance: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := surfcomm.WriteSweepRecords(&a, surfcomm.SweepFigure6Records(1, newCells)); err != nil {
-		t.Fatal(err)
-	}
-	if err := surfcomm.WriteSweepRecords(&b, surfcomm.SweepFigure6Records(1, oldCells)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("Figure 6 grid records differ between toolchain and internal/sweep")
+	for i, n := range newModels {
+		o := oldModels[i]
+		if n.Name != o.Name || n.Parallelism != o.Parallelism || n.SchedParallelism != o.SchedParallelism ||
+			n.MoveFraction != o.MoveFraction || n.CongestionDD != o.CongestionDD {
+			t.Errorf("%s: toolchain model %+v differs from internal/sweep model %+v", o.Name, n, o)
+		}
 	}
 }
 
@@ -311,7 +251,7 @@ func TestFigure6CancellationBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
-	_, err = tc.Figure6(ctx, surfcomm.SweepFigure6Options{Distance: 9})
+	_, err = tc.RunStudies(ctx, []string{"fig6"}, surfcomm.StudyParams{}, io.Discard)
 	if !errors.Is(err, surfcomm.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -436,7 +376,13 @@ func TestDecoderWorkerParity(t *testing.T) {
 	distances := []int{3, 5}
 	rates := []float64{0.03, 0.08}
 	var refResult surfcomm.DecoderResult
-	var refGrid []surfcomm.SweepDecoderCell
+	var cells []sweep.DecoderCell
+	for _, d := range distances {
+		for _, p := range rates {
+			cells = append(cells, sweep.DecoderCell{Distance: d, PhysicalRate: p, Trials: 200})
+		}
+	}
+	var refGrid []sweep.DecoderCell
 	for i, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		tc, err := surfcomm.NewToolchain(surfcomm.WithWorkers(workers), surfcomm.WithSeed(7))
 		if err != nil {
@@ -446,7 +392,7 @@ func TestDecoderWorkerParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := tc.DecoderGrid(ctx, distances, rates, 200)
+		grid, err := sweep.DecoderGrid(ctx, sweep.Options{Workers: workers, Seed: 7}, cells, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
