@@ -34,8 +34,8 @@ type Arch struct {
 	QubitTile          []layout.Coord // per logical qubit (physical grid coords)
 	FactoryTiles       []layout.Coord // factory ports, one tile each
 	// Topo is the realized device topology at junction-grid dims
-	// (TileRows+1 × TileCols+1); nil on a perfect device. NewMesh masks
-	// the channel mesh with it.
+	// (TileRows+1 × TileCols+1); nil unless the device is degraded.
+	// NewMesh masks the channel mesh with it.
 	Topo *device.Topology
 }
 

@@ -52,7 +52,8 @@ type Config struct {
 	// tiles are never placed or routed through, disabled links are
 	// excluded from routing, and link latency multipliers stretch braid
 	// stabilization. Nil (or device.Perfect()) selects the ideal uniform
-	// grid and keeps every path bit-identical to the pre-device engine.
+	// grid, which takes the same placement and routing path as every
+	// other device: all tiles alive, no link masked.
 	Device *device.Device
 	// Surgery switches the engine to lattice-surgery timing (paper
 	// §8.2): a communicating op becomes a chain of patch merges and
@@ -299,9 +300,11 @@ func (e *engine) removeEntry(opIndex int, kind EntryKind) {
 	}
 }
 
-// recordEntry appends to the static schedule when recording is on.
+// recordEntry appends to the static schedule when recording is on,
+// copying the entry's path out of the engine's pooled buffer.
 func (e *engine) recordEntry(entry ScheduleEntry) {
 	if e.record {
+		entry.Path = append(mesh.Path(nil), entry.Path...)
 		e.schedule = append(e.schedule, entry)
 	}
 }
@@ -338,11 +341,19 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 	if err != nil {
 		return Result{}, err
 	}
-	topo, view, err := realizeDevice(cfg.Device, c.NumQubits, cfg.Placement)
+	place := cfg.Placement
+	if place != nil {
+		// A malformed placement (collision, out of bounds) is a caller
+		// bug, not a device property; dead-tile refusals are NewArchOn's
+		// job and classify as unroutable there.
+		if err := place.Validate(); err != nil {
+			return Result{}, fmt.Errorf("braid: %w", err)
+		}
+	}
+	topo, view, err := realizeDevice(cfg.Device, c.NumQubits, place)
 	if err != nil {
 		return Result{}, err
 	}
-	place := cfg.Placement
 	if place == nil {
 		if p.OptimizedLayout() {
 			place, err = layout.OptimizedOn(InteractionGraph(c), cfg.Seed, view)
@@ -351,13 +362,6 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 		}
 		if err != nil {
 			return Result{}, err
-		}
-	} else if view != nil {
-		// A malformed placement (collision, out of bounds) is a caller
-		// bug, not a device property; dead-tile refusals are NewArchOn's
-		// job and classify as unroutable there.
-		if err := place.Validate(); err != nil {
-			return Result{}, fmt.Errorf("braid: %w", err)
 		}
 	}
 	arch, err := NewArchOn(place, topo)
@@ -419,15 +423,13 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 
 // realizeDevice instantiates the device at the junction grid the
 // circuit's floorplan implies and builds the placement view of its
-// usable data tiles. The data grid grows beyond the ideal near-square
-// fit until enough tiles survive the defect map; a yield too low to
-// ever fit the circuit fails with an error matching scerr.ErrUnroutable.
-// Perfect (and nil) devices return (nil, nil): every caller stays on
-// the original ideal-grid path.
+// usable data tiles — for every device, the perfect one included, whose
+// view is the all-alive near-square grid. The data grid grows beyond
+// the near-square fit until enough tiles survive the defect map; a
+// yield too low to ever fit the circuit fails with an error matching
+// scerr.ErrUnroutable. The topology is returned only when it is
+// Degraded, so a defect-free device leaves the mesh unmasked.
 func realizeDevice(dev *device.Device, qubits int, fixed *layout.Placement) (*device.Topology, *device.View, error) {
-	if dev.IsPerfect() {
-		return nil, nil, nil
-	}
 	rows, cols := layout.GridFor(qubits)
 	if fixed != nil {
 		// A caller-fixed placement pins the grid; no growth.
@@ -450,7 +452,7 @@ func realizeDevice(dev *device.Device, qubits int, fixed *layout.Placement) (*de
 		}
 		if view.AliveCount() >= qubits || fixed != nil {
 			if !topo.Degraded() {
-				return nil, nil, nil
+				topo = nil
 			}
 			return topo, view, nil
 		}
@@ -471,7 +473,7 @@ func realizeDevice(dev *device.Device, qubits int, fixed *layout.Placement) (*de
 // — when any op's communication is impossible on the masked mesh even
 // when idle: braid endpoints in different connected components of the
 // defective fabric, or a magic destination cut off from every factory
-// port. On a perfect device it is a no-op.
+// port. Without a degraded topology it is a no-op.
 func (e *engine) checkRoutable() error {
 	if e.arch.Topo == nil {
 		return nil
@@ -892,17 +894,9 @@ func (e *engine) placeBraidOpen(ev *event, o *op) bool {
 	if !ok {
 		return false
 	}
-	e.reserve(path, ev.opIndex)
 	e.tileBusy[ta] = true
 	e.tileBusy[tb] = true
-	o.path = path
-	o.phase = 1
-	lat := e.phaseLatency(path)
-	e.push(completion{time: e.now + lat, op: ev.opIndex, kind: compOpenDone, gen: o.gen})
-	e.recordEntry(ScheduleEntry{
-		Op: ev.opIndex, Kind: EntryOpen, Start: e.now, End: e.now + lat,
-		Path: append(mesh.Path(nil), path...), Factory: -1,
-	})
+	e.commitPhase(ev, o, path)
 	return true
 }
 
@@ -935,18 +929,10 @@ func (e *engine) placeMagicOpen(ev *event, o *op) bool {
 		if !ok {
 			continue
 		}
-		e.reserve(path, ev.opIndex)
 		e.tileBusy[td] = true
 		e.factoryBusy[c.f] = true
 		o.factory = c.f
-		o.path = path
-		o.phase = 1
-		lat := e.phaseLatency(path)
-		e.push(completion{time: e.now + lat, op: ev.opIndex, kind: compOpenDone, gen: o.gen})
-		e.recordEntry(ScheduleEntry{
-			Op: ev.opIndex, Kind: EntryOpen, Start: e.now, End: e.now + lat,
-			Path: append(mesh.Path(nil), path...), Factory: c.f,
-		})
+		e.commitPhase(ev, o, path)
 		return true
 	}
 	return false
@@ -954,35 +940,54 @@ func (e *engine) placeMagicOpen(ev *event, o *op) bool {
 
 func (e *engine) placeClose(ev *event, o *op, src, dst mesh.Node) bool {
 	path, ok := e.route(ev, src, dst)
-	if !ok {
-		return false
+	if ok {
+		e.commitPhase(ev, o, path)
 	}
-	e.reserve(path, ev.opIndex)
-	o.path = path
-	o.phase = 3
-	lat := e.phaseLatency(path)
-	e.push(completion{time: e.now + lat, op: ev.opIndex, kind: compCloseDone, gen: o.gen})
-	e.recordEntry(ScheduleEntry{
-		Op: ev.opIndex, Kind: EntryClose, Start: e.now, End: e.now + lat,
-		Path: append(mesh.Path(nil), path...), Factory: o.factory,
-	})
-	return true
+	return ok
 }
 
-// route escalates from dimension-ordered to adaptive search once the
-// event has been blocked past the adaptivity timeout (paper §6.1). On a
-// device-masked mesh the escalation is immediate when the dimension-
-// ordered path crosses a dead junction or disabled link: that
-// obstruction is permanent, so waiting out the congestion timeout would
-// only stall (or deadlock) the schedule. The candidate path is built in
-// a pooled buffer: a successful route keeps it until the braid phase
-// releases, a failed attempt returns it — so routing allocates nothing
-// once the pool has warmed up.
-func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
-	if e.net.Calibrated() {
-		return e.routeCalibrated(ev, src, dst)
+// commitPhase claims a routed path for the event's phase — the opening
+// or the closing of a braid, magic-state delivery or merge chain — and
+// schedules the phase's completion one phase latency from now.
+func (e *engine) commitPhase(ev *event, o *op, path mesh.Path) {
+	e.reserve(path, ev.opIndex)
+	o.path = path
+	o.phase = 1
+	done, kind := compOpenDone, EntryOpen
+	if ev.closing {
+		o.phase = 3
+		done, kind = compCloseDone, EntryClose
 	}
+	lat := e.phaseLatency(path)
+	e.push(completion{time: e.now + lat, op: ev.opIndex, kind: done, gen: o.gen})
+	e.recordEntry(ScheduleEntry{
+		Op: ev.opIndex, Kind: kind, Start: e.now, End: e.now + lat, Path: path, Factory: o.factory,
+	})
+}
+
+// route finds a free path from src to dst. It tries one dimension-
+// ordered path first: on a calibrated mesh whichever of XY and YX has
+// the lower per-link cost (mesh.PathCost; ties keep XY), so the router
+// prefers fast, low-error corridors; everywhere else XY. Once the event
+// has been blocked past the adaptivity timeout it escalates to the
+// other dimension order and then to adaptive search (paper §6.1). On a
+// device-masked mesh the escalation is immediate when the first path
+// crosses a dead junction or disabled link: that obstruction is
+// permanent, so waiting out the congestion timeout would only stall (or
+// deadlock) the schedule. Candidates are built in pooled buffers: a
+// successful route keeps its buffer until the braid phase releases, the
+// others return to the pool — so routing allocates nothing once the
+// pool has warmed up.
+func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
 	p := mesh.XYPathInto(e.getPath(), src, dst)
+	yxFirst := false
+	if e.net.Calibrated() {
+		yx := mesh.YXPathInto(e.getPath(), src, dst)
+		if yxFirst = e.net.PathCost(yx) < e.net.PathCost(p); yxFirst {
+			p, yx = yx, p
+		}
+		e.putPath(yx)
+	}
 	if e.net.PathFree(p) {
 		return p, true
 	}
@@ -991,7 +996,11 @@ func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
 		escalate = true
 	}
 	if escalate {
-		p = mesh.YXPathInto(p, src, dst)
+		if yxFirst {
+			p = mesh.XYPathInto(p, src, dst)
+		} else {
+			p = mesh.YXPathInto(p, src, dst)
+		}
 		if e.net.PathFree(p) {
 			return p, true
 		}
@@ -1002,44 +1011,6 @@ func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
 		}
 	}
 	e.putPath(p)
-	return nil, false
-}
-
-// routeCalibrated is route on a calibrated fabric: both dimension-
-// ordered candidates are priced per traversed link (mesh.PathCost) and
-// the cheaper free one wins — the router prefers fast, low-error
-// corridors instead of taking the XY staircase unconditionally. Ties
-// keep XY, so a uniform calibration routes exactly like the legacy
-// path. Escalation to the adaptive BFS fallback is unchanged.
-func (e *engine) routeCalibrated(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
-	xy := mesh.XYPathInto(e.getPath(), src, dst)
-	yx := mesh.YXPathInto(e.getPath(), src, dst)
-	first, second := xy, yx
-	if e.net.PathCost(yx) < e.net.PathCost(xy) {
-		first, second = yx, xy
-	}
-	if e.net.PathFree(first) {
-		e.putPath(second)
-		return first, true
-	}
-	escalate := e.now-ev.readySince >= e.cfg.AdaptTimeout
-	if !escalate && e.net.Masked() && e.net.PathBlockedByMask(first) {
-		escalate = true
-	}
-	if escalate {
-		if e.net.PathFree(second) {
-			e.putPath(first)
-			return second, true
-		}
-		var ok bool
-		if first, ok = e.net.AdaptiveRouteInto(first, src, dst); ok {
-			e.adaptiveRoutes++
-			e.putPath(second)
-			return first, true
-		}
-	}
-	e.putPath(first)
-	e.putPath(second)
 	return nil, false
 }
 

@@ -14,8 +14,10 @@
 // same (device, dims) pair always realizes the same Topology, so
 // defective-device sweeps are deterministic and their records
 // reproducible. The Perfect device realizes a defect-free grid and is
-// guaranteed to leave every consumer on its original, bit-identical
-// fast path.
+// not a separate code path: placement and braid routing treat it like
+// any other device, as an all-alive View over an unmasked mesh, and
+// branch only on what a realized Topology shows — dead cells, Degraded,
+// Calibrated.
 package device
 
 import (
@@ -67,9 +69,9 @@ type Device struct {
 }
 
 // Perfect returns the ideal uniform device: no dead tiles, no disabled
-// links, all link weights 1. Consumers treat it (and a nil Device) as
-// the original hardcoded grid and stay on their allocation-free,
-// bit-identical fast paths.
+// links, all link weights 1. A nil Device is the same device. It
+// realizes non-degraded topologies, so placement sees every tile alive
+// and routing an unmasked mesh.
 func Perfect() *Device { return &Device{preset: PresetPerfect} }
 
 // RandomYield returns a device where each tile and each link is
@@ -106,8 +108,7 @@ func HeavyHex(seed int64) *Device {
 }
 
 // OnGraph returns a device realized on an arbitrary coupling pattern.
-// The complete square graph realizes non-degraded topologies and keeps
-// every consumer on its perfect fast path.
+// The complete square graph is the perfect device.
 func OnGraph(g *CouplingGraph, seed int64) *Device {
 	if g == nil || g.Name() == GraphSquare {
 		return Perfect()

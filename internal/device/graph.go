@@ -11,8 +11,7 @@
 // absent resources from a Topology, so every downstream consumer — mesh
 // masking, the BFS route fallback, connected-component prechecks,
 // placement views — works unchanged, and the complete square graph
-// realizes a non-degraded topology that keeps the perfect-device fast
-// paths bit-identical.
+// realizes a non-degraded topology: the perfect device.
 package device
 
 import (
@@ -89,8 +88,8 @@ func (g *CouplingGraph) Apply(t *Topology) {
 }
 
 // SquareGraph returns the complete square mesh — the pattern the rest
-// of the toolchain was built on. Realizing it is a no-op: perfect
-// devices stay on their bit-identical fast paths.
+// of the toolchain was built on. Realizing it is a no-op: a device on
+// it is the perfect device.
 func SquareGraph() *CouplingGraph {
 	return &CouplingGraph{name: GraphSquare}
 }

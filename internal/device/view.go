@@ -2,13 +2,15 @@ package device
 
 // View is the placement-facing projection of a device: which cells of a
 // placement grid are usable and the device-aware distance between them.
-// Placement grids (logical data tiles) are coarser than the topology
-// grids routing sees (mesh junctions with factory columns inserted), so
-// a View is built from an alive predicate supplied by the consumer that
-// owns the mapping. Distances are BFS hop counts over alive cells —
-// dead tiles force detours, so strongly interacting qubits are steered
-// away from defect clusters; link-level defects stay the router's
-// concern. On a fully alive grid the distance equals Manhattan.
+// Every placement runs against one — the perfect grid is simply the
+// view with every cell alive. Placement grids (logical data tiles) are
+// coarser than the topology grids routing sees (mesh junctions with
+// factory columns inserted), so a View is built from an alive predicate
+// supplied by the consumer that owns the mapping. Distances are BFS hop
+// counts over alive cells — dead tiles force detours, so strongly
+// interacting qubits are steered away from defect clusters; link-level
+// defects stay the router's concern. On a fully alive grid the distance
+// is Manhattan.
 type View struct {
 	rows, cols int
 	alive      []bool
@@ -29,8 +31,9 @@ const Unreachable = 1 << 20
 // NewView builds a rows×cols placement view from an alive predicate.
 // The all-pairs distance table (one BFS per alive cell — placement
 // grids are at most a few hundred cells) is computed lazily on the
-// first Distance call, so aliveness-only consumers (row-major
-// placement, dead-tile validation) never pay for it.
+// first Distance call that needs it, so aliveness-only consumers
+// (row-major placement, dead-tile validation) and fully alive grids
+// never pay for it.
 func NewView(rows, cols int, alive func(Coord) bool) *View {
 	v := &View{rows: rows, cols: cols, alive: make([]bool, rows*cols)}
 	for r := 0; r < rows; r++ {
@@ -118,11 +121,16 @@ func (v *View) ErrorRate(c Coord) float64 {
 }
 
 // Distance returns the device-aware hop distance between two cells
-// (Unreachable when no alive path connects them). The table is built on
-// first use; a View is safe for one goroutine at a time.
+// (Unreachable when no alive path connects them). On a fully alive grid
+// that is the Manhattan distance, returned directly; otherwise the
+// all-pairs table is built on first use. A View is safe for one
+// goroutine at a time.
 func (v *View) Distance(a, b Coord) int {
 	if !v.Alive(a) || !v.Alive(b) {
 		return Unreachable
+	}
+	if v.aliveCount == len(v.alive) {
+		return Manhattan(a, b)
 	}
 	if v.dist == nil {
 		v.computeDistances()

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -74,12 +75,13 @@ func New(seed int64) *Injector {
 	}
 }
 
-// Set enables a point at the given firing probability in [0,1].
+// Set enables a point at the given firing probability in [0,1]; NaN is
+// outside.
 func (in *Injector) Set(p Point, prob float64) error {
 	if !validPoint(p) {
 		return fmt.Errorf("faultinject: unknown point %q (valid: %s)", p, pointList())
 	}
-	if prob < 0 || prob > 1 {
+	if !(prob >= 0 && prob <= 1) {
 		return fmt.Errorf("faultinject: probability %g for %q outside [0,1]", prob, p)
 	}
 	in.mu.Lock()
@@ -153,7 +155,7 @@ func (in *Injector) Counts() map[string]uint64 {
 // Parse builds an injector from a -chaos flag spec: comma-separated
 // key=value entries where keys are the Points (value: probability),
 // "compile-latency" (value: a Go duration), and "seed" (value: int64,
-// default 1). Example:
+// default 1). Each value must parse whole. Example:
 //
 //	compile-error=0.3,torn-write=0.2,compile-latency=50ms,seed=7
 func Parse(spec string) (*Injector, error) {
@@ -175,7 +177,8 @@ func Parse(spec string) (*Injector, error) {
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		if key == "seed" {
-			if _, err := fmt.Sscanf(val, "%d", &seed); err != nil {
+			var err error
+			if seed, err = strconv.ParseInt(val, 10, 64); err != nil {
 				return nil, fmt.Errorf("faultinject: bad seed %q", val)
 			}
 			continue
@@ -192,8 +195,8 @@ func Parse(spec string) (*Injector, error) {
 			in.SetLatency(d)
 			continue
 		}
-		var prob float64
-		if _, err := fmt.Sscanf(e.val, "%g", &prob); err != nil {
+		prob, err := strconv.ParseFloat(e.val, 64)
+		if err != nil {
 			return nil, fmt.Errorf("faultinject: bad probability %q for %q", e.val, e.key)
 		}
 		if err := in.Set(Point(e.key), prob); err != nil {

@@ -100,6 +100,9 @@ func TestParse(t *testing.T) {
 		"compile-latency=fast", // not a duration
 		"compile-latency=-1s",  // negative duration
 		"seed=banana",          // non-integer seed
+		"compile-error=NaN",    // not a probability
+		"seed=7abc",            // trailing garbage after the seed
+		"torn-write=0.5junk",   // trailing garbage after the probability
 	} {
 		if _, err := faultinject.Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec", bad)

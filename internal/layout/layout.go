@@ -5,6 +5,14 @@
 // interacting qubits land in the same subregion and braid routes stay
 // short. The naive row-major placement is retained as the baseline the
 // paper compares against.
+//
+// Both placements run against a device.View: which tiles are usable and
+// the device-aware distance between them. The perfect grid is the
+// all-alive view of the near-square grid (RowMajor, Optimized); a
+// defective or calibrated device passes its own view (RowMajorOn,
+// OptimizedOn). A view changes only what the placement observes: dead
+// tiles hold no qubit, distances detour around them, and calibrated
+// error rates add a penalty to the objective.
 package layout
 
 import (
@@ -20,9 +28,6 @@ import (
 // grid coordinate of the device layer, so tiles, mesh junctions, and
 // teleport regions interconvert without copying.
 type Coord = device.Coord
-
-// ManhattanDistance returns the L1 distance between coordinates.
-func ManhattanDistance(a, b Coord) int { return device.Manhattan(a, b) }
 
 // Placement maps logical qubits to distinct grid coordinates.
 type Placement struct {
@@ -40,14 +45,23 @@ func GridFor(n int) (rows, cols int) {
 	return rows, cols
 }
 
-// RowMajor places qubit i at (i/cols, i%cols): the unoptimized baseline.
-func RowMajor(n int) *Placement {
+// perfectView is the perfect device's placement view for n qubits: the
+// near-square grid with every tile alive.
+func perfectView(n int) *device.View {
 	rows, cols := GridFor(n)
-	p := &Placement{Rows: rows, Cols: cols, Pos: make([]Coord, n)}
-	for i := 0; i < n; i++ {
-		p.Pos[i] = Coord{Row: i / cols, Col: i % cols}
-	}
+	return device.NewView(rows, cols, func(Coord) bool { return true })
+}
+
+// RowMajor places qubit i at (i/cols, i%cols) of the near-square grid:
+// the unoptimized baseline.
+func RowMajor(n int) *Placement {
+	p, _ := RowMajorOn(n, perfectView(n)) // the near-square grid fits n
 	return p
+}
+
+// Optimized is OptimizedOn on the near-square grid of a perfect device.
+func Optimized(g *partition.Graph, seed int64) (*Placement, error) {
+	return OptimizedOn(g, seed, perfectView(g.NumVertices()))
 }
 
 // Validate checks that every qubit has an in-bounds, distinct tile.
@@ -65,66 +79,103 @@ func (p *Placement) Validate() error {
 	return nil
 }
 
-// Distance returns the Manhattan tile distance between two qubits.
-func (p *Placement) Distance(a, b int) int {
-	return ManhattanDistance(p.Pos[a], p.Pos[b])
+// ValidateOn checks Validate plus that no qubit sits on a dead tile.
+func (p *Placement) ValidateOn(v *device.View) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	for q, c := range p.Pos {
+		if !v.Alive(c) {
+			return fmt.Errorf("layout: qubit %d placed on dead tile %v", q, c)
+		}
+	}
+	return nil
 }
 
-// WeightedDistance returns Σ weight(a,b)·distance(a,b) over all
-// interaction edges — the objective the optimizer minimizes.
-func WeightedDistance(g *partition.Graph, p *Placement) int {
-	total := 0
-	n := g.NumVertices()
-	for a := 0; a < n; a++ {
+// RowMajorOn places qubit i at the i-th usable tile of the view in
+// row-major order. It fails with an error matching scerr.ErrUnroutable
+// when the view has fewer usable tiles than qubits.
+func RowMajorOn(n int, v *device.View) (*Placement, error) {
+	if v.AliveCount() < n {
+		return nil, scerr.Unroutable("layout: %d qubits need %d usable tiles, device has %d",
+			n, n, v.AliveCount())
+	}
+	p := &Placement{Rows: v.Rows(), Cols: v.Cols(), Pos: make([]Coord, n)}
+	copy(p.Pos, region{rows: v.Rows(), cols: v.Cols()}.cells(v))
+	return p, nil
+}
+
+// errorPenaltyWeight converts a placement's summed per-tile calibrated
+// error rate into distance units for the optimizer objective: a tile
+// that is 1% worse than its neighbors costs one braid hop. Large enough
+// to steer qubits off noisy tiles, small enough that distance still
+// dominates.
+const errorPenaltyWeight = 100
+
+// placementCost is the objective the optimizer minimizes: Σ
+// weight(a,b)·distance(a,b) over all interaction edges under the view's
+// device-aware distances, plus the summed calibrated error rates of the
+// occupied tiles. On an uncalibrated view the penalty is 0 and the
+// comparison is exactly the integer distance objective.
+func placementCost(g *partition.Graph, p *Placement, v *device.View) float64 {
+	dist := 0
+	for a := 0; a < g.NumVertices(); a++ {
 		for _, b := range g.Neighbors(a) {
 			if a < b {
-				total += g.EdgeWeight(a, b) * p.Distance(a, b)
+				dist += g.EdgeWeight(a, b) * v.Distance(p.Pos[a], p.Pos[b])
 			}
 		}
 	}
-	return total
+	penalty := 0.0
+	for _, c := range p.Pos {
+		penalty += v.ErrorRate(c)
+	}
+	return float64(dist) + errorPenaltyWeight*penalty
 }
 
-// Optimized places the interaction graph's vertices by recursive
-// bisection: the grid region and the vertex set are halved together,
-// cutting as little interaction weight as possible at each split.
-// Several bisection seeds are tried and the row-major baseline is kept
-// as a candidate, so the optimizer never returns a placement worse than
-// naive (chain-like interaction graphs are already near-optimal under
-// row-major).
-func Optimized(g *partition.Graph, seed int64) (*Placement, error) {
+// OptimizedOn places the interaction graph's vertices on the view's
+// usable tiles by recursive bisection: the grid region and the vertex
+// set are halved together, cutting as little interaction weight as
+// possible at each split. Several bisection seeds are tried and the
+// row-major placement is kept as a candidate, so the optimizer never
+// returns a placement worse than naive under placementCost (chain-like
+// interaction graphs are already near-optimal under row-major).
+func OptimizedOn(g *partition.Graph, seed int64, v *device.View) (*Placement, error) {
 	n := g.NumVertices()
-	best := RowMajor(n)
+	best, err := RowMajorOn(n, v)
+	if err != nil {
+		return nil, err
+	}
 	if n == 0 {
 		return best, nil
 	}
-	bestCost := WeightedDistance(g, best)
+	bestCost := placementCost(g, best, v)
 	for trial := 0; trial < 3; trial++ {
-		p, err := bisectionPlacement(g, seed+int64(trial)*101)
+		p, err := bisectionPlacement(g, seed+int64(trial)*101, v)
 		if err != nil {
 			return nil, err
 		}
-		if cost := WeightedDistance(g, p); cost < bestCost {
+		if cost := placementCost(g, p, v); cost < bestCost {
 			best, bestCost = p, cost
 		}
 	}
 	return best, nil
 }
 
-// bisectionPlacement runs one recursive-bisection placement pass.
-func bisectionPlacement(g *partition.Graph, seed int64) (*Placement, error) {
+// bisectionPlacement runs one recursive-bisection pass over the usable
+// tiles of the view.
+func bisectionPlacement(g *partition.Graph, seed int64, v *device.View) (*Placement, error) {
 	n := g.NumVertices()
-	rows, cols := GridFor(n)
-	p := &Placement{Rows: rows, Cols: cols, Pos: make([]Coord, n)}
+	p := &Placement{Rows: v.Rows(), Cols: v.Cols(), Pos: make([]Coord, n)}
 	vertices := make([]int, n)
 	for i := range vertices {
 		vertices[i] = i
 	}
-	r := region{row: 0, col: 0, rows: rows, cols: cols}
-	if err := placeRecursive(g, vertices, r, p, seed); err != nil {
+	r := region{rows: v.Rows(), cols: v.Cols()}
+	if err := placeRecursive(g, vertices, r, p, seed, v); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.ValidateOn(v); err != nil {
 		return nil, fmt.Errorf("layout: internal error: %w", err)
 	}
 	return p, nil
@@ -135,8 +186,6 @@ type region struct {
 	row, col   int
 	rows, cols int
 }
-
-func (r region) capacity() int { return r.rows * r.cols }
 
 // split halves the region along its longer dimension, returning the two
 // subwindows (first gets the ceiling half).
@@ -151,27 +200,47 @@ func (r region) split() (region, region) {
 		region{r.row + top, r.col, r.rows - top, r.cols}
 }
 
-// cells lists the region's coordinates row-major.
-func (r region) cells() []Coord {
-	out := make([]Coord, 0, r.capacity())
+// capacity counts the region's usable tiles.
+func (r region) capacity(v *device.View) int {
+	n := 0
 	for i := 0; i < r.rows; i++ {
 		for j := 0; j < r.cols; j++ {
-			out = append(out, Coord{Row: r.row + i, Col: r.col + j})
+			if v.Alive(Coord{Row: r.row + i, Col: r.col + j}) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// cells lists the region's usable tiles row-major.
+func (r region) cells(v *device.View) []Coord {
+	out := make([]Coord, 0, r.rows*r.cols)
+	for i := 0; i < r.rows; i++ {
+		for j := 0; j < r.cols; j++ {
+			if c := (Coord{Row: r.row + i, Col: r.col + j}); v.Alive(c) {
+				out = append(out, c)
+			}
 		}
 	}
 	return out
 }
 
-func placeRecursive(g *partition.Graph, vertices []int, r region, p *Placement, seed int64) error {
-	if len(vertices) > r.capacity() {
-		return fmt.Errorf("layout: %d vertices exceed region capacity %d", len(vertices), r.capacity())
+// placeRecursive halves the vertex set with partition.Bisect and the
+// region with split, fits each half to its subregion's usable-tile
+// capacity, and recurses until a part fits its region's cells directly.
+func placeRecursive(g *partition.Graph, vertices []int, r region, p *Placement, seed int64, v *device.View) error {
+	capacity := r.capacity(v)
+	if len(vertices) > capacity {
+		return fmt.Errorf("layout: %d vertices exceed usable region capacity %d", len(vertices), capacity)
 	}
 	if len(vertices) == 0 {
 		return nil
 	}
-	if len(vertices) <= 2 || r.capacity() <= 2 {
-		for i, v := range vertices {
-			p.Pos[v] = r.cells()[i]
+	if len(vertices) <= 2 || capacity <= 2 {
+		cells := r.cells(v)
+		for i, vtx := range vertices {
+			p.Pos[vtx] = cells[i]
 		}
 		return nil
 	}
@@ -185,228 +254,8 @@ func placeRecursive(g *partition.Graph, vertices []int, r region, p *Placement, 
 	// Fit the two parts to the subregion capacities: the bisection is
 	// balanced within tolerance, but regions have hard capacities, so
 	// surplus vertices migrate by best move gain.
-	fitSides(sub, side, rA.capacity(), rB.capacity())
+	fitSides(sub, side, rA.capacity(v), rB.capacity(v))
 
-	zero, one := partition.SideVertices(side)
-	partA := make([]int, len(zero))
-	for i, v := range zero {
-		partA[i] = mapping[v]
-	}
-	partB := make([]int, len(one))
-	for i, v := range one {
-		partB[i] = mapping[v]
-	}
-	if err := placeRecursive(g, partA, rA, p, seed+1); err != nil {
-		return err
-	}
-	return placeRecursive(g, partB, rB, p, seed+2)
-}
-
-// --- Device-aware placement ---
-//
-// On a defective device the placement grid has unusable tiles and the
-// cost of separating two interacting qubits is no longer their raw
-// Manhattan distance (routes detour around defects). The *On variants
-// below take a device.View — which tiles are alive and the hop distance
-// between them — refuse dead tiles, and optimize against device-aware
-// distances. A nil view selects the original ideal-grid paths, which
-// stay bit-identical.
-
-// RowMajorOn places qubit i at the i-th usable tile in row-major order
-// — the naive baseline on a defective device. It fails with an error
-// matching scerr.ErrUnroutable when the view has fewer usable tiles
-// than qubits. A nil view is the ideal grid.
-func RowMajorOn(n int, v *device.View) (*Placement, error) {
-	if v == nil {
-		return RowMajor(n), nil
-	}
-	if v.AliveCount() < n {
-		return nil, scerr.Unroutable("layout: %d qubits need %d usable tiles, device has %d",
-			n, n, v.AliveCount())
-	}
-	p := &Placement{Rows: v.Rows(), Cols: v.Cols(), Pos: make([]Coord, n)}
-	q := 0
-	for r := 0; r < v.Rows() && q < n; r++ {
-		for c := 0; c < v.Cols() && q < n; c++ {
-			if v.Alive(Coord{Row: r, Col: c}) {
-				p.Pos[q] = Coord{Row: r, Col: c}
-				q++
-			}
-		}
-	}
-	return p, nil
-}
-
-// ValidateOn checks Validate plus that no qubit sits on a dead tile.
-func (p *Placement) ValidateOn(v *device.View) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if v == nil {
-		return nil
-	}
-	for q, c := range p.Pos {
-		if !v.Alive(c) {
-			return fmt.Errorf("layout: qubit %d placed on dead tile %v", q, c)
-		}
-	}
-	return nil
-}
-
-// DistanceOn returns the device-aware tile distance between two qubits
-// (Manhattan when the view is nil).
-func (p *Placement) DistanceOn(a, b int, v *device.View) int {
-	if v == nil {
-		return p.Distance(a, b)
-	}
-	return v.Distance(p.Pos[a], p.Pos[b])
-}
-
-// WeightedDistanceOn is WeightedDistance under device-aware distances.
-func WeightedDistanceOn(g *partition.Graph, p *Placement, v *device.View) int {
-	if v == nil {
-		return WeightedDistance(g, p)
-	}
-	total := 0
-	n := g.NumVertices()
-	for a := 0; a < n; a++ {
-		for _, b := range g.Neighbors(a) {
-			if a < b {
-				total += g.EdgeWeight(a, b) * v.Distance(p.Pos[a], p.Pos[b])
-			}
-		}
-	}
-	return total
-}
-
-// errorPenaltyWeight converts a placement's summed per-tile calibrated
-// error rate into distance units for the optimizer objective: a tile
-// that is 1% worse than its neighbors costs one braid hop. Large enough
-// to steer qubits off noisy tiles, small enough that distance still
-// dominates.
-const errorPenaltyWeight = 100
-
-// ErrorPenalty sums the calibrated error rates of the tiles a placement
-// occupies (0 on an uncalibrated view or nil view) — the low-error-
-// region preference term of the placement objective.
-func ErrorPenalty(p *Placement, v *device.View) float64 {
-	if v == nil || !v.Calibrated() {
-		return 0
-	}
-	total := 0.0
-	for _, c := range p.Pos {
-		total += v.ErrorRate(c)
-	}
-	return total
-}
-
-// placementCost is the full device-aware objective: weighted interaction
-// distance plus the calibrated error penalty. On an uncalibrated view
-// the penalty is 0 and the comparison is exactly the integer distance
-// objective.
-func placementCost(g *partition.Graph, p *Placement, v *device.View) float64 {
-	return float64(WeightedDistanceOn(g, p, v)) + errorPenaltyWeight*ErrorPenalty(p, v)
-}
-
-// OptimizedOn is Optimized against a device view: recursive bisection
-// over the usable tiles only, costed with device-aware distances (plus a
-// low-error-region preference when the view carries calibration), with
-// the device-aware row-major placement kept as the never-worse-than-
-// naive candidate. A nil view selects the original Optimized exactly.
-func OptimizedOn(g *partition.Graph, seed int64, v *device.View) (*Placement, error) {
-	if v == nil {
-		return Optimized(g, seed)
-	}
-	n := g.NumVertices()
-	best, err := RowMajorOn(n, v)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return best, nil
-	}
-	bestCost := placementCost(g, best, v)
-	for trial := 0; trial < 3; trial++ {
-		p, err := bisectionPlacementOn(g, seed+int64(trial)*101, v)
-		if err != nil {
-			return nil, err
-		}
-		if cost := placementCost(g, p, v); cost < bestCost {
-			best, bestCost = p, cost
-		}
-	}
-	return best, nil
-}
-
-// bisectionPlacementOn runs one recursive-bisection pass over the
-// usable tiles of the view.
-func bisectionPlacementOn(g *partition.Graph, seed int64, v *device.View) (*Placement, error) {
-	n := g.NumVertices()
-	p := &Placement{Rows: v.Rows(), Cols: v.Cols(), Pos: make([]Coord, n)}
-	vertices := make([]int, n)
-	for i := range vertices {
-		vertices[i] = i
-	}
-	r := region{row: 0, col: 0, rows: v.Rows(), cols: v.Cols()}
-	if err := placeRecursiveOn(g, vertices, r, p, seed, v); err != nil {
-		return nil, err
-	}
-	if err := p.ValidateOn(v); err != nil {
-		return nil, fmt.Errorf("layout: internal error: %w", err)
-	}
-	return p, nil
-}
-
-// capacityOn counts the region's usable tiles.
-func (r region) capacityOn(v *device.View) int {
-	n := 0
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.cols; j++ {
-			if v.Alive(Coord{Row: r.row + i, Col: r.col + j}) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// cellsOn lists the region's usable tiles row-major.
-func (r region) cellsOn(v *device.View) []Coord {
-	out := make([]Coord, 0, r.capacity())
-	for i := 0; i < r.rows; i++ {
-		for j := 0; j < r.cols; j++ {
-			if c := (Coord{Row: r.row + i, Col: r.col + j}); v.Alive(c) {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
-}
-
-// placeRecursiveOn is placeRecursive with region capacities counted
-// over usable tiles only, so qubits never land on dead ones.
-func placeRecursiveOn(g *partition.Graph, vertices []int, r region, p *Placement, seed int64, v *device.View) error {
-	capacity := r.capacityOn(v)
-	if len(vertices) > capacity {
-		return fmt.Errorf("layout: %d vertices exceed usable region capacity %d", len(vertices), capacity)
-	}
-	if len(vertices) == 0 {
-		return nil
-	}
-	if len(vertices) <= 2 || capacity <= 2 {
-		cells := r.cellsOn(v)
-		for i, vtx := range vertices {
-			p.Pos[vtx] = cells[i]
-		}
-		return nil
-	}
-	rA, rB := r.split()
-	sub, mapping, err := g.InducedSubgraph(vertices)
-	if err != nil {
-		return err
-	}
-	side, _ := partition.Bisect(sub, partition.Options{Seed: seed})
-	fitSides(sub, side, rA.capacityOn(v), rB.capacityOn(v))
 	zero, one := partition.SideVertices(side)
 	partA := make([]int, len(zero))
 	for i, vtx := range zero {
@@ -416,10 +265,10 @@ func placeRecursiveOn(g *partition.Graph, vertices []int, r region, p *Placement
 	for i, vtx := range one {
 		partB[i] = mapping[vtx]
 	}
-	if err := placeRecursiveOn(g, partA, rA, p, seed+1, v); err != nil {
+	if err := placeRecursive(g, partA, rA, p, seed+1, v); err != nil {
 		return err
 	}
-	return placeRecursiveOn(g, partB, rB, p, seed+2, v)
+	return placeRecursive(g, partB, rB, p, seed+2, v)
 }
 
 // fitSides enforces |side 0| ≤ capA and |side 1| ≤ capB by moving the
