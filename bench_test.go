@@ -17,15 +17,17 @@
 package surfcomm_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
 	"surfcomm"
 	"surfcomm/internal/braid"
 	"surfcomm/internal/simd"
-	"surfcomm/internal/sweep"
 )
 
 // BenchmarkTable1CommMethods measures the defining asymmetry of the two
@@ -104,10 +106,14 @@ func BenchmarkFigure6BraidPolicies(b *testing.B) {
 }
 
 // referenceModels caches the characterized suite across figure benches.
-// Characterization cells fan across the sweep worker pool; the result
-// is identical to the serial surfcomm.ReferenceModels(1).
+// Toolchain.Models fans the characterization cells across the worker
+// pool; the result is identical to the serial surfcomm.ReferenceModels(1).
 var referenceModels = sync.OnceValues(func() ([]surfcomm.AppModel, error) {
-	return sweep.Models(context.Background(), sweep.Options{Seed: 1})
+	tc, err := surfcomm.NewToolchain()
+	if err != nil {
+		return nil, err
+	}
+	return tc.Models(context.Background())
 })
 
 // BenchmarkFigure7Scaling regenerates the Figure 7 series: absolute
@@ -254,22 +260,29 @@ func BenchmarkSection81EPRWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepFigure6Grid measures the parallel sweep subsystem on
-// the full Figure 6 (application × policy) grid — the throughput lever
-// for wide scenario sweeps. Serial and pooled runs are benchmarked side
-// by side; their results are verified identical cell-for-cell, so the
-// speedup is pure scheduling.
+// BenchmarkSweepFigure6Grid measures the Figure 6 study — every
+// (application × policy) braid compile of the grid — on one worker and
+// on GOMAXPROCS workers side by side. Every run's records are checked
+// byte for byte against a serial run, so the speedup is pure
+// scheduling.
 func BenchmarkSweepFigure6Grid(b *testing.B) {
-	var grid []sweep.Figure6Cell
-	for _, w := range surfcomm.Fig6Suite() {
-		for _, p := range surfcomm.AllBraidPolicies {
-			grid = append(grid, sweep.Figure6Cell{Workload: w, Policy: p})
+	run := func(workers int) []byte {
+		tc, err := surfcomm.NewToolchain(surfcomm.WithWorkers(workers))
+		if err != nil {
+			b.Fatal(err)
 		}
+		recs, err := tc.RunStudies(context.Background(), []string{"fig6"}, surfcomm.StudyParams{}, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := json.Marshal(recs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
 	}
-	serial, err := sweep.Figure6(context.Background(), sweep.Options{Workers: 1, Seed: 1}, grid, 9, false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	serial := run(1)
+	cells := len(surfcomm.Fig6Suite()) * len(surfcomm.AllBraidPolicies)
 	for _, workers := range []int{1, 0} {
 		name := "serial"
 		if workers == 0 {
@@ -277,20 +290,11 @@ func BenchmarkSweepFigure6Grid(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cells, err := sweep.Figure6(context.Background(), sweep.Options{Workers: workers, Seed: 1}, grid, 9, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cells) != len(serial) {
-					b.Fatalf("grid size changed: %d vs %d", len(cells), len(serial))
-				}
-				for j := range cells {
-					if cells[j] != serial[j] {
-						b.Fatalf("cell %d diverged from serial run: %+v vs %+v", j, cells[j], serial[j])
-					}
+				if got := run(workers); !bytes.Equal(got, serial) {
+					b.Fatalf("records diverged from the serial run:\n%s\nvs\n%s", got, serial)
 				}
 			}
-			b.ReportMetric(float64(len(serial)), "cells")
+			b.ReportMetric(float64(cells), "cells")
 		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -281,17 +282,25 @@ func (c *Client) send(ctx context.Context, method, path string, payload []byte, 
 	return serr, nil, nil
 }
 
+// maxDuration is the largest time.Duration.
+const maxDuration = time.Duration(math.MaxInt64)
+
 // parseRetryAfter reads both RFC 7231 Retry-After forms: delta-seconds
 // ("3") and HTTP-date ("Fri, 08 Aug 2026 17:30:00 GMT" — what real
 // proxies and CDNs in front of the fleet rewrite the header to).
 // Unparseable values and dates already in the past yield zero, which
-// the retry loop treats as "no server hint".
+// the retry loop treats as "no server hint". A delay too long for a
+// Duration saturates at the largest one; it never wraps.
 func parseRetryAfter(ra string, now time.Time) time.Duration {
-	if secs, err := strconv.Atoi(ra); err == nil {
-		if secs > 0 {
-			return time.Duration(secs) * time.Second
+	// On overflow ParseInt returns the int64 bound of the value's sign.
+	if secs, err := strconv.ParseInt(ra, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs <= 0:
+			return 0
+		case secs > int64(maxDuration/time.Second):
+			return maxDuration
 		}
-		return 0
+		return time.Duration(secs) * time.Second
 	}
 	if t, err := http.ParseTime(ra); err == nil {
 		if d := t.Sub(now); d > 0 {

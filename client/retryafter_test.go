@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -27,6 +28,11 @@ func TestParseRetryAfterForms(t *testing.T) {
 		{"rfc850 date", now.Add(30 * time.Second).UTC().Format("Monday, 02-Jan-06 15:04:05 GMT"), 30 * time.Second},
 		{"garbage", "soon", 0},
 		{"empty", "", 0},
+		{"largest whole delta", "9223372036", 9223372036 * time.Second},
+		{"delta past the largest duration", "9223372037", math.MaxInt64},
+		{"delta that wrapped negative", "18446744073", math.MaxInt64},
+		{"delta that wrapped positive", "99999999999", math.MaxInt64},
+		{"delta past int64", "99999999999999999999", math.MaxInt64},
 	}
 	for _, tc := range cases {
 		if got := client.ParseRetryAfter(tc.ra, now); got != tc.want {

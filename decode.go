@@ -1,9 +1,13 @@
 package surfcomm
 
-// Streaming decode facade: strategy selection by name and the windowed
+// Decode facade: strategy selection by name, the code-capacity Monte
+// Carlo behind every logical-rate measurement, and the windowed
 // streaming decoder the /decode service wraps.
 
 import (
+	"context"
+	"math/rand"
+
 	"surfcomm/internal/decoder"
 
 	// Importing the union-find subsystem registers its strategy, so
@@ -42,4 +46,19 @@ func NewStreamDecoder(d, window int, strategy string) (*StreamDecoder, error) {
 		return nil, err
 	}
 	return decoder.NewWindowDecoder(l, window, s)
+}
+
+// measureCodeCapacity runs the code-capacity decoding Monte Carlo:
+// trials rounds of independent physical errors at rate p on a
+// distance-d lattice, drawn from seed and decoded under cfg. The failure
+// count depends on the seed and strategy, never on cfg.Workers. Both
+// MeasureLogicalErrorRate entry points and the decoder studies' cells
+// measure through it.
+func measureCodeCapacity(ctx context.Context, d int, p float64, trials int, seed int64, cfg decoder.Config) (DecoderResult, error) {
+	l, err := decoder.NewLattice(d)
+	if err != nil {
+		return DecoderResult{}, err
+	}
+	mc := &decoder.MonteCarlo{Lattice: l, Rng: rand.New(rand.NewSource(seed)), Config: cfg}
+	return mc.RunContext(ctx, p, trials)
 }

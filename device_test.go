@@ -129,9 +129,9 @@ func TestDefectiveDeviceCompiles(t *testing.T) {
 }
 
 // TestYieldGridViaToolchain runs the yield study through the facade and
-// checks worker-count invariance end to end, plus each record's
-// identity: the study name, the cell's derived seed, and the realized
-// device it compiled on.
+// checks worker-count invariance end to end, each record's identity
+// (the study name, the cell's derived seed, and the realized device it
+// compiled on), and that the zero-fraction trials match each other.
 func TestYieldGridViaToolchain(t *testing.T) {
 	ctx := context.Background()
 	params := surfcomm.StudyParams{Fractions: []float64{0, 0.02}}
@@ -157,5 +157,9 @@ func TestYieldGridViaToolchain(t *testing.T) {
 		if r.Study != "yield" || r.Seed != 1+int64(i) || r.Device == "" {
 			t.Errorf("record %d identity: study %q seed %d device %q", i, r.Study, r.Seed, r.Device)
 		}
+	}
+	// Zero-defect realizations are the perfect grid: both trials agree.
+	if !reflect.DeepEqual(serial[0].Metrics, serial[1].Metrics) {
+		t.Errorf("zero-fraction trials differ: %v vs %v", serial[0].Metrics, serial[1].Metrics)
 	}
 }

@@ -157,7 +157,7 @@ func Run(ctx context.Context, p *circuit.Program, cfg Config) (Result, error) {
 	// order and fails on the lowest-index error, so parallel and serial
 	// runs are bit-identical.
 	if len(dirty) > 0 {
-		plans, err := sweep.Map(ctx, sweep.Options{Workers: cfg.Workers, Seed: cfg.Seed},
+		plans, err := sweep.Map(ctx, sweep.Options{Workers: cfg.Workers},
 			dirty, func(i int, name string) (ModulePlan, error) {
 				mp, err := cfg.Compile(ctx, moduleCircuit(p.Modules[name]))
 				if err != nil {

@@ -34,7 +34,7 @@ type planCache struct {
 	lru         *list.List // front = most recently used; values are *cacheEntry
 	flights     map[string]*flight
 
-	hits, misses, deduped, evictions uint64
+	hits, misses, deduped, diskHits, evictions uint64
 }
 
 type cacheEntry struct {
@@ -144,6 +144,9 @@ func (c *planCache) do(ctx context.Context, key string, persist bool, compute fu
 	// or corrupt entry surfaces here as a plain miss.
 	if persist {
 		if p, ok := c.disk.load(key); ok {
+			c.mu.Lock()
+			c.diskHits++
+			c.mu.Unlock()
 			f.plan = p
 			return f.plan, true, nil
 		}
@@ -226,7 +229,8 @@ type CacheStats struct {
 	// Hits are requests answered from a cached plan; Misses compiled
 	// fresh; Deduped latched onto a concurrent identical compile;
 	// DiskHits were read through from the persistent plan store (also
-	// served as cached).
+	// served as cached). Module plans read from the store count only in
+	// ModuleDiskHits.
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
 	Deduped  uint64 `json:"deduped"`
@@ -247,7 +251,6 @@ type CacheStats struct {
 
 // stats snapshots the counters.
 func (c *planCache) stats() CacheStats {
-	diskHits := c.disk.hits()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
@@ -257,7 +260,7 @@ func (c *planCache) stats() CacheStats {
 		Hits:       c.hits,
 		Misses:     c.misses,
 		Deduped:    c.deduped,
-		DiskHits:   diskHits,
+		DiskHits:   c.diskHits,
 		Evictions:  c.evictions,
 		Inflight:   len(c.flights),
 	}

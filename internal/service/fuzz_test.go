@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"surfcomm/internal/scerr"
@@ -42,6 +43,30 @@ func FuzzParseQASM(f *testing.F) {
 		}
 		if !bytes.Equal(again, canon) {
 			t.Fatalf("canonical form is not a fixed point:\n%s\nre-emits as\n%s", canon, again)
+		}
+	})
+}
+
+// FuzzUnpackBits feeds untrusted /decode syndrome frames through the
+// frame unpacker at syndrome sizes up to 65535 bits. A rejected frame
+// fails with an error matching ErrBadConfig (a 400, never a 500); an
+// accepted frame carries exactly n bits, and PackBits re-packs them to
+// the frame's hex in lower case. No input panics. The seed corpus lives
+// in testdata/fuzz/FuzzUnpackBits.
+func FuzzUnpackBits(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame string, n uint16) {
+		bits, err := UnpackBits(frame, int(n))
+		if err != nil {
+			if !errors.Is(err, scerr.ErrBadConfig) {
+				t.Fatalf("error %v does not match ErrBadConfig", err)
+			}
+			return
+		}
+		if len(bits) != int(n) {
+			t.Fatalf("accepted frame %q unpacked to %d bits, want %d", frame, len(bits), n)
+		}
+		if packed := PackBits(bits); packed != strings.ToLower(frame) {
+			t.Fatalf("frame %q re-packs to %q", frame, packed)
 		}
 	})
 }

@@ -113,6 +113,11 @@ func TestModulePlansPersistAcrossRestart(t *testing.T) {
 	if stats.ModuleDiskHits != 4 {
 		t.Fatalf("ModuleDiskHits = %d, want 4", stats.ModuleDiskHits)
 	}
+	// The program itself missed disk; its modules' disk reads count only
+	// in ModuleDiskHits.
+	if stats.DiskHits != 0 || stats.Misses != 1 {
+		t.Fatalf("DiskHits = %d, Misses = %d, want 0 and 1", stats.DiskHits, stats.Misses)
+	}
 }
 
 // TestHierarchicalRoutingKeyCanonical: whitespace/comment variants of

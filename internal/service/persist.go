@@ -43,14 +43,15 @@ func decodePlan(data []byte) (surfcomm.Plan, error) {
 // and write-behind on fresh compiles (the requester never waits on
 // disk; a failed write logs and costs only a future recompile). The
 // store's checksum discipline guarantees load never returns a corrupt
-// plan — torn entries are quarantined and read as misses.
+// plan — torn entries are quarantined and read as misses. It keeps no
+// hit counter: the program and module layers that read through it
+// count their own disk hits.
 type diskLayer struct {
 	st *store.Store
 
-	mu       sync.Mutex
-	wg       sync.WaitGroup
-	closed   bool
-	diskHits uint64
+	mu     sync.Mutex
+	wg     sync.WaitGroup
+	closed bool
 }
 
 func newDiskLayer(st *store.Store) *diskLayer {
@@ -76,9 +77,6 @@ func (d *diskLayer) load(digest string) (surfcomm.Plan, bool) {
 		log.Printf("service: store entry %.12s… undecodable (%v); recompiling", digest, err)
 		return surfcomm.Plan{}, false
 	}
-	d.mu.Lock()
-	d.diskHits++
-	d.mu.Unlock()
 	return plan, true
 }
 
@@ -118,16 +116,6 @@ func (d *diskLayer) close() {
 	d.closed = true
 	d.mu.Unlock()
 	d.wg.Wait()
-}
-
-// hits snapshots the disk-hit counter; nil-safe.
-func (d *diskLayer) hits() uint64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.diskHits
 }
 
 // storeStats snapshots the underlying store's counters; nil when no

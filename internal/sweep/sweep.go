@@ -1,30 +1,27 @@
-// Package sweep is the parallel evaluation-grid runner behind the
-// paper's design-space studies (Figures 7–9, §8.1). The evaluation is a
-// wide grid — applications × braid policies × code distances × physical
-// error rates — whose cells are independent simulations, so the package
-// fans them across a bounded worker pool while keeping every result in
-// submission order: a parallel run is bit-identical to a serial one.
+// Package sweep is the worker pool and the record writer behind the
+// evaluation studies, batch compiles and parallel module compiles. A
+// grid's cells are independent, so Map fans them across a bounded pool
+// while keeping every result in submission order: a parallel run is
+// bit-identical to a serial one. The package knows nothing of what a
+// cell computes; the surfcomm studies compile their cells through the
+// Backends and hand the pool one function per grid.
 //
 // Determinism rules:
 //
 //   - Cell functions receive their index and must derive any randomness
-//     from explicit seeds; the grids share Options.Seed (it is part of
-//     the result's identity, matching the serial toolflow paths) and
-//     every emitted cell records the seed it ran under.
+//     from explicit seeds, never from the order cells complete in.
 //   - Results land in a slice slot owned by the cell, never appended
 //     from racing goroutines.
 //   - Errors are reported by the lowest-indexed failing cell, so the
 //     error surface is deterministic too.
 //
-// Every grid takes a context: workers stop claiming cells once it is
+// Every run takes a context: workers stop claiming cells once it is
 // canceled (an abort surfaces as an error matching scerr.ErrCanceled
 // and wastes at most one in-flight cell per worker), and Options can
 // carry a progress callback so callers stream partial grid results.
 //
-// The domain grids in grid.go cover app-model characterization and the
-// figure sweeps; record.go serializes per-cell results as stable JSON
-// so benchmark trajectories (BENCH_*.json) can be tracked across
-// revisions.
+// record.go serializes per-cell results as stable JSON, so benchmark
+// trajectories (BENCH_*.json) can be tracked across revisions.
 package sweep
 
 import (
@@ -40,8 +37,6 @@ import (
 type Options struct {
 	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Seed is the base seed; cells derive theirs deterministically.
-	Seed int64
 	// Progress, when non-nil, is invoked once per completed cell with
 	// the cell's index and the grid size. Calls are serialized (never
 	// concurrent) but may arrive out of index order on a pooled run.

@@ -5,16 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"surfcomm/internal/apps"
-	"surfcomm/internal/braid"
 	"surfcomm/internal/scerr"
-	"surfcomm/internal/teleport"
-	"surfcomm/internal/toolflow"
 )
 
 func TestMapPreservesOrder(t *testing.T) {
@@ -73,158 +68,6 @@ func TestMapPartialResultsOnError(t *testing.T) {
 	}
 	if out[0] != 10 || out[2] != 30 {
 		t.Fatalf("partial results lost: %v", out)
-	}
-}
-
-func syntheticModel(name string, congestion float64) toolflow.AppModel {
-	return toolflow.AppModel{
-		Name:             name,
-		Parallelism:      2,
-		SchedParallelism: 2,
-		MoveFraction:     0.5,
-		CongestionDD:     congestion,
-		QubitsForOps:     func(k float64) float64 { return 8 * math.Cbrt(k) },
-	}
-}
-
-// Grid cells are pure, so a pooled run must equal the serial one
-// value-for-value — the property that makes the parallel runner safe to
-// substitute anywhere.
-func TestCurveParallelEqualsSerial(t *testing.T) {
-	m := syntheticModel("synthetic", 1.8)
-	serial, err := Curve(context.Background(), Options{Workers: 1}, m, 1e-6, 0, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := Curve(context.Background(), Options{Workers: 8}, m, 1e-6, 0, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(wide) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(wide))
-	}
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("point %d differs: %+v vs %+v", i, serial[i], wide[i])
-		}
-	}
-	// And the parallel grid must agree with the serial toolflow sweep.
-	ref, err := toolflow.Curve(m, 1e-6, 0, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if ref[i] != wide[i] {
-			t.Fatalf("point %d differs from toolflow.Curve: %+v vs %+v", i, ref[i], wide[i])
-		}
-	}
-}
-
-func TestBoundaryParallelEqualsSerial(t *testing.T) {
-	models := []toolflow.AppModel{
-		syntheticModel("serial-app", 1.1),
-		syntheticModel("parallel-app", 3.2),
-	}
-	rates := toolflow.Figure9ErrorRates()
-	serial, err := Boundary(context.Background(), Options{Workers: 1}, models, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := Boundary(context.Background(), Options{Workers: 8}, models, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mi := range models {
-		ref := toolflow.Boundary(models[mi], rates)
-		for ri := range rates {
-			if serial[mi][ri] != wide[mi][ri] {
-				t.Fatalf("model %d rate %d: parallel differs from serial", mi, ri)
-			}
-			if ref[ri] != wide[mi][ri] {
-				t.Fatalf("model %d rate %d: grid differs from toolflow.Boundary", mi, ri)
-			}
-		}
-	}
-}
-
-// Characterization cells run full simulations; with small workloads the
-// pooled run must still reproduce the serial toolflow result exactly.
-func TestCharacterizeParallelEqualsSerial(t *testing.T) {
-	workloads := []apps.Workload{
-		{Name: "GSE", Circuit: apps.GSE(apps.GSEConfig{M: 4, Steps: 1})},
-		{Name: "IM", Circuit: apps.Ising(apps.IsingConfig{N: 10, Steps: 1}, true)},
-	}
-	wide, err := Characterize(context.Background(), Options{Workers: 4, Seed: 3}, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range workloads {
-		ref, err := toolflow.Characterize(w, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := wide[i]
-		if got.Name != ref.Name || got.Parallelism != ref.Parallelism ||
-			got.SchedParallelism != ref.SchedParallelism ||
-			got.MoveFraction != ref.MoveFraction || got.CongestionDD != ref.CongestionDD {
-			t.Fatalf("workload %s: parallel model %+v differs from serial %+v", w.Name, got, ref)
-		}
-	}
-}
-
-// The remaining two grids — the Figure 6 policy grid and the §8.1 EPR
-// window study — must also be worker-count-invariant; each cell is a
-// full simulation, so any shared mutable state across cells would show
-// up here as serial/parallel divergence.
-func TestFigure6ParallelEqualsSerial(t *testing.T) {
-	var cells []Figure6Cell
-	for _, w := range apps.Fig6Suite() {
-		for _, p := range braid.AllPolicies {
-			cells = append(cells, Figure6Cell{Workload: w, Policy: p})
-		}
-	}
-	serial, err := Figure6(context.Background(), Options{Workers: 1, Seed: 1}, cells, 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := Figure6(context.Background(), Options{Workers: 8, Seed: 1}, cells, 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(wide) {
-		t.Fatalf("grid sizes differ: %d vs %d", len(serial), len(wide))
-	}
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("cell %d differs: %+v vs %+v", i, serial[i], wide[i])
-		}
-	}
-}
-
-func TestEPRWindowsParallelEqualsSerial(t *testing.T) {
-	cfg := teleport.Config{Distance: 9}
-	serial, err := EPRWindows(context.Background(), Options{Workers: 1, Seed: 1}, apps.Fig6Suite(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := EPRWindows(context.Background(), Options{Workers: 8, Seed: 1}, apps.Fig6Suite(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(wide) {
-		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(wide))
-	}
-	for i := range serial {
-		s, w := serial[i], wide[i]
-		if s.Name != w.Name || s.Moves != w.Moves || s.Timesteps != w.Timesteps ||
-			s.JIT != w.JIT || s.JITIndex != w.JITIndex || len(s.Rows) != len(w.Rows) {
-			t.Fatalf("cell %s differs: %+v vs %+v", s.Name, s, w)
-		}
-		for j := range s.Rows {
-			if s.Rows[j] != w.Rows[j] {
-				t.Fatalf("cell %s row %d differs: %+v vs %+v", s.Name, j, s.Rows[j], w.Rows[j])
-			}
-		}
 	}
 }
 

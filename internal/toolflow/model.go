@@ -265,8 +265,8 @@ func Crossover(m AppModel, physicalError float64) (kStar float64, ok bool) {
 
 // CurvePoint evaluates one grid index of a log-spaced K sweep:
 // K = 10^(i/pointsPerDecade). It is the single cell definition shared
-// by the serial Curve and the parallel sweep grid, so the two can
-// never drift.
+// by the serial Curve and the Figures 7–8 studies, which evaluate it
+// point by point on the worker pool, so the two can never drift.
 func CurvePoint(m AppModel, physicalError float64, gridIndex, pointsPerDecade int) (DesignPoint, error) {
 	k := math.Pow(10, float64(gridIndex)/float64(pointsPerDecade))
 	return Evaluate(m, k, physicalError)
@@ -306,7 +306,8 @@ type BoundaryPoint struct {
 }
 
 // BoundaryAt computes one (application, p_P) boundary sample — the
-// cell shared by the serial Boundary and the parallel sweep grid.
+// cell shared by the serial Boundary and the Figure 9 study, which
+// evaluates it per (application, p_P) cell on the worker pool.
 func BoundaryAt(m AppModel, physicalError float64) BoundaryPoint {
 	k, ok := Crossover(m, physicalError)
 	return BoundaryPoint{PhysicalError: physicalError, CrossoverOps: k, OffChart: !ok}

@@ -2,6 +2,7 @@ package surfcomm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -14,11 +15,15 @@ import (
 	"surfcomm/internal/resource"
 	"surfcomm/internal/scerr"
 	"surfcomm/internal/sweep"
+	"surfcomm/internal/teleport"
+	"surfcomm/internal/toolflow"
 )
 
 // The registered studies, in registry order. Each one enumerates its
-// cells and labels them, evaluates them through an internal/sweep grid
-// on the toolchain's pool, then prints its table and records its cells.
+// cells and labels them, evaluates them with sweep.Map on the
+// toolchain's pool, then prints its table and records its cells from
+// the cells' Plans, BraidResults or DecoderResults. Compiling cells go
+// through the Backends at the study's own target (studyRun.target).
 
 // Values the studies fix by design, whatever the toolchain's options.
 const (
@@ -34,6 +39,9 @@ const (
 	// calibPhysicalError is the calib study's uniform p_P baseline:
 	// calibration-scale error rates, so per-tile spreads are visible.
 	calibPhysicalError = 1e-3
+	// The calib study's coupling patterns.
+	calibSquare   = "square"
+	calibHeavyHex = "heavy-hex"
 	// curveDecades is the K axis of Figures 7–8: one point per decade
 	// from K = 1 to 1e24.
 	curveDecades = 24
@@ -72,7 +80,7 @@ func runTable1(ctx context.Context, s *studyRun) error {
 	labels := []string{"teleportation", "braiding"}
 	measure := []func() (table1Row, error){
 		table1Teleport,
-		func() (table1Row, error) { return table1Braid(ctx, s.tc) },
+		func() (table1Row, error) { return table1Braid(ctx, s) },
 	}
 	rows, err := sweep.Map(ctx, s.opts(labels), measure, func(_ int, m func() (table1Row, error)) (table1Row, error) {
 		return m()
@@ -136,16 +144,14 @@ func table1Teleport() (table1Row, error) {
 
 // table1Braid measures the braid latency of an adjacent and of a far
 // CNOT on a row-major layout.
-func table1Braid(ctx context.Context, tc *Toolchain) (table1Row, error) {
+func table1Braid(ctx context.Context, s *studyRun) (table1Row, error) {
 	cycles := func(a, b int) (int64, error) {
 		const cols = 8
 		c := NewCircuit("pair", cols)
 		c.Append(OpCNOT, a, b)
-		plan, err := tc.compile(ctx, BraidBackend{}, c, func(t *Target) {
-			t.Distance = table1Distance
-			t.Policy = table1Policy
-			t.Placement = RowMajorPlacement(cols)
-		})
+		t := s.target(nil, nil)
+		t.Distance, t.Policy, t.Placement = table1Distance, table1Policy, RowMajorPlacement(cols)
+		plan, err := BraidBackend{}.Compile(ctx, c, t)
 		return plan.Cycles, err
 	}
 	var row table1Row
@@ -195,21 +201,42 @@ func runTable2(ctx context.Context, s *studyRun) error {
 // runFigure6 prints the Figure 6 grid: the braid schedule-length to
 // critical-path ratio (the paper's blue bars), average mesh utilization
 // (the red curve), and the engine's placement counters. With Verify,
-// every cell's recorded static schedule is replay-validated.
+// every cell's recorded static schedule is replay-validated, and only
+// its entry count outlives the cell.
 func runFigure6(ctx context.Context, s *studyRun) error {
 	suite, err := studyApps(s.p.App)
 	if err != nil {
 		return err
 	}
-	var cells []sweep.Figure6Cell
+	type cell struct {
+		w      Workload
+		policy BraidPolicy
+	}
+	var cells []cell
 	var labels []string
 	for _, w := range suite {
 		for _, p := range AllBraidPolicies {
-			cells = append(cells, sweep.Figure6Cell{Workload: w, Policy: p})
+			cells = append(cells, cell{w, p})
 			labels = append(labels, fmt.Sprintf("%s/policy%d", w.Name, int(p)))
 		}
 	}
-	cells, err = sweep.Figure6(ctx, s.opts(labels), cells, s.tc.distance, s.p.Verify)
+	replayed := make([]int, len(cells))
+	results, err := sweep.Map(ctx, s.opts(labels), cells, func(i int, c cell) (*BraidResult, error) {
+		t := s.target(nil, nil)
+		t.Policy, t.RecordSchedule = c.policy, s.p.Verify
+		plan, err := BraidBackend{}.Compile(ctx, c.w.Circuit, t)
+		if err != nil {
+			return nil, fmt.Errorf("study: %s: %w", labels[i], err)
+		}
+		r := plan.Braid
+		if s.p.Verify {
+			if err := ReplayBraidSchedule(c.w.Circuit, r.Arch, r.Schedule); err != nil {
+				return nil, fmt.Errorf("study: %s: replay validation failed: %w", labels[i], err)
+			}
+			replayed[i], r.Schedule = len(r.Schedule), nil
+		}
+		return r, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -218,21 +245,21 @@ func runFigure6(ctx context.Context, s *studyRun) error {
 	s.println(rule)
 	s.printf("%-8s %-10s %12s %12s %10s %10s %10s\n",
 		"App", "Policy", "ratio", "util %", "braids", "adaptive", "reinject")
-	for i, c := range cells {
-		app := c.Workload.Name
-		if i > 0 && app != cells[i-1].Workload.Name {
+	for i, r := range results {
+		app := cells[i].w.Name
+		if i > 0 && app != cells[i-1].w.Name {
 			s.println(rule)
 		}
 		status := ""
 		if s.p.Verify {
-			status = fmt.Sprintf("  replay-ok (%d entries)", c.Replayed)
+			status = fmt.Sprintf("  replay-ok (%d entries)", replayed[i])
 		}
 		s.printf("%-8s Policy %-3d %12.2f %12.1f %10d %10d %10d%s\n",
-			app, int(c.Policy), c.Ratio, 100*c.Util, c.Braids, c.Adaptive, c.Reinjections, status)
+			app, int(cells[i].policy), r.Ratio, 100*r.AvgUtilization, r.BraidsPlaced, r.AdaptiveRoutes, r.Reinjections, status)
 		s.record("figure6", labels[i], map[string]float64{
-			"ratio":  c.Ratio,
-			"util":   c.Util,
-			"cycles": float64(c.Cycles),
+			"ratio":  r.Ratio,
+			"util":   r.AvgUtilization,
+			"cycles": float64(r.ScheduleCycles),
 		})
 	}
 	s.println(rule)
@@ -251,7 +278,9 @@ func (s *studyRun) curve(ctx context.Context, study string, m AppModel) ([]Desig
 		// Point i of a one-per-decade curve from K = 1 is K = 10^i.
 		labels[i] = fmt.Sprintf("%s/K=%.1e/pp=%.0e", m.Name, math.Pow(10, float64(i)), pp)
 	}
-	pts, err := sweep.Curve(ctx, s.opts(labels), m, pp, 0, curveDecades, 1)
+	pts, err := sweep.Map(ctx, s.opts(labels), labels, func(i int, _ string) (DesignPoint, error) {
+		return toolflow.CurvePoint(m, pp, i, 1)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +362,9 @@ func runFigure9(ctx context.Context, s *studyRun) error {
 			labels = append(labels, fmt.Sprintf("%s/pp=%.1e", m.Name, r))
 		}
 	}
-	boundaries, err := sweep.Boundary(ctx, s.opts(labels), s.models, rates)
+	pts, err := sweep.Map(ctx, s.opts(labels), labels, func(i int, _ string) (BoundaryPoint, error) {
+		return toolflow.BoundaryAt(s.models[i/len(rates)], rates[i%len(rates)]), nil
+	})
 	if err != nil {
 		return err
 	}
@@ -347,17 +378,17 @@ func runFigure9(ctx context.Context, s *studyRun) error {
 	s.println()
 	for mi, m := range s.models {
 		s.printf("%-18s", m.Name)
-		for ri, pt := range boundaries[mi] {
+		for i := mi * len(rates); i < (mi+1)*len(rates); i++ {
 			// Off-chart points — planar favored across the whole K
 			// range — record the -1 sentinel.
 			k := -1.0
-			if pt.OffChart {
+			if pts[i].OffChart {
 				s.printf(" %10s", ">1e24")
 			} else {
-				k = pt.CrossoverOps
+				k = pts[i].CrossoverOps
 				s.printf(" %10.1e", k)
 			}
-			s.record("figure9", labels[mi*len(rates)+ri], map[string]float64{"crossover_k": k})
+			s.record("figure9", labels[i], map[string]float64{"crossover_k": k})
 		}
 		s.println()
 	}
@@ -366,21 +397,38 @@ func runFigure9(ctx context.Context, s *studyRun) error {
 	return nil
 }
 
+// runEPR is the §8.1 window study: each application compiles once
+// through the planar backend, whose distribution runs at the JIT window,
+// then its SIMD schedule is distributed again at look-ahead windows
+// around that JIT window.
 func runEPR(ctx context.Context, s *studyRun) error {
 	suite := Fig6Suite()
 	labels := make([]string, len(suite))
 	for i, w := range suite {
 		labels[i] = w.Name
 	}
-	cells, err := sweep.EPRWindows(ctx, s.opts(labels), suite, TeleportConfig{Distance: s.tc.distance})
+	type cell struct {
+		plan Plan
+		rows []TeleportResult
+	}
+	cells, err := sweep.Map(ctx, s.opts(labels), suite, func(_ int, w Workload) (cell, error) {
+		plan, err := PlanarBackend{}.Compile(ctx, w.Circuit, s.target(nil, nil))
+		if err != nil {
+			return cell{}, err
+		}
+		jit := plan.EPR.WindowCycles
+		windows := []int64{0, jit / 4, jit / 2, jit, 2 * jit, 8 * jit, PrefetchAll}
+		rows, err := teleport.SweepWindowsContext(ctx, plan.SIMD, windows, TeleportConfig{Distance: s.tc.distance})
+		return cell{plan, rows}, err
+	})
 	if err != nil {
 		return err
 	}
 	s.println("§8.1: pipelined EPR distribution — look-ahead window sweep")
 	for i, c := range cells {
-		s.printf("\n%s (%d moves, %d timesteps)\n", c.Name, c.Moves, c.Timesteps)
+		s.printf("\n%s (%d moves, %d timesteps)\n", labels[i], len(c.plan.SIMD.Moves), c.plan.SIMD.Timesteps)
 		s.printf("%-14s %12s %12s %12s\n", "window", "peak live", "stall cyc", "overhead %")
-		for _, r := range c.Rows {
+		for _, r := range c.rows {
 			window := "prefetch-all"
 			if r.WindowCycles != PrefetchAll {
 				window = strconv.FormatInt(r.WindowCycles, 10)
@@ -392,8 +440,7 @@ func runEPR(ctx context.Context, s *studyRun) error {
 				"latency_overhead": r.LatencyOverhead,
 			})
 		}
-		flood := c.Rows[len(c.Rows)-1]
-		jitRes := c.Rows[c.JITIndex]
+		flood, jitRes := c.rows[len(c.rows)-1], c.plan.EPR
 		if jitRes.PeakLiveEPR > 0 {
 			s.printf("JIT vs prefetch-all: %.1fx fewer live EPR qubits at %.1f%% latency overhead\n",
 				float64(flood.PeakLiveEPR)/float64(jitRes.PeakLiveEPR), 100*jitRes.LatencyOverhead)
@@ -406,42 +453,55 @@ func runEPR(ctx context.Context, s *studyRun) error {
 // decoderLabel names a (distance, physical rate) decoding cell.
 func decoderLabel(d int, p float64) string { return fmt.Sprintf("d=%d/p=%.2e", d, p) }
 
-// decoderCells enumerates a distance-major decoding grid and labels
-// each cell, appending suffix to its label.
-func decoderCells(distances []int, rates []float64, trials int, suffix string) ([]sweep.DecoderCell, []string) {
-	var cells []sweep.DecoderCell
+// decoderGrid measures the logical error rate of every cell of a
+// distance-major (distance × rate) grid under strategy, appending suffix
+// to each cell's label. Cell i runs its Monte Carlo serially (the grid
+// itself fans across the pool) at CellSeed(seed, i), so the grid is
+// bit-identical at any worker count.
+func (s *studyRun) decoderGrid(ctx context.Context, distances []int, rates []float64, trials int, suffix string, strategy decoder.Strategy) ([]DecoderResult, []string, error) {
+	type cell struct {
+		d int
+		p float64
+	}
+	var cells []cell
 	var labels []string
 	for _, d := range distances {
 		for _, p := range rates {
-			cells = append(cells, sweep.DecoderCell{Distance: d, PhysicalRate: p, Trials: trials})
+			cells = append(cells, cell{d, p})
 			labels = append(labels, decoderLabel(d, p)+suffix)
 		}
 	}
-	return cells, labels
+	results, err := sweep.Map(ctx, s.opts(labels), cells, func(i int, c cell) (DecoderResult, error) {
+		cfg := decoder.Config{Workers: 1, Strategy: strategy}
+		return measureCodeCapacity(ctx, c.d, c.p, trials, CellSeed(s.tc.seed, i), cfg)
+	})
+	return results, labels, err
 }
 
 func runDecoder(ctx context.Context, s *studyRun) error {
-	cells, labels := decoderCells(decoderDistances, decoderRates, decoderTrials, "")
-	cells, err := sweep.DecoderGrid(ctx, s.opts(labels), cells, s.tc.decodeStrategy)
+	results, labels, err := s.decoderGrid(ctx, decoderDistances, decoderRates, decoderTrials, "", s.tc.decodeStrategy)
 	if err != nil {
 		return err
 	}
-	strategy := DecoderStrategyMWPM
+	// The default strategy leaves the records' strategy empty, keeping
+	// them byte-identical to records that predate strategies.
+	strategy, recorded := DecoderStrategyMWPM, ""
 	if s.tc.decodeStrategy != nil {
 		strategy = s.tc.decodeStrategy.Name()
+		recorded = strategy
 	}
 	s.printf("§2.3: Monte Carlo error-model validation (logical rate per decode round, %s)\n", strategy)
 	s.println(strings.Repeat("-", 56))
 	s.printf("%-6s %10s %10s %12s %10s\n", "d", "p", "failures", "trials", "p_L")
-	for i, c := range cells {
+	for i, r := range results {
 		s.printf("%-6d %10.2f %10d %12d %10.4f\n",
-			c.Distance, c.PhysicalRate, c.Failures, c.Trials, c.LogicalRate)
-		r := s.record("decoder", labels[i], map[string]float64{
-			"failures":     float64(c.Failures),
-			"logical_rate": c.LogicalRate,
-			"trials":       float64(c.Trials),
+			r.Distance, r.PhysicalRate, r.Failures, r.Trials, r.LogicalRate)
+		rec := s.record("decoder", labels[i], map[string]float64{
+			"failures":     float64(r.Failures),
+			"logical_rate": r.LogicalRate,
+			"trials":       float64(r.Trials),
 		})
-		r.Seed, r.Strategy = c.Seed, c.Strategy
+		rec.Seed, rec.Strategy = CellSeed(s.tc.seed, i), recorded
 	}
 	s.println("Paper: below threshold, each distance step suppresses the logical rate.")
 	return nil
@@ -475,26 +535,25 @@ func runDecode(ctx context.Context, s *studyRun) error {
 		}
 		ops[name] = map[int]float64{}
 		for _, g := range grids {
-			cells, labels := decoderCells(g.distances, g.rates, g.trials, "/"+name)
-			cells, err := sweep.DecoderGrid(ctx, s.opts(labels), cells, strategy)
+			results, labels, err := s.decoderGrid(ctx, g.distances, g.rates, g.trials, "/"+name, strategy)
 			if err != nil {
 				return err
 			}
-			for i, c := range cells {
-				perTrial := float64(c.WorkOps) / float64(c.Trials)
-				if c.PhysicalRate == decodeCrossoverRate {
-					ops[name][c.Distance] = perTrial
+			for i, r := range results {
+				perTrial := float64(r.WorkOps) / float64(r.Trials)
+				if r.PhysicalRate == decodeCrossoverRate {
+					ops[name][r.Distance] = perTrial
 				}
 				s.printf("%-10s %-6d %10.2f %10d %12d %14.1f\n",
-					name, c.Distance, c.PhysicalRate, c.Failures, c.Trials, perTrial)
-				r := s.record("decode", labels[i], map[string]float64{
-					"failures":          float64(c.Failures),
-					"logical_rate":      c.LogicalRate,
-					"trials":            float64(c.Trials),
-					"workops":           float64(c.WorkOps),
+					name, r.Distance, r.PhysicalRate, r.Failures, r.Trials, perTrial)
+				rec := s.record("decode", labels[i], map[string]float64{
+					"failures":          float64(r.Failures),
+					"logical_rate":      r.LogicalRate,
+					"trials":            float64(r.Trials),
+					"workops":           float64(r.WorkOps),
 					"workops_per_trial": perTrial,
 				})
-				r.Seed, r.Strategy = c.Seed, name
+				rec.Seed, rec.Strategy = CellSeed(s.tc.seed, i), name
 			}
 		}
 	}
@@ -678,7 +737,8 @@ func bestOf(reps int, fn func(rep int) error) (float64, error) {
 // runYield is the communication-yield study: the braid backend compiled
 // across defective devices (defect fraction × independent
 // realizations), reporting schedule latency and logical error rate per
-// cell. Unroutable realizations are recorded, not fatal.
+// cell. Cell i realizes its device from CellSeed(seed, i); unroutable
+// realizations are recorded, not fatal.
 func runYield(ctx context.Context, s *studyRun) error {
 	w, err := s.app()
 	if err != nil {
@@ -693,126 +753,180 @@ func runYield(ctx context.Context, s *studyRun) error {
 			return scerr.BadConfig("study: defect fraction %g outside [0,1)", f)
 		}
 	}
-	var cells []sweep.YieldCell
+	type cell struct {
+		frac  float64
+		trial int
+		seed  int64
+		dev   *Device
+	}
+	var cells []cell
 	var labels []string
 	for _, f := range fracs {
 		for t := 0; t < studyTrials; t++ {
-			cells = append(cells, sweep.YieldCell{DefectFrac: f, Trial: t})
+			seed := CellSeed(s.tc.seed, len(cells))
+			dev := RandomYieldDevice(f, seed)
+			if s.p.Clustered {
+				dev = ClusteredDefectsDevice(f, seed)
+			}
+			cells = append(cells, cell{f, t, seed, dev})
 			labels = append(labels, fmt.Sprintf("%s/p=%g/trial%d", w.Name, f, t))
 		}
 	}
-	cells, err = sweep.YieldGrid(ctx, s.opts(labels), w, cells, s.tc.distance, s.tc.tech, s.p.Clustered)
+	results, err := sweep.Map(ctx, s.opts(labels), cells, func(i int, c cell) (*BraidResult, error) {
+		return s.compileOn(ctx, w, c.dev, nil, labels[i])
+	})
 	if err != nil {
 		return err
 	}
+	perCycle := s.tc.tech.LogicalErrorPerCycle(s.tc.distance)
 	s.println("Communication yield: braid compiles on defective devices")
 	s.println(strings.Repeat("-", 78))
 	s.printf("%-8s %8s %6s %12s %8s %10s %12s\n",
 		"App", "p", "trial", "cycles", "ratio", "adaptive", "p_L(sched)")
-	for i, c := range cells {
-		unroutable := 0.0
-		if c.Unroutable {
-			unroutable = 1
-			s.printf("%-8s %8g %6d %12s\n", c.App, c.DefectFrac, c.Trial, "unroutable")
+	for i, r := range results {
+		c := cells[i]
+		unroutable, logicalRate := 0.0, 0.0
+		if r == nil {
+			unroutable, r = 1, &BraidResult{}
+			s.printf("%-8s %8g %6d %12s\n", w.Name, c.frac, c.trial, "unroutable")
 		} else {
+			logicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, perCycle)
 			s.printf("%-8s %8g %6d %12d %8.3f %10d %12.3e\n",
-				c.App, c.DefectFrac, c.Trial, c.Cycles, c.Ratio, c.Adaptive, c.LogicalRate)
+				w.Name, c.frac, c.trial, r.ScheduleCycles, r.Ratio, r.AdaptiveRoutes, logicalRate)
 		}
-		r := s.record("yield", labels[i], map[string]float64{
-			"cycles":       float64(c.Cycles),
-			"ratio":        c.Ratio,
-			"adaptive":     float64(c.Adaptive),
-			"tiles":        float64(c.Tiles),
-			"logical_rate": c.LogicalRate,
+		rec := s.record("yield", labels[i], map[string]float64{
+			"cycles":       float64(r.ScheduleCycles),
+			"ratio":        r.Ratio,
+			"adaptive":     float64(r.AdaptiveRoutes),
+			"tiles":        float64(r.Tiles),
+			"logical_rate": logicalRate,
 			"unroutable":   unroutable,
 		})
-		r.Seed, r.Device = c.Seed, c.Device
+		rec.Seed, rec.Device = c.seed, c.dev.String()
 	}
 	s.println("Defects stretch schedules (dimension-ordered routes detour via BFS) until")
 	s.println("the fabric disconnects and compiles fail fast with ErrUnroutable.")
 	return nil
 }
 
-// calibKind names a calib cell's device column: uniform, calibrated, or
-// its live-defect count.
-func calibKind(c sweep.CalibCell) string {
-	switch {
-	case c.Defects > 0:
-		return fmt.Sprintf("defects=%d", c.Defects)
-	case c.Calibrated:
-		return "calibrated"
-	}
-	return "uniform"
-}
-
 // runCalib is the calibration study: square vs. heavy-hex coupling,
 // uniform vs. calibrated devices, and live-defect survival, compiled
-// through the braid backend.
+// through the braid backend. A pre-pass compiles the workload once on
+// the perfect square device to learn the junction-grid dimensions, which
+// every cell shares (neither heavy-hex nor calibration kills tiles), and
+// the baseline schedule length that scales the defect-event horizon.
+// Cell i realizes its device from CellSeed(seed, i); calibrated cells
+// run under StudyParams.Calibration, or under a synthetic per-cell
+// snapshot when it is nil.
 func runCalib(ctx context.Context, s *studyRun) error {
 	w, err := s.app()
 	if err != nil {
 		return err
 	}
-	topologies := []string{sweep.CalibSquare}
+	pre := s.target(nil, nil)
+	pre.RecordSchedule = true // only to learn the floorplan dims
+	base, err := BraidBackend{}.Compile(ctx, w.Circuit, pre)
+	if err != nil {
+		return fmt.Errorf("study: calib pre-pass: %w", err)
+	}
+	jrows, jcols := base.Braid.Arch.TileRows+1, base.Braid.Arch.TileCols+1
+	horizon := max(base.Cycles/2, 1)
+
+	type cell struct {
+		topology string
+		kind     string // uniform, calibrated, or the live-defect count
+		trial    int
+		seed     int64
+		dev      *Device
+		defects  *DefectSchedule
+	}
+	var cells []cell
+	var labels []string
+	add := func(topology string, calibrated bool, events, trial int) {
+		c := cell{topology: topology, kind: "uniform", trial: trial, seed: CellSeed(s.tc.seed, len(cells))}
+		c.dev = PerfectDevice()
+		if topology == calibHeavyHex {
+			c.dev = HeavyHexDevice(c.seed)
+		}
+		if calibrated {
+			c.kind = "calibrated"
+			snap := s.p.Calibration
+			if snap == nil {
+				snap = SyntheticCalibration(c.seed, jrows, jcols)
+			}
+			c.dev = c.dev.WithCalibration(snap)
+		}
+		if events > 0 {
+			c.kind = fmt.Sprintf("defects=%d", events)
+			c.defects = RandomDefectSchedule(c.seed, jrows, jcols, events, horizon)
+		}
+		cells = append(cells, c)
+		labels = append(labels, fmt.Sprintf("%s/%s/%s/trial%d", w.Name, topology, c.kind, trial))
+	}
+	topologies := []string{calibSquare}
 	if !s.p.SquareOnly {
-		topologies = append(topologies, sweep.CalibHeavyHex)
+		topologies = append(topologies, calibHeavyHex)
 	}
-	var cells []sweep.CalibCell
 	for _, topo := range topologies {
-		cells = append(cells, sweep.CalibCell{Topology: topo})
+		add(topo, false, 0, 0)
 	}
 	for t := 0; t < studyTrials; t++ {
 		for _, topo := range topologies {
-			cells = append(cells, sweep.CalibCell{Topology: topo, Calibrated: true, Trial: t})
+			add(topo, true, 0, t)
 		}
 	}
 	for t := 0; t < studyTrials; t++ {
 		for _, topo := range topologies {
-			cells = append(cells, sweep.CalibCell{Topology: topo, Defects: calibDefectEvents, Trial: t})
+			add(topo, false, calibDefectEvents, t)
 		}
 	}
-	labels := make([]string, len(cells))
-	for i, c := range cells {
-		labels[i] = fmt.Sprintf("%s/%s/%s/trial%d", w.Name, c.Topology, calibKind(c), c.Trial)
-	}
-	cells, err = sweep.CalibGrid(ctx, s.opts(labels), w, cells, s.tc.distance,
-		Superconducting(calibPhysicalError), s.p.Calibration)
+	results, err := sweep.Map(ctx, s.opts(labels), cells, func(i int, c cell) (*BraidResult, error) {
+		return s.compileOn(ctx, w, c.dev, c.defects, labels[i])
+	})
 	if err != nil {
 		return err
 	}
+	tech := Superconducting(calibPhysicalError)
 	s.println("Calibration study: coupling topology, calibrated heterogeneity, live defects")
 	s.println(strings.Repeat("-", 100))
 	s.printf("%-6s %-10s %-12s %5s %10s %7s %8s %8s %11s %11s %11s\n",
 		"App", "topology", "cells", "trial", "cycles", "ratio", "adaptive", "reroutes", "p_tile min", "p_tile max", "p_L(sched)")
 	var defectCells, survived int
-	for i, c := range cells {
-		if c.Defects > 0 {
+	for i, r := range results {
+		c := cells[i]
+		// Per-tile logical-rate spread on the realized junction grid.
+		rates := resource.TileLogicalRates(c.dev.Instance(jrows, jcols), tech, s.tc.distance)
+		rateMin, rateMax, rateMean := resource.RateSpread(rates)
+		if c.defects != nil {
 			defectCells++
 		}
-		ok := 0.0
-		if c.Survived {
+		ok, logicalRate := 0.0, 0.0
+		if r == nil {
+			r = &BraidResult{}
+			s.printf("%-6s %-10s %-12s %5d %10s\n", w.Name, c.topology, c.kind, c.trial, "unroutable")
+		} else {
 			ok = 1
-			if c.Defects > 0 {
+			if c.defects != nil {
 				survived++
 			}
+			logicalRate = resource.ScheduleLogicalRate(r.Tiles, r.ScheduleCycles, rateMean)
 			s.printf("%-6s %-10s %-12s %5d %10d %7.3f %8d %8d %11.3e %11.3e %11.3e\n",
-				c.App, c.Topology, calibKind(c), c.Trial, c.Cycles, c.Ratio, c.Adaptive, c.Reroutes, c.RateMin, c.RateMax, c.LogicalRate)
-		} else {
-			s.printf("%-6s %-10s %-12s %5d %10s\n", c.App, c.Topology, calibKind(c), c.Trial, "unroutable")
+				w.Name, c.topology, c.kind, c.trial, r.ScheduleCycles, r.Ratio, r.AdaptiveRoutes, r.Reroutes,
+				rateMin, rateMax, logicalRate)
 		}
-		r := s.record("calib", labels[i], map[string]float64{
-			"cycles":       float64(c.Cycles),
-			"ratio":        c.Ratio,
-			"adaptive":     float64(c.Adaptive),
-			"reroutes":     float64(c.Reroutes),
-			"tiles":        float64(c.Tiles),
-			"rate_min":     c.RateMin,
-			"rate_max":     c.RateMax,
-			"rate_mean":    c.RateMean,
-			"logical_rate": c.LogicalRate,
+		rec := s.record("calib", labels[i], map[string]float64{
+			"cycles":       float64(r.ScheduleCycles),
+			"ratio":        r.Ratio,
+			"adaptive":     float64(r.AdaptiveRoutes),
+			"reroutes":     float64(r.Reroutes),
+			"tiles":        float64(r.Tiles),
+			"rate_min":     rateMin,
+			"rate_max":     rateMax,
+			"rate_mean":    rateMean,
+			"logical_rate": logicalRate,
 			"survived":     ok,
 		})
-		r.Seed, r.Device = c.Seed, c.Device
+		rec.Seed, rec.Device = c.seed, c.dev.String()
 	}
 	if defectCells > 0 {
 		s.printf("live-defect survival: %d/%d runs re-routed around mid-schedule coupler deaths\n",
@@ -821,4 +935,19 @@ func runCalib(ctx context.Context, s *studyRun) error {
 	s.println("Calibration realizes as heterogeneous link weights (slow couplers stretch braids)")
 	s.println("and per-tile error rates (placement avoids hot tiles; p_L prices the spread).")
 	return nil
+}
+
+// compileOn compiles w through the braid backend on a device the yield
+// or calib study realized, with its live defects. A device that leaves
+// the circuit unroutable is a result the study records, not a failure:
+// the BraidResult is then nil.
+func (s *studyRun) compileOn(ctx context.Context, w Workload, dev *Device, defects *DefectSchedule, label string) (*BraidResult, error) {
+	plan, err := BraidBackend{}.Compile(ctx, w.Circuit, s.target(dev, defects))
+	switch {
+	case errors.Is(err, ErrUnroutable):
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("study: %s: %w", label, err)
+	}
+	return plan.Braid, nil
 }

@@ -33,7 +33,10 @@ type Study struct {
 // StudyParams carries the study settings no ToolchainOption covers: the
 // cmd/sweep flags that pick a workload or shape one study's grid.
 // Distance, technology, seed, workers and decoder strategy come from
-// the Toolchain. The zero value runs every study at its defaults.
+// the Toolchain. Study cells compile through the Backends at targets
+// the studies build themselves, each on the devices its study fixes, so
+// WithDevice, WithCalibration and WithDefectSchedule do not apply to
+// studies. The zero value runs every study at its defaults.
 type StudyParams struct {
 	// App restricts fig6 to one application and picks the yield and
 	// calib workload (case-insensitive; empty selects every application
@@ -153,6 +156,15 @@ func (s *studyRun) characterize(ctx context.Context) error {
 // events name the running study and the completed cell's label.
 func (s *studyRun) opts(labels []string) sweep.Options {
 	return s.tc.sweepOpts(s.stage, func(i int) string { return labels[i] })
+}
+
+// target is a study cell's compile target: the toolchain's distance and
+// seed, Policy 6 (fig6 and table1 set their own), and the device and
+// live defects the study fixes (nil for the perfect grid). It is built
+// afresh rather than from Toolchain.Target, so the toolchain's device
+// options never reach a study.
+func (s *studyRun) target(dev *Device, defects *DefectSchedule) *Target {
+	return &Target{Distance: s.tc.distance, Seed: s.tc.seed, Policy: Policy6, Device: dev, Defects: defects}
 }
 
 // record appends one cell's record, at the toolchain's seed on the

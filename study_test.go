@@ -14,48 +14,66 @@ import (
 )
 
 // TestStudiesWorkerParity runs every registered study through
-// RunStudies at one and at four workers and compares the serialized
-// records and the printed table byte for byte. It also checks that
-// every record names the device its cell ran on, and that every
-// progress event carries the study's name and the label its cell's
-// records start with. Grids shrink to distance 5.
-// Figures 7–9 are left to the Characterize, Curve and Boundary parity
-// tests in internal/sweep.
+// RunStudies on a serial default toolchain and on four workers with the
+// toolchain's device options set, and compares the serialized records
+// and the printed table byte for byte: neither the worker count nor
+// WithDevice, WithCalibration and WithDefectSchedule may change a
+// study, which fixes its own devices. It also checks that every record
+// names the device its cell ran on, and that every progress event
+// carries the label its cell's records start with and the study's name,
+// or "characterize" for a characterization record. Grids shrink to
+// distance 5; Figures 7–9 share one run.
 func TestStudiesWorkerParity(t *testing.T) {
 	const realized = "realized" // each cell names its own realized device
+	devOpts := []surfcomm.ToolchainOption{
+		surfcomm.WithDevice(surfcomm.HeavyHexDevice(7)),
+		surfcomm.WithCalibration(surfcomm.SyntheticCalibration(7, 40, 40)),
+		surfcomm.WithDefectSchedule(surfcomm.RandomDefectSchedule(7, 40, 40, 3, 50)),
+	}
 	cases := map[string]struct {
 		params surfcomm.StudyParams
 		device string
 	}{
-		"table1":  {device: ""}, // Tables 1–2 predate the device field
-		"table2":  {device: ""},
-		"fig6":    {params: surfcomm.StudyParams{App: "IM", Verify: true}, device: device.PresetPerfect},
-		"epr":     {device: device.PresetPerfect},
-		"decoder": {device: device.PresetPerfect},
-		"decode":  {device: device.PresetPerfect},
-		"modular": {device: device.PresetPerfect},
-		"yield":   {params: surfcomm.StudyParams{Clustered: true}, device: realized},
-		"calib":   {device: realized},
+		"table1":         {device: ""}, // Tables 1–2 predate the device field
+		"table2":         {device: ""},
+		"fig6":           {params: surfcomm.StudyParams{Verify: true}, device: device.PresetPerfect},
+		"fig7+fig8+fig9": {device: device.PresetPerfect},
+		"epr":            {device: device.PresetPerfect},
+		"decoder":        {device: device.PresetPerfect},
+		"decode":         {device: device.PresetPerfect},
+		"modular":        {device: device.PresetPerfect},
+		"yield":          {params: surfcomm.StudyParams{Clustered: true}, device: realized},
+		"calib":          {device: realized},
 	}
+	// One run per study, except Figures 7–9, which share one
+	// characterization and so one run.
+	var runs [][]string
+	var figures []string
 	for _, st := range surfcomm.Studies() {
-		c, ok := cases[st.Name]
-		if !ok {
-			if st.Name == "fig7" || st.Name == "fig8" || st.Name == "fig9" {
-				continue
-			}
-			t.Errorf("registered study %q has no worker-parity case", st.Name)
+		if st.Name == "fig7" || st.Name == "fig8" || st.Name == "fig9" {
+			figures = append(figures, st.Name)
 			continue
 		}
-		t.Run(st.Name, func(t *testing.T) {
-			run := func(workers int) (records, table []byte) {
+		runs = append(runs, []string{st.Name})
+	}
+	for _, names := range append(runs, figures) {
+		name := strings.Join(names, "+")
+		c, ok := cases[name]
+		if !ok {
+			t.Errorf("registered study %q has no worker-parity case", name)
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			run := func(workers int, extra ...surfcomm.ToolchainOption) (records, table []byte) {
 				var events []surfcomm.Event // delivered serialized
-				tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithWorkers(workers),
-					surfcomm.WithProgress(func(ev surfcomm.Event) { events = append(events, ev) }))
+				opts := append([]surfcomm.ToolchainOption{surfcomm.WithDistance(5), surfcomm.WithWorkers(workers),
+					surfcomm.WithProgress(func(ev surfcomm.Event) { events = append(events, ev) })}, extra...)
+				tc, err := surfcomm.NewToolchain(opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var out bytes.Buffer
-				recs, err := tc.RunStudies(context.Background(), []string{st.Name}, c.params, &out)
+				recs, err := tc.RunStudies(context.Background(), names, c.params, &out)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,16 +88,20 @@ func TestStudiesWorkerParity(t *testing.T) {
 						t.Errorf("%s: device %q, want %q", r.Cell, r.Device, c.device)
 					}
 				}
+				characterize := func(ev surfcomm.Event) bool { return ev.Stage == "characterize" }
 				for _, ev := range events {
 					labelled := slices.ContainsFunc(recs, func(r surfcomm.SweepCellResult) bool {
+						if characterize(ev) && r.Study != "characterization" {
+							return false
+						}
 						return r.Cell == ev.Cell || strings.HasPrefix(r.Cell, ev.Cell+"/")
 					})
-					if ev.Stage != st.Name || !labelled {
+					if !labelled || !characterize(ev) && !slices.Contains(names, ev.Stage) {
 						t.Errorf("event %s %q names no record of the study", ev.Stage, ev.Cell)
 					}
 				}
 				table = out.Bytes()
-				if st.Name == "modular" {
+				if name == "modular" {
 					recs, table = stripWallClock(recs, table)
 				}
 				if records, err = json.Marshal(recs); err != nil {
@@ -88,12 +110,12 @@ func TestStudiesWorkerParity(t *testing.T) {
 				return records, table
 			}
 			serialRecs, serialTable := run(1)
-			pooledRecs, pooledTable := run(4)
+			pooledRecs, pooledTable := run(4, devOpts...)
 			if !bytes.Equal(serialRecs, pooledRecs) {
-				t.Errorf("records differ between 1 and 4 workers:\n%s\nvs\n%s", serialRecs, pooledRecs)
+				t.Errorf("records differ between the serial default toolchain and the pooled one with device options:\n%s\nvs\n%s", serialRecs, pooledRecs)
 			}
 			if !bytes.Equal(serialTable, pooledTable) {
-				t.Errorf("tables differ between 1 and 4 workers:\n%s\nvs\n%s", serialTable, pooledTable)
+				t.Errorf("tables differ between the serial default toolchain and the pooled one with device options:\n%s\nvs\n%s", serialTable, pooledTable)
 			}
 		})
 	}

@@ -24,6 +24,7 @@
 package surfcomm
 
 import (
+	"context"
 	"io"
 	"math/rand"
 
@@ -440,12 +441,7 @@ func NewDecoderLattice(d int) (*DecoderLattice, error) { return decoder.NewLatti
 // across GOMAXPROCS workers; the failure count is identical to a serial
 // run (use Toolchain.MeasureLogicalErrorRate to bound the pool).
 func MeasureLogicalErrorRate(d int, p float64, trials int, seed int64) (DecoderResult, error) {
-	l, err := decoder.NewLattice(d)
-	if err != nil {
-		return DecoderResult{}, err
-	}
-	mc := &decoder.MonteCarlo{Lattice: l, Rng: rand.New(rand.NewSource(seed))}
-	return mc.Run(p, trials)
+	return measureCodeCapacity(context.Background(), d, p, trials, seed, decoder.Config{})
 }
 
 // MeasureLogicalErrorRateHistory runs the syndrome-history Monte Carlo

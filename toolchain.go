@@ -3,7 +3,6 @@ package surfcomm
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"surfcomm/internal/decoder"
 	"surfcomm/internal/modcompile"
@@ -265,7 +264,7 @@ func (tc *Toolchain) emit(ev Event) {
 // sweepOpts builds grid options that forward cell completions as
 // progress events.
 func (tc *Toolchain) sweepOpts(stage string, label func(i int) string) sweep.Options {
-	opt := sweep.Options{Workers: tc.workers, Seed: tc.seed}
+	opt := sweep.Options{Workers: tc.workers}
 	if tc.progress != nil {
 		opt.Progress = func(i, total int) {
 			ev := Event{Stage: stage, Index: i, Total: total}
@@ -336,7 +335,10 @@ func (tc *Toolchain) CompileAll(ctx context.Context, c *Circuit, override ...fun
 // Characterize measures application models across the worker pool; the
 // result is identical to serial characterization at any worker count.
 func (tc *Toolchain) Characterize(ctx context.Context, ws []Workload) ([]AppModel, error) {
-	return sweep.Characterize(ctx, tc.sweepOpts("characterize", func(i int) string { return ws[i].Name }), ws)
+	opt := tc.sweepOpts("characterize", func(i int) string { return ws[i].Name })
+	return sweep.Map(ctx, opt, ws, func(_ int, w Workload) (AppModel, error) {
+		return toolflow.CharacterizeContext(ctx, w, tc.seed)
+	})
 }
 
 // Models characterizes the reference suite — the app models behind
@@ -401,16 +403,8 @@ func (tc *Toolchain) Run(ctx context.Context, w Workload, totalOps float64) (Pip
 // failure count is bit-identical at any worker count (trial randomness
 // is drawn sequentially; only the decoding work is pooled).
 func (tc *Toolchain) MeasureLogicalErrorRate(ctx context.Context, d int, p float64, trials int) (DecoderResult, error) {
-	l, err := decoder.NewLattice(d)
-	if err != nil {
-		return DecoderResult{}, err
-	}
-	mc := &decoder.MonteCarlo{
-		Lattice: l,
-		Rng:     rand.New(rand.NewSource(tc.seed)),
-		Config:  decoder.Config{Workers: tc.workers, Strategy: tc.decodeStrategy},
-	}
-	res, err := mc.RunContext(ctx, p, trials)
+	cfg := decoder.Config{Workers: tc.workers, Strategy: tc.decodeStrategy}
+	res, err := measureCodeCapacity(ctx, d, p, trials, tc.seed, cfg)
 	if err != nil {
 		return DecoderResult{}, fmt.Errorf("toolchain: %w", err)
 	}

@@ -13,8 +13,8 @@ import (
 	"surfcomm"
 	"surfcomm/internal/braid"
 	"surfcomm/internal/simd"
-	"surfcomm/internal/sweep"
 	"surfcomm/internal/teleport"
+	"surfcomm/internal/toolflow"
 )
 
 // --- API parity: the Toolchain must reproduce the engine entry points
@@ -149,15 +149,16 @@ func syntheticModel(name string) surfcomm.AppModel {
 	}
 }
 
-// TestToolchainRecordParity asserts the Toolchain characterizes
-// workloads exactly as the internal/sweep grid does at the same seed:
-// every field the characterization records carry (BENCH_sweep.json)
-// must match.
+// TestToolchainRecordParity asserts the Toolchain's pooled
+// characterization reproduces serial toolflow.Characterize at the same
+// seed: every field the characterization records carry
+// (BENCH_sweep.json) must match.
 func TestToolchainRecordParity(t *testing.T) {
 	ctx := context.Background()
 	const seed = 3
 	tc, err := surfcomm.NewToolchain(
 		surfcomm.WithSeed(seed),
+		surfcomm.WithWorkers(4),
 		surfcomm.WithTechnology(surfcomm.Superconducting(1e-6)),
 	)
 	if err != nil {
@@ -167,19 +168,19 @@ func TestToolchainRecordParity(t *testing.T) {
 		{Name: "GSE", Circuit: must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 4, Steps: 1}))},
 		{Name: "IM", Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 10, Steps: 1}, true))},
 	}
-	newModels, err := tc.Characterize(ctx, workloads)
+	models, err := tc.Characterize(ctx, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldModels, err := sweep.Characterize(ctx, sweep.Options{Seed: seed}, workloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range newModels {
-		o := oldModels[i]
+	for i, w := range workloads {
+		n := models[i]
+		o, err := toolflow.Characterize(w, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if n.Name != o.Name || n.Parallelism != o.Parallelism || n.SchedParallelism != o.SchedParallelism ||
 			n.MoveFraction != o.MoveFraction || n.CongestionDD != o.CongestionDD {
-			t.Errorf("%s: toolchain model %+v differs from internal/sweep model %+v", o.Name, n, o)
+			t.Errorf("%s: toolchain model %+v differs from serial model %+v", o.Name, n, o)
 		}
 	}
 }
@@ -367,22 +368,14 @@ func TestToolchainRunPipeline(t *testing.T) {
 	}
 }
 
-// TestDecoderWorkerParity pins the decoder paths exposed through the
-// Toolchain: the Monte Carlo failure count and the full validation grid
-// must be bit-identical at every worker count (trial randomness is
-// drawn sequentially from the seed; only decoding work is pooled).
+// TestDecoderWorkerParity pins the Monte Carlo exposed through the
+// Toolchain: the failure count must be bit-identical at every worker
+// count (trial randomness is drawn sequentially from the seed; only
+// decoding work is pooled). The decoder study's grid is pinned by
+// TestStudiesWorkerParity.
 func TestDecoderWorkerParity(t *testing.T) {
 	ctx := context.Background()
-	distances := []int{3, 5}
-	rates := []float64{0.03, 0.08}
 	var refResult surfcomm.DecoderResult
-	var cells []sweep.DecoderCell
-	for _, d := range distances {
-		for _, p := range rates {
-			cells = append(cells, sweep.DecoderCell{Distance: d, PhysicalRate: p, Trials: 200})
-		}
-	}
-	var refGrid []sweep.DecoderCell
 	for i, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		tc, err := surfcomm.NewToolchain(surfcomm.WithWorkers(workers), surfcomm.WithSeed(7))
 		if err != nil {
@@ -392,12 +385,8 @@ func TestDecoderWorkerParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := sweep.DecoderGrid(ctx, sweep.Options{Workers: workers, Seed: 7}, cells, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if i == 0 {
-			refResult, refGrid = r, grid
+			refResult = r
 			if r.Failures == 0 {
 				t.Error("expected some failures at d=5, p=0.04")
 			}
@@ -405,9 +394,6 @@ func TestDecoderWorkerParity(t *testing.T) {
 		}
 		if r != refResult {
 			t.Errorf("workers=%d: result %+v diverged from serial %+v", workers, r, refResult)
-		}
-		if !reflect.DeepEqual(grid, refGrid) {
-			t.Errorf("workers=%d: decoder grid diverged from serial run", workers)
 		}
 	}
 }
