@@ -86,12 +86,12 @@ func TestHierarchicalCompileDigestPinned(t *testing.T) {
 }
 
 // TestCompileStreamLinesPinned pins the exact NDJSON stage lines of a
-// cold and a hot streamed /compile, key order included.
+// cold and a hot streamed /compile, key order included, for a flat and
+// a hierarchical request.
 func TestCompileStreamLinesPinned(t *testing.T) {
 	srv := httptest.NewServer(service.NewHandler(newService(t, service.Config{})))
 	defer srv.Close()
-	body, _ := json.Marshal(service.Request{QASM: pinQASM(t)})
-	stageLines := func() string {
+	stageLines := func(body []byte) string {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/compile", bytes.NewReader(body))
 		if err != nil {
@@ -115,17 +115,34 @@ func TestCompileStreamLinesPinned(t *testing.T) {
 		}
 		return strings.Join(stages, "\n")
 	}
-	const cold = `{"stage":"resolved","backend":"braid","digest":"8705426a715ba41ab66e3d5ef6bcd465467f7551f8b2a04e6b7812611fe7ece3"}
+	cases := []struct {
+		name      string
+		qasm      string
+		cold, hot string
+	}{
+		{"flat", pinQASM(t),
+			`{"stage":"resolved","backend":"braid","digest":"8705426a715ba41ab66e3d5ef6bcd465467f7551f8b2a04e6b7812611fe7ece3"}
 {"stage":"queued"}
 {"stage":"compiling","backend":"braid"}
-{"stage":"toolchain/compile","backend":"braid","cell":"pin"}`
-	const hot = `{"stage":"resolved","backend":"braid","digest":"8705426a715ba41ab66e3d5ef6bcd465467f7551f8b2a04e6b7812611fe7ece3"}
-{"stage":"cached"}`
-	if got := stageLines(); got != cold {
-		t.Errorf("cold stage lines:\n%s\nwant:\n%s", got, cold)
+{"stage":"toolchain/compile","backend":"braid","cell":"pin"}`,
+			`{"stage":"resolved","backend":"braid","digest":"8705426a715ba41ab66e3d5ef6bcd465467f7551f8b2a04e6b7812611fe7ece3"}
+{"stage":"cached"}`},
+		{"hierarchical", pipelineQASM(t, 3, 0),
+			`{"stage":"resolved","backend":"braid","digest":"609b608d92fbf3ce29646d8b03fe24e45ae98d20142ab68d499b7d85768da001"}
+{"stage":"queued"}
+{"stage":"compiling","backend":"braid"}
+{"stage":"toolchain/compile","backend":"braid","cell":"pipeline"}`,
+			`{"stage":"resolved","backend":"braid","digest":"609b608d92fbf3ce29646d8b03fe24e45ae98d20142ab68d499b7d85768da001"}
+{"stage":"cached"}`},
 	}
-	if got := stageLines(); got != hot {
-		t.Errorf("hot stage lines:\n%s\nwant:\n%s", got, hot)
+	for _, c := range cases {
+		body, _ := json.Marshal(service.Request{QASM: c.qasm})
+		if got := stageLines(body); got != c.cold {
+			t.Errorf("%s cold stage lines:\n%s\nwant:\n%s", c.name, got, c.cold)
+		}
+		if got := stageLines(body); got != c.hot {
+			t.Errorf("%s hot stage lines:\n%s\nwant:\n%s", c.name, got, c.hot)
+		}
 	}
 }
 
