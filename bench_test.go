@@ -41,12 +41,12 @@ func BenchmarkTable1CommMethods(b *testing.B) {
 		far := surfcomm.NewCircuit("far", 8)
 		far.Append(surfcomm.OpCNOT, 0, 7)
 		place := surfcomm.RowMajorPlacement(8)
-		rNear, err := braid.Simulate(near, braid.Policy1,
+		rNear, err := braid.SimulateContext(context.Background(), near, braid.Policy1,
 			braid.Config{Distance: 9, Placement: place})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rFar, err := braid.Simulate(far, braid.Policy1,
+		rFar, err := braid.SimulateContext(context.Background(), far, braid.Policy1,
 			braid.Config{Distance: 9, Placement: surfcomm.RowMajorPlacement(8)})
 		if err != nil {
 			b.Fatal(err)
@@ -93,7 +93,7 @@ func BenchmarkFigure6BraidPolicies(b *testing.B) {
 				var r surfcomm.BraidResult
 				var err error
 				for i := 0; i < b.N; i++ {
-					r, err = braid.Simulate(w.Circuit, p, braid.Config{Distance: 9, Seed: 1})
+					r, err = braid.SimulateContext(context.Background(), w.Circuit, p, braid.Config{Distance: 9, Seed: 1})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -232,7 +232,7 @@ func BenchmarkSection81EPRWindow(b *testing.B) {
 			if perBank := (w.Circuit.NumQubits + regions - 1) / regions; perBank > width {
 				width = perBank
 			}
-			sched, err := simd.Run(w.Circuit, simd.Config{Regions: regions, Width: width, Seed: 1})
+			sched, err := simd.RunContext(context.Background(), w.Circuit, simd.Config{Regions: regions, Width: width, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,11 +241,11 @@ func BenchmarkSection81EPRWindow(b *testing.B) {
 			dist := surfcomm.NewEPRDistributor() // reused: steady state is allocation-free
 			var jitRes, flood surfcomm.TeleportResult
 			for i := 0; i < b.N; i++ {
-				jitRes, err = dist.Distribute(sched, jit, cfg)
+				jitRes, err = dist.DistributeContext(context.Background(), sched, jit, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				flood, err = dist.Distribute(sched, surfcomm.PrefetchAll, cfg)
+				flood, err = dist.DistributeContext(context.Background(), sched, surfcomm.PrefetchAll, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -313,7 +313,7 @@ func BenchmarkAblationLocalTOps(b *testing.B) {
 			var r surfcomm.BraidResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = braid.Simulate(im, braid.Policy6,
+				r, err = braid.SimulateContext(context.Background(), im, braid.Policy6,
 					braid.Config{Distance: 9, Seed: 1, LocalTOps: local})
 				if err != nil {
 					b.Fatal(err)
@@ -336,7 +336,7 @@ func BenchmarkAblationLayout(b *testing.B) {
 			var r surfcomm.BraidResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = braid.Simulate(sha, p, braid.Config{Distance: 9, Seed: 1})
+				r, err = braid.SimulateContext(context.Background(), sha, p, braid.Config{Distance: 9, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -354,6 +354,10 @@ func BenchmarkAblationLayout(b *testing.B) {
 func BenchmarkErrorModelValidation(b *testing.B) {
 	const p = 0.03
 	const trials = 1200
+	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(7))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, d := range []int{3, 5, 7} {
 		d := d
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
@@ -361,7 +365,7 @@ func BenchmarkErrorModelValidation(b *testing.B) {
 			var r surfcomm.DecoderResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = surfcomm.MeasureLogicalErrorRate(d, p, trials, 7)
+				r, err = tc.MeasureLogicalErrorRate(context.Background(), d, p, trials)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -410,7 +414,7 @@ func BenchmarkAblationFactoryRefill(b *testing.B) {
 			var r surfcomm.BraidResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = braid.Simulate(im, braid.Policy6,
+				r, err = braid.SimulateContext(context.Background(), im, braid.Policy6,
 					braid.Config{Distance: 9, Seed: 1, FactoryRefill: refill})
 				if err != nil {
 					b.Fatal(err)

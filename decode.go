@@ -51,8 +51,8 @@ func NewStreamDecoder(d, window int, strategy string) (*StreamDecoder, error) {
 // measureCodeCapacity runs the code-capacity decoding Monte Carlo:
 // trials rounds of independent physical errors at rate p on a
 // distance-d lattice, drawn from seed and decoded under cfg. The failure
-// count depends on the seed and strategy, never on cfg.Workers. Both
-// MeasureLogicalErrorRate entry points and the decoder studies' cells
+// count depends on the seed and strategy, never on cfg.Workers.
+// Toolchain.MeasureLogicalErrorRate and the decoder studies' cells
 // measure through it.
 func measureCodeCapacity(ctx context.Context, d int, p float64, trials int, seed int64, cfg decoder.Config) (DecoderResult, error) {
 	l, err := decoder.NewLattice(d)

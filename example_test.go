@@ -35,7 +35,7 @@ func Example_toolchain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dp, err := tc.Cost(m[0], 1e6)
+	dp, err := surfcomm.Evaluate(m[0], 1e6, 1e-8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package braid
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func pathRespects(t *testing.T, g *device.CouplingGraph, rows, cols int, p mesh.
 func TestHeavyHexSchedulesRespectEdgeSet(t *testing.T) {
 	g := device.HeavyHexGraph()
 	for _, w := range apps.Fig6Suite() {
-		r, err := Simulate(w.Circuit, Policy6, Config{Distance: 5, RecordSchedule: true, Device: device.HeavyHex(1)})
+		r, err := SimulateContext(context.Background(), w.Circuit, Policy6, Config{Distance: 5, RecordSchedule: true, Device: device.HeavyHex(1)})
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -93,7 +94,7 @@ func TestHeavyHexAdaptiveRoutesRespectEdgeSet(t *testing.T) {
 // replay cleanly.
 func TestLiveDefectReroutesInFlight(t *testing.T) {
 	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
-	base, err := Simulate(c, Policy6, Config{Distance: 5, RecordSchedule: true})
+	base, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, RecordSchedule: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestLiveDefectReroutesInFlight(t *testing.T) {
 	}
 	sched := &device.DefectSchedule{Name: "kill-one", Events: []device.DefectEvent{ev}}
 
-	r, err := Simulate(c, Policy6, Config{Distance: 5, RecordSchedule: true, Defects: sched})
+	r, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, RecordSchedule: true, Defects: sched})
 	if err != nil {
 		if errors.Is(err, scerr.ErrUnroutable) {
 			t.Fatalf("connected fabric reported unroutable after one coupler death: %v", err)
@@ -155,7 +156,7 @@ func TestLiveDefectReroutesInFlight(t *testing.T) {
 // fast with ErrUnroutable.
 func TestDefectScheduleDeterministic(t *testing.T) {
 	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
-	pre, err := Simulate(c, Policy6, Config{Distance: 5, RecordSchedule: true})
+	pre, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, RecordSchedule: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,11 @@ func TestDefectScheduleDeterministic(t *testing.T) {
 	if sched.Empty() {
 		t.Fatal("random defect schedule drew no events")
 	}
-	a, err := Simulate(c, Policy6, Config{Distance: 5, RecordSchedule: true, Defects: sched})
+	a, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, RecordSchedule: true, Defects: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(c, Policy6, Config{Distance: 5, RecordSchedule: true, Defects: sched})
+	b, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, RecordSchedule: true, Defects: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestDefectScheduleDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Simulate(c, Policy6, Config{Distance: 5, Defects: all}); !errors.Is(err, scerr.ErrUnroutable) {
+	if _, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, Defects: all}); !errors.Is(err, scerr.ErrUnroutable) {
 		t.Fatalf("err = %v, want ErrUnroutable after whole-fabric death", err)
 	}
 }

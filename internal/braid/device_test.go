@@ -1,6 +1,7 @@
 package braid
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -33,7 +34,7 @@ func scheduleDigest(entries []ScheduleEntry) uint64 {
 func TestPerfectDeviceBitIdentical(t *testing.T) {
 	for _, w := range apps.Fig6Suite() {
 		for _, p := range []Policy{Policy0, Policy4, Policy6} {
-			base, err := Simulate(w.Circuit, p, Config{Distance: 5, RecordSchedule: true})
+			base, err := SimulateContext(context.Background(), w.Circuit, p, Config{Distance: 5, RecordSchedule: true})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", w.Name, p, err)
 			}
@@ -42,7 +43,7 @@ func TestPerfectDeviceBitIdentical(t *testing.T) {
 				"perfect":    device.Perfect(),
 				"zero-yield": device.RandomYield(0, 123),
 			} {
-				got, err := Simulate(w.Circuit, p, Config{Distance: 5, RecordSchedule: true, Device: dev})
+				got, err := SimulateContext(context.Background(), w.Circuit, p, Config{Distance: 5, RecordSchedule: true, Device: dev})
 				if err != nil {
 					t.Fatalf("%s/%v on %s: %v", w.Name, p, name, err)
 				}
@@ -66,7 +67,7 @@ func TestDefectiveDeviceSchedulesReplay(t *testing.T) {
 	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
 	for seed := int64(1); seed <= 5; seed++ {
 		dev := device.RandomYield(0.06, seed)
-		r, err := Simulate(c, Policy6, Config{Distance: 5, RecordSchedule: true, Device: dev})
+		r, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, RecordSchedule: true, Device: dev})
 		if err != nil {
 			if errors.Is(err, scerr.ErrUnroutable) {
 				continue
@@ -107,11 +108,11 @@ func TestWeightedLinksStretchPhases(t *testing.T) {
 			}
 		}
 	})
-	base, err := Simulate(c, Policy6, Config{Distance: 5})
+	base, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := Simulate(c, Policy6, Config{Distance: 5, Device: slow})
+	weighted, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, Device: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestDisconnectedDeviceUnroutable(t *testing.T) {
 			}
 		}
 	})
-	_, err := Simulate(c, Policy6, Config{Distance: 5, Device: dev})
+	_, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, Device: dev})
 	if !errors.Is(err, scerr.ErrUnroutable) {
 		t.Fatalf("err = %v, want ErrUnroutable", err)
 	}
@@ -157,11 +158,11 @@ func TestDeadFactoriesUnroutable(t *testing.T) {
 			topo.DisableTile(device.Coord{Row: r, Col: topo.Cols() - 2})
 		}
 	})
-	_, err := Simulate(c, Policy6, Config{Distance: 5, Device: dev})
+	_, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, Device: dev})
 	if !errors.Is(err, scerr.ErrUnroutable) {
 		t.Fatalf("err = %v, want ErrUnroutable", err)
 	}
-	if _, err := Simulate(c, Policy6, Config{Distance: 5, Device: dev, LocalTOps: true}); err != nil {
+	if _, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, Device: dev, LocalTOps: true}); err != nil {
 		t.Fatalf("LocalTOps ablation should not need factories: %v", err)
 	}
 }
@@ -181,7 +182,7 @@ func TestCliffordOnlyIgnoresDeadFactories(t *testing.T) {
 			topo.DisableTile(device.Coord{Row: r, Col: topo.Cols() - 2})
 		}
 	})
-	r, err := Simulate(c, Policy6, Config{Distance: 5, Device: dev})
+	r, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, Device: dev})
 	if err != nil {
 		t.Fatalf("Clifford-only circuit should not need factories: %v", err)
 	}
@@ -210,7 +211,7 @@ func TestYieldGrowthFindsRoom(t *testing.T) {
 			topo.DisableTile(device.Coord{Row: 0, Col: cc})
 		}
 	})
-	r, err := Simulate(c, Policy6, Config{Distance: 5, Device: dev})
+	r, err := SimulateContext(context.Background(), c, Policy6, Config{Distance: 5, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}

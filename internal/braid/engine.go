@@ -322,14 +322,9 @@ func InteractionGraph(c *circuit.Circuit) *partition.Graph {
 	return g
 }
 
-// Simulate discovers a static braid schedule for the circuit under the
-// given policy and configuration, returning Figure 6 metrics.
-func Simulate(c *circuit.Circuit, p Policy, cfg Config) (Result, error) {
-	return SimulateContext(context.Background(), c, p, cfg)
-}
-
-// SimulateContext is Simulate with cooperative cancellation: the
-// scheduling loop polls ctx once per round and aborts with an error
+// SimulateContext discovers a static braid schedule for the circuit
+// under the given policy and configuration, returning Figure 6 metrics.
+// The scheduling loop polls ctx once per round and aborts with an error
 // matching scerr.ErrCanceled. The poll is a non-blocking select against
 // a pre-latched channel, so the hot path stays allocation-free.
 func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Config) (Result, error) {

@@ -1,6 +1,7 @@
 package braid
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,7 @@ import (
 
 func simulate(t *testing.T, c *circuit.Circuit, p Policy, cfg Config) Result {
 	t.Helper()
-	r, err := Simulate(c, p, cfg)
+	r, err := SimulateContext(context.Background(), c, p, cfg)
 	if err != nil {
 		t.Fatalf("%s under %v: %v", c.Name, p, err)
 	}
@@ -229,12 +230,12 @@ func TestExplicitPlacementOverride(t *testing.T) {
 func TestSimulateRejectsBadInput(t *testing.T) {
 	c := circuit.New("ok", 2)
 	c.Append(circuit.CNOT, 0, 1)
-	if _, err := Simulate(c, Policy(42), Config{}); err == nil {
+	if _, err := SimulateContext(context.Background(), c, Policy(42), Config{}); err == nil {
 		t.Error("unknown policy should fail")
 	}
 	bad := circuit.New("bad", 1)
 	bad.Gates = append(bad.Gates, circuit.Gate{Op: circuit.CNOT, Qubits: []int{0, 7}})
-	if _, err := Simulate(bad, Policy1, Config{}); err == nil {
+	if _, err := SimulateContext(context.Background(), bad, Policy1, Config{}); err == nil {
 		t.Error("invalid circuit should fail")
 	}
 }
@@ -261,7 +262,7 @@ func TestEngineQuick(t *testing.T) {
 			}
 		}
 		p := AllPolicies[rng.Intn(len(AllPolicies))]
-		r, err := Simulate(c, p, Config{Distance: 3, Seed: seed})
+		r, err := SimulateContext(context.Background(), c, p, Config{Distance: 3, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package braid
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -77,7 +78,7 @@ func TestEngineScratchReuseDeterminism(t *testing.T) {
 	for _, p := range AllPolicies {
 		var first fingerprint
 		for run := 0; run < 3; run++ {
-			r, err := Simulate(c, p, Config{Distance: 5, Seed: 2})
+			r, err := SimulateContext(context.Background(), c, p, Config{Distance: 5, Seed: 2})
 			if err != nil {
 				t.Fatalf("%v: %v", p, err)
 			}

@@ -1,6 +1,7 @@
 package braid
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func recordedRun(t *testing.T, c *circuit.Circuit, p Policy) Result {
 	t.Helper()
-	r, err := Simulate(c, p, Config{Distance: 5, Seed: 1, RecordSchedule: true})
+	r, err := SimulateContext(context.Background(), c, p, Config{Distance: 5, Seed: 1, RecordSchedule: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestReplayDetectsMalformedEntries(t *testing.T) {
 func TestNoRecordingByDefault(t *testing.T) {
 	c := circuit.New("one", 2)
 	c.Append(circuit.CNOT, 0, 1)
-	r, err := Simulate(c, Policy1, Config{Distance: 5})
+	r, err := SimulateContext(context.Background(), c, Policy1, Config{Distance: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

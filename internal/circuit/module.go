@@ -142,6 +142,11 @@ func (p *Program) Validate() error {
 // of every call level (the paper's "fully inlined" configuration).
 const InlineAll = -1
 
+// maxFlatOps caps Flatten's expansion in gates plus call sites: calls
+// nest multiplicatively, so a few hundred bytes of program can expand
+// past any memory. It is 13× the largest circuit any study builds.
+const maxFlatOps = 1 << 20
+
 // Flatten expands the program into a flat Circuit.
 //
 // inlineDepth controls the paper's inlining degree knob (§7.3,
@@ -150,10 +155,14 @@ const InlineAll = -1
 // fences over the call's qubits, so the dependency analysis treats the
 // call as an atomic region and cross-call parallelism is lost.
 // InlineAll (or any depth >= the call-tree height) yields a barrier-free
-// circuit with maximal exposed parallelism.
+// circuit with maximal exposed parallelism. A program whose expansion
+// exceeds 1<<20 gates and calls is refused before any is expanded.
 func (p *Program) Flatten(inlineDepth int) (*Circuit, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if p.walkCalls().ops > maxFlatOps {
+		return nil, fmt.Errorf("circuit: program %q expands to more than the flatten cap of %d gates and calls", p.Entry, maxFlatOps)
 	}
 	entry := p.Modules[p.Entry]
 	out := New(p.Entry, entry.NumQubits)
@@ -199,18 +208,36 @@ func (p *Program) Flatten(inlineDepth int) (*Circuit, error) {
 
 // CallTreeHeight returns the maximum call nesting depth below the entry
 // module (0 when the entry makes no calls).
-func (p *Program) CallTreeHeight() int {
-	var height func(string) int
-	height = func(name string) int {
-		h := 0
-		for _, in := range p.Modules[name].Insts {
-			if in.IsCall() {
-				if c := 1 + height(in.Callee); c > h {
-					h = c
-				}
-			}
+func (p *Program) CallTreeHeight() int { return p.walkCalls().height }
+
+// callTree summarizes the call tree below one module: its maximum call
+// nesting depth, and the gates and call sites a full expansion visits
+// (saturating at maxFlatOps+1, all Flatten needs to know).
+type callTree struct{ height, ops int }
+
+// walkCalls summarizes the call tree below the entry. Each module is
+// visited once, so the walk is linear in the program text even when
+// calls nest multiplicatively. The program must be free of call cycles
+// (see Validate).
+func (p *Program) walkCalls() callTree {
+	memo := make(map[string]callTree, len(p.Modules))
+	var walk func(string) callTree
+	walk = func(name string) callTree {
+		if t, ok := memo[name]; ok {
+			return t
 		}
-		return h
+		var t callTree
+		for _, in := range p.Modules[name].Insts {
+			t.ops++
+			if in.IsCall() {
+				c := walk(in.Callee)
+				t.height = max(t.height, c.height+1)
+				t.ops += c.ops
+			}
+			t.ops = min(t.ops, maxFlatOps+1)
+		}
+		memo[name] = t
+		return t
 	}
-	return height(p.Entry)
+	return walk(p.Entry)
 }

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -188,5 +189,47 @@ func TestCallTreeHeightNoCalls(t *testing.T) {
 	p.Modules["main"].Gate(H, 0)
 	if h := p.CallTreeHeight(); h != 0 {
 		t.Errorf("height = %d, want 0", h)
+	}
+}
+
+// doubledChain builds m<depth> → … → m0 where module k calls module
+// k-1 twice: linear text, 2^depth leaf executions.
+func doubledChain(depth int) *Program {
+	name := func(k int) string { return fmt.Sprintf("m%d", k) }
+	p := &Program{Modules: map[string]*Module{}, Entry: name(depth)}
+	for k := depth; k > 0; k-- {
+		m := &Module{Name: name(k), NumQubits: 2}
+		m.Call(name(k-1), 0, 1)
+		m.Call(name(k-1), 1, 0)
+		p.Modules[m.Name] = m
+	}
+	leaf := &Module{Name: name(0), NumQubits: 2}
+	leaf.Gate(CNOT, 0, 1)
+	p.Modules[leaf.Name] = leaf
+	return p
+}
+
+// TestCallTreeHeightDeepChain: the height walk visits each module once,
+// so a chain with 2^200 call paths answers at once.
+func TestCallTreeHeightDeepChain(t *testing.T) {
+	if h := doubledChain(200).CallTreeHeight(); h != 200 {
+		t.Errorf("height = %d, want 200", h)
+	}
+}
+
+// TestFlattenCap: Flatten expands a chain under the cap and refuses
+// one past it (or past int64) before expanding anything.
+func TestFlattenCap(t *testing.T) {
+	c, err := doubledChain(10).Flatten(InlineAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Gates) != 1<<10 {
+		t.Errorf("depth-10 chain flattened to %d gates, want %d", len(c.Gates), 1<<10)
+	}
+	for _, depth := range []int{19, 200} {
+		if _, err := doubledChain(depth).Flatten(InlineAll); err == nil || !strings.Contains(err.Error(), "flatten cap") {
+			t.Errorf("depth-%d chain: err = %v, want the flatten cap", depth, err)
+		}
 	}
 }

@@ -422,14 +422,10 @@ func (l *Lattice) mcTrial(sc *trialScratch, draws []bool) (bool, error) {
 	return l.LogicalFailure(sc.errs, sc.correction), nil
 }
 
-// Run samples error patterns, decodes, and counts logical failures.
-func (mc *MonteCarlo) Run(p float64, trials int) (Result, error) {
-	return mc.RunContext(context.Background(), p, trials)
-}
-
-// RunContext is Run with cooperative cancellation, polled between trial
-// batches; an aborted run returns an error matching scerr.ErrCanceled,
-// and a nonsensical configuration one matching scerr.ErrBadConfig.
+// RunContext samples error patterns, decodes, and counts logical
+// failures. It polls ctx between trial batches; an aborted run returns
+// an error matching scerr.ErrCanceled, and a nonsensical configuration
+// one matching scerr.ErrBadConfig.
 func (mc *MonteCarlo) RunContext(ctx context.Context, p float64, trials int) (Result, error) {
 	if mc.Lattice == nil {
 		return Result{}, scerr.BadConfig("decoder: nil lattice")

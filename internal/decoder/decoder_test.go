@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -182,13 +183,13 @@ func TestCorrectionClearsSyndromeQuick(t *testing.T) {
 func TestMonteCarloValidation(t *testing.T) {
 	mc := &MonteCarlo{Rng: rand.New(rand.NewSource(1))}
 	mc.Lattice = lattice(t, 3)
-	if _, err := mc.Run(-0.1, 10); err == nil {
+	if _, err := mc.RunContext(context.Background(), -0.1, 10); err == nil {
 		t.Error("negative rate should fail")
 	}
-	if _, err := mc.Run(0.1, 0); err == nil {
+	if _, err := mc.RunContext(context.Background(), 0.1, 0); err == nil {
 		t.Error("zero trials should fail")
 	}
-	r, err := mc.Run(0, 50)
+	r, err := mc.RunContext(context.Background(), 0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestSuppressionBelowThreshold(t *testing.T) {
 	rates := map[int]float64{}
 	for _, d := range []int{3, 5, 7} {
 		mc := &MonteCarlo{Lattice: lattice(t, d), Rng: rand.New(rand.NewSource(7))}
-		r, err := mc.Run(p, trials)
+		r, err := mc.RunContext(context.Background(), p, trials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,12 +229,12 @@ func TestNoSuppressionAboveThreshold(t *testing.T) {
 	const p = 0.25
 	const trials = 1500
 	mc3 := &MonteCarlo{Lattice: lattice(t, 3), Rng: rand.New(rand.NewSource(9))}
-	r3, err := mc3.Run(p, trials)
+	r3, err := mc3.RunContext(context.Background(), p, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mc7 := &MonteCarlo{Lattice: lattice(t, 7), Rng: rand.New(rand.NewSource(9))}
-	r7, err := mc7.Run(p, trials)
+	r7, err := mc7.RunContext(context.Background(), p, trials)
 	if err != nil {
 		t.Fatal(err)
 	}

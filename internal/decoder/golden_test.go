@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -27,7 +28,7 @@ func TestGoldenMonteCarloFailures(t *testing.T) {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			l := lattice(t, c.d)
 			mc := &MonteCarlo{Lattice: l, Rng: rand.New(rand.NewSource(c.seed)), Config: Config{Workers: workers}}
-			r, err := mc.Run(c.p, c.trials)
+			r, err := mc.RunContext(context.Background(), c.p, c.trials)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func TestGoldenHistoryFailures(t *testing.T) {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			l := lattice(t, c.d)
 			mc := &HistoryMonteCarlo{Lattice: l, Rounds: c.rounds, Rng: rand.New(rand.NewSource(c.seed)), Config: Config{Workers: workers}}
-			r, err := mc.Run(c.p, c.q, c.trials)
+			r, err := mc.RunContext(context.Background(), c.p, c.q, c.trials)
 			if err != nil {
 				t.Fatal(err)
 			}

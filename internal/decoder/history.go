@@ -37,15 +37,11 @@ type HistoryMonteCarlo struct {
 	Config
 }
 
-// Run samples, decodes the space-time volume, and counts logical
-// failures over the accumulated error.
-func (mc *HistoryMonteCarlo) Run(p, q float64, trials int) (Result, error) {
-	return mc.RunContext(context.Background(), p, q, trials)
-}
-
-// RunContext is Run with cooperative cancellation, polled between trial
-// batches; an aborted run returns an error matching scerr.ErrCanceled,
-// and a nonsensical configuration one matching scerr.ErrBadConfig.
+// RunContext samples, decodes the space-time volume, and counts
+// logical failures over the accumulated error. It polls ctx between
+// trial batches; an aborted run returns an error matching
+// scerr.ErrCanceled, and a nonsensical configuration one matching
+// scerr.ErrBadConfig.
 func (mc *HistoryMonteCarlo) RunContext(ctx context.Context, p, q float64, trials int) (Result, error) {
 	if mc.Lattice == nil {
 		return Result{}, scerr.BadConfig("decoder: nil lattice")

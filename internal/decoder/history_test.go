@@ -1,30 +1,31 @@
 package decoder
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
 
 func TestHistoryValidation(t *testing.T) {
 	mc := &HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 3, Rng: rand.New(rand.NewSource(1))}
-	if _, err := mc.Run(-0.1, 0, 10); err == nil {
+	if _, err := mc.RunContext(context.Background(), -0.1, 0, 10); err == nil {
 		t.Error("negative p should fail")
 	}
-	if _, err := mc.Run(0.1, 2, 10); err == nil {
+	if _, err := mc.RunContext(context.Background(), 0.1, 2, 10); err == nil {
 		t.Error("q > 1 should fail")
 	}
-	if _, err := mc.Run(0.1, 0.1, 0); err == nil {
+	if _, err := mc.RunContext(context.Background(), 0.1, 0.1, 0); err == nil {
 		t.Error("zero trials should fail")
 	}
 	bad := &HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 0, Rng: rand.New(rand.NewSource(1))}
-	if _, err := bad.Run(0.1, 0.1, 10); err == nil {
+	if _, err := bad.RunContext(context.Background(), 0.1, 0.1, 10); err == nil {
 		t.Error("zero rounds should fail")
 	}
 }
 
 func TestHistoryNoNoiseNoFailures(t *testing.T) {
 	mc := &HistoryMonteCarlo{Lattice: lattice(t, 5), Rounds: 5, Rng: rand.New(rand.NewSource(2))}
-	r, err := mc.Run(0, 0, 100)
+	r, err := mc.RunContext(context.Background(), 0, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestHistoryPureMeasurementNoiseHarmless(t *testing.T) {
 	// matching them through time applies no data correction, so no
 	// logical failure is possible.
 	mc := &HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 7, Rng: rand.New(rand.NewSource(3))}
-	r, err := mc.Run(0, 0.05, 300)
+	r, err := mc.RunContext(context.Background(), 0, 0.05, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestHistorySuppressionWithDistance(t *testing.T) {
 			Rounds:  d, // syndrome recorded for d rounds, as on hardware
 			Rng:     rand.New(rand.NewSource(11)),
 		}
-		r, err := mc.Run(p, q, trials)
+		r, err := mc.RunContext(context.Background(), p, q, trials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,12 +76,12 @@ func TestHistorySingleRoundMatchesPerfectDecoder(t *testing.T) {
 	const p = 0.04
 	const trials = 2000
 	hist := &HistoryMonteCarlo{Lattice: lattice(t, 5), Rounds: 1, Rng: rand.New(rand.NewSource(5))}
-	hr, err := hist.Run(p, 0, trials)
+	hr, err := hist.RunContext(context.Background(), p, 0, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mc := &MonteCarlo{Lattice: lattice(t, 5), Rng: rand.New(rand.NewSource(5))}
-	sr, err := mc.Run(p, trials)
+	sr, err := mc.RunContext(context.Background(), p, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +97,12 @@ func TestHistoryMeasurementNoiseHurts(t *testing.T) {
 	const p = 0.02
 	const trials = 1500
 	clean := &HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 5, Rng: rand.New(rand.NewSource(6))}
-	rc, err := clean.Run(p, 0, trials)
+	rc, err := clean.RunContext(context.Background(), p, 0, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noisy := &HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 5, Rng: rand.New(rand.NewSource(6))}
-	rn, err := noisy.Run(p, 0.05, trials)
+	rn, err := noisy.RunContext(context.Background(), p, 0.05, trials)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -35,20 +36,20 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// The harnesses surface it too.
 	mc := &MonteCarlo{Lattice: lattice(t, 3), Rng: rand.New(rand.NewSource(1)), Config: Config{Workers: -2}}
-	if _, err := mc.Run(0.1, 10); !errors.Is(err, scerr.ErrBadConfig) {
+	if _, err := mc.RunContext(context.Background(), 0.1, 10); !errors.Is(err, scerr.ErrBadConfig) {
 		t.Errorf("MonteCarlo negative workers: got %v, want ErrBadConfig", err)
 	}
-	if _, err := (&MonteCarlo{Lattice: lattice(t, 3), Rng: rand.New(rand.NewSource(1))}).Run(0.1, 0); !errors.Is(err, scerr.ErrBadConfig) {
+	if _, err := (&MonteCarlo{Lattice: lattice(t, 3), Rng: rand.New(rand.NewSource(1))}).RunContext(context.Background(), 0.1, 0); !errors.Is(err, scerr.ErrBadConfig) {
 		t.Errorf("zero trials: want ErrBadConfig")
 	}
-	if _, err := (&MonteCarlo{Rng: rand.New(rand.NewSource(1))}).Run(0.1, 5); !errors.Is(err, scerr.ErrBadConfig) {
+	if _, err := (&MonteCarlo{Rng: rand.New(rand.NewSource(1))}).RunContext(context.Background(), 0.1, 5); !errors.Is(err, scerr.ErrBadConfig) {
 		t.Errorf("nil lattice: want ErrBadConfig")
 	}
-	if _, err := (&MonteCarlo{Lattice: lattice(t, 3)}).Run(0.1, 5); !errors.Is(err, scerr.ErrBadConfig) {
+	if _, err := (&MonteCarlo{Lattice: lattice(t, 3)}).RunContext(context.Background(), 0.1, 5); !errors.Is(err, scerr.ErrBadConfig) {
 		t.Errorf("nil rng: want ErrBadConfig")
 	}
 	hmc := &HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 3, Rng: rand.New(rand.NewSource(1)), Config: Config{Workers: -1}}
-	if _, err := hmc.Run(0.01, 0.01, 10); !errors.Is(err, scerr.ErrBadConfig) {
+	if _, err := hmc.RunContext(context.Background(), 0.01, 0.01, 10); !errors.Is(err, scerr.ErrBadConfig) {
 		t.Errorf("HistoryMonteCarlo negative workers: got %v, want ErrBadConfig", err)
 	}
 	if _, err := NewLattice(4); !errors.Is(err, scerr.ErrBadConfig) {

@@ -106,7 +106,7 @@ func TestMaskedPathChecks(t *testing.T) {
 	if !m.Masked() {
 		t.Fatal("mesh not masked")
 	}
-	xy := XYPath(Node{Row: 0, Col: 0}, Node{Row: 0, Col: 3})
+	xy := XYPathInto(nil, Node{Row: 0, Col: 0}, Node{Row: 0, Col: 3})
 	if m.PathFree(xy) {
 		t.Fatal("path across disabled link reported free")
 	}

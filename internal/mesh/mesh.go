@@ -82,7 +82,7 @@ const Free = -1
 // Mesh is the reservation state of a rows×cols junction grid.
 //
 // A Mesh also owns reusable route-search scratch (visit stamps, BFS
-// predecessor and queue buffers) so AdaptiveRoute and path validation
+// predecessor and queue buffers) so AdaptiveRouteInto and path validation
 // are allocation-free in steady state. The scratch makes a Mesh safe
 // for one goroutine at a time; concurrent simulations each use their
 // own Mesh.

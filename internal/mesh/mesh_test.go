@@ -55,7 +55,7 @@ func TestPathLinks(t *testing.T) {
 
 func TestReserveRelease(t *testing.T) {
 	m := New(4, 4)
-	p := XYPath(Node{Row: 0, Col: 0}, Node{Row: 2, Col: 3})
+	p := XYPathInto(nil, Node{Row: 0, Col: 0}, Node{Row: 2, Col: 3})
 	if err := m.Reserve(p, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestReserveRelease(t *testing.T) {
 		t.Errorf("busy links = %d, want %d", m.BusyLinks(), len(p.Links()))
 	}
 	// Conflicting reservation must fail atomically.
-	q := XYPath(Node{Row: 2, Col: 0}, Node{Row: 0, Col: 3}) // crosses p
+	q := XYPathInto(nil, Node{Row: 2, Col: 0}, Node{Row: 0, Col: 3}) // crosses p
 	if err := m.Reserve(q, 8); err == nil {
 		t.Fatal("crossing reservation should fail")
 	}
@@ -96,14 +96,14 @@ func TestReserveRejectsBadOwner(t *testing.T) {
 
 func TestReleaseWrongOwnerFails(t *testing.T) {
 	m := New(3, 3)
-	p := XYPath(Node{Row: 0, Col: 0}, Node{Row: 0, Col: 2})
+	p := XYPathInto(nil, Node{Row: 0, Col: 0}, Node{Row: 0, Col: 2})
 	if err := m.Reserve(p, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Release(p, 2); err == nil {
 		t.Error("release by non-owner should fail")
 	}
-	if err := m.Release(XYPath(Node{Row: 2, Col: 0}, Node{Row: 2, Col: 2}), 1); err == nil {
+	if err := m.Release(XYPathInto(nil, Node{Row: 2, Col: 0}, Node{Row: 2, Col: 2}), 1); err == nil {
 		t.Error("release of unclaimed path should fail")
 	}
 }
@@ -121,7 +121,7 @@ func TestTwoBraidsCannotShareJunction(t *testing.T) {
 }
 
 func TestXYPathShape(t *testing.T) {
-	p := XYPath(Node{Row: 0, Col: 0}, Node{Row: 2, Col: 3})
+	p := XYPathInto(nil, Node{Row: 0, Col: 0}, Node{Row: 2, Col: 3})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestXYPathShape(t *testing.T) {
 }
 
 func TestYXPathShape(t *testing.T) {
-	p := YXPath(Node{Row: 0, Col: 0}, Node{Row: 2, Col: 3})
+	p := YXPathInto(nil, Node{Row: 0, Col: 0}, Node{Row: 2, Col: 3})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestYXPathShape(t *testing.T) {
 }
 
 func TestPathsToSelf(t *testing.T) {
-	for _, p := range []Path{XYPath(Node{Row: 1, Col: 1}, Node{Row: 1, Col: 1}), YXPath(Node{Row: 1, Col: 1}, Node{Row: 1, Col: 1})} {
+	for _, p := range []Path{XYPathInto(nil, Node{Row: 1, Col: 1}, Node{Row: 1, Col: 1}), YXPathInto(nil, Node{Row: 1, Col: 1}, Node{Row: 1, Col: 1})} {
 		if len(p) != 1 {
 			t.Errorf("self path length = %d, want 1", len(p))
 		}
@@ -161,7 +161,7 @@ func TestAdaptiveRouteFindsDetour(t *testing.T) {
 	if err := m.Reserve(Path{{Row: 0, Col: 1}, {Row: 1, Col: 1}, {Row: 2, Col: 1}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := m.AdaptiveRoute(Node{Row: 0, Col: 0}, Node{Row: 0, Col: 3})
+	p, ok := m.AdaptiveRouteInto(nil, Node{Row: 0, Col: 0}, Node{Row: 0, Col: 3})
 	if !ok {
 		t.Fatal("detour should exist via row 3")
 	}
@@ -178,7 +178,7 @@ func TestAdaptiveRouteFindsDetour(t *testing.T) {
 
 func TestAdaptiveRouteShortestWhenFree(t *testing.T) {
 	m := New(5, 5)
-	p, ok := m.AdaptiveRoute(Node{Row: 1, Col: 1}, Node{Row: 3, Col: 4})
+	p, ok := m.AdaptiveRouteInto(nil, Node{Row: 1, Col: 1}, Node{Row: 3, Col: 4})
 	if !ok {
 		t.Fatal("route should exist on empty mesh")
 	}
@@ -193,7 +193,7 @@ func TestAdaptiveRouteFailsWhenBlocked(t *testing.T) {
 	if err := m.Reserve(Path{{Row: 0, Col: 1}, {Row: 1, Col: 1}, {Row: 2, Col: 1}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.AdaptiveRoute(Node{Row: 1, Col: 0}, Node{Row: 1, Col: 2}); ok {
+	if _, ok := m.AdaptiveRouteInto(nil, Node{Row: 1, Col: 0}, Node{Row: 1, Col: 2}); ok {
 		t.Error("no route should exist through a full wall")
 	}
 }
@@ -203,7 +203,7 @@ func TestAdaptiveRouteBusyEndpoint(t *testing.T) {
 	if err := m.Reserve(Path{{Row: 0, Col: 0}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.AdaptiveRoute(Node{Row: 0, Col: 0}, Node{Row: 2, Col: 2}); ok {
+	if _, ok := m.AdaptiveRouteInto(nil, Node{Row: 0, Col: 0}, Node{Row: 2, Col: 2}); ok {
 		t.Error("busy source should not route")
 	}
 }
@@ -233,7 +233,7 @@ func TestMeshQuick(t *testing.T) {
 		m := New(rows, cols)
 		a := Node{Row: rng.Intn(rows), Col: rng.Intn(cols)}
 		b := Node{Row: rng.Intn(rows), Col: rng.Intn(cols)}
-		xy, yx := XYPath(a, b), YXPath(a, b)
+		xy, yx := XYPathInto(nil, a, b), YXPathInto(nil, a, b)
 		if xy.Validate() != nil || yx.Validate() != nil {
 			return false
 		}

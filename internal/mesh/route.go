@@ -9,18 +9,14 @@ package mesh
 // dimension-ordered path is blocked by the mask rather than by
 // congestion (PathBlockedByMask).
 //
-// Every routine has an Into form that writes the route into a
-// caller-supplied buffer (reusing its capacity) so the braid engine's
+// Every routine writes the route into a caller-supplied buffer (reusing
+// its capacity; nil allocates a fresh one) so the braid engine's
 // placement loop — which routes on every attempt, including the many
-// failed ones — allocates nothing in steady state. The plain forms
-// remain as convenience wrappers.
+// failed ones — allocates nothing in steady state.
 
-// XYPath returns the dimension-ordered route from a to b: horizontal
-// first, then vertical. Always valid, ignores reservations.
-func XYPath(a, b Node) Path { return XYPathInto(nil, a, b) }
-
-// XYPathInto writes the horizontal-then-vertical route into dst[:0],
-// growing it only when capacity is insufficient.
+// XYPathInto writes the dimension-ordered route from a to b —
+// horizontal first, then vertical — into dst[:0], growing it only when
+// capacity is insufficient. Always valid, ignores reservations.
 func XYPathInto(dst Path, a, b Node) Path {
 	p := append(dst[:0], a)
 	cur := a
@@ -43,12 +39,9 @@ func XYPathInto(dst Path, a, b Node) Path {
 	return p
 }
 
-// YXPath returns the dimension-ordered route from a to b: vertical
-// first, then horizontal.
-func YXPath(a, b Node) Path { return YXPathInto(nil, a, b) }
-
-// YXPathInto writes the vertical-then-horizontal route into dst[:0],
-// growing it only when capacity is insufficient.
+// YXPathInto writes the dimension-ordered route from a to b —
+// vertical first, then horizontal — into dst[:0], growing it only when
+// capacity is insufficient.
 func YXPathInto(dst Path, a, b Node) Path {
 	p := append(dst[:0], a)
 	cur := a
@@ -71,16 +64,11 @@ func YXPathInto(dst Path, a, b Node) Path {
 	return p
 }
 
-// AdaptiveRoute searches for the shortest path from a to b across
-// currently-free junctions and links (BFS). It returns ok=false when
-// the endpoints are busy or no free corridor exists. Used by the braid
-// engine after dimension-ordered attempts time out.
-func (m *Mesh) AdaptiveRoute(a, b Node) (Path, bool) {
-	return m.AdaptiveRouteInto(nil, a, b)
-}
-
-// AdaptiveRouteInto is AdaptiveRoute writing the found path into
-// dst[:0]. The search itself runs on the mesh's reusable stamp-based
+// AdaptiveRouteInto searches for the shortest path from a to b across
+// currently-free junctions and links (BFS) and writes it into dst[:0].
+// It returns ok=false when the endpoints are busy or no free corridor
+// exists. Used by the braid engine after dimension-ordered attempts
+// time out. The search itself runs on the mesh's reusable stamp-based
 // scratch, so repeated calls allocate nothing once the scratch and dst
 // have grown to size. On failure the returned path is dst[:0] (capacity
 // preserved for reuse).

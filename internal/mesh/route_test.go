@@ -14,24 +14,24 @@ func TestAdaptiveRouteBlockedDestination(t *testing.T) {
 	if err := m.Reserve(Path{{Row: 2, Col: 2}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.AdaptiveRoute(Node{Row: 0, Col: 0}, Node{Row: 2, Col: 2}); ok {
+	if _, ok := m.AdaptiveRouteInto(nil, Node{Row: 0, Col: 0}, Node{Row: 2, Col: 2}); ok {
 		t.Error("busy destination should not route")
 	}
 }
 
 func TestAdaptiveRouteOutOfBounds(t *testing.T) {
 	m := New(3, 3)
-	if _, ok := m.AdaptiveRoute(Node{Row: -1, Col: 0}, Node{Row: 2, Col: 2}); ok {
+	if _, ok := m.AdaptiveRouteInto(nil, Node{Row: -1, Col: 0}, Node{Row: 2, Col: 2}); ok {
 		t.Error("out-of-bounds source should not route")
 	}
-	if _, ok := m.AdaptiveRoute(Node{Row: 0, Col: 0}, Node{Row: 3, Col: 0}); ok {
+	if _, ok := m.AdaptiveRouteInto(nil, Node{Row: 0, Col: 0}, Node{Row: 3, Col: 0}); ok {
 		t.Error("out-of-bounds destination should not route")
 	}
 }
 
 func TestAdaptiveRouteSelf(t *testing.T) {
 	m := New(2, 2)
-	p, ok := m.AdaptiveRoute(Node{Row: 1, Col: 1}, Node{Row: 1, Col: 1})
+	p, ok := m.AdaptiveRouteInto(nil, Node{Row: 1, Col: 1}, Node{Row: 1, Col: 1})
 	if !ok || len(p) != 1 || p[0] != (Node{Row: 1, Col: 1}) {
 		t.Errorf("self route = %v ok=%v, want single-junction path", p, ok)
 	}
@@ -44,11 +44,11 @@ func TestAdaptiveRouteNoCorridorMesh(t *testing.T) {
 	if err := m.Reserve(Path{{Row: 0, Col: 2}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.AdaptiveRoute(Node{Row: 0, Col: 0}, Node{Row: 0, Col: 4}); ok {
+	if _, ok := m.AdaptiveRouteInto(nil, Node{Row: 0, Col: 0}, Node{Row: 0, Col: 4}); ok {
 		t.Error("severed strip should not route")
 	}
 	// Endpoints on the same side still route.
-	if _, ok := m.AdaptiveRoute(Node{Row: 0, Col: 0}, Node{Row: 0, Col: 1}); !ok {
+	if _, ok := m.AdaptiveRouteInto(nil, Node{Row: 0, Col: 0}, Node{Row: 0, Col: 1}); !ok {
 		t.Error("same-side route should exist")
 	}
 }
@@ -70,7 +70,7 @@ func TestAdaptiveRouteBlockedLinkOnly(t *testing.T) {
 	if err := m.Reserve(Path{{Row: 0, Col: 1}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := m.AdaptiveRoute(Node{Row: 0, Col: 0}, Node{Row: 1, Col: 1})
+	p, ok := m.AdaptiveRouteInto(nil, Node{Row: 0, Col: 0}, Node{Row: 1, Col: 1})
 	if !ok {
 		t.Fatal("detour via (1,0) should exist")
 	}
@@ -100,7 +100,7 @@ func TestAdaptiveRouteScratchReuse(t *testing.T) {
 		} else {
 			a := Node{Row: rng.Intn(6), Col: rng.Intn(6)}
 			b := Node{Row: rng.Intn(6), Col: rng.Intn(6)}
-			p := XYPath(a, b)
+			p := XYPathInto(nil, a, b)
 			if m.PathFree(p) {
 				if err := m.Reserve(p, 7); err != nil {
 					t.Fatal(err)
@@ -111,14 +111,14 @@ func TestAdaptiveRouteScratchReuse(t *testing.T) {
 		// Probe: adaptive route on the reused mesh vs a pristine clone.
 		src := Node{Row: rng.Intn(6), Col: rng.Intn(6)}
 		dst := Node{Row: rng.Intn(6), Col: rng.Intn(6)}
-		got, gotOK := m.AdaptiveRoute(src, dst)
+		got, gotOK := m.AdaptiveRouteInto(nil, src, dst)
 		fresh := New(6, 6)
 		for _, p := range held {
 			if err := fresh.Reserve(p, 7); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want, wantOK := fresh.AdaptiveRoute(src, dst)
+		want, wantOK := fresh.AdaptiveRouteInto(nil, src, dst)
 		if gotOK != wantOK {
 			t.Fatalf("iter %d: reused scratch ok=%v, fresh mesh ok=%v", iter, gotOK, wantOK)
 		}
@@ -143,11 +143,11 @@ func TestPathIntoVariantsMatchPlain(t *testing.T) {
 		a := Node{Row: rng.Intn(7), Col: rng.Intn(7)}
 		b := Node{Row: rng.Intn(7), Col: rng.Intn(7)}
 		buf = XYPathInto(buf, a, b)
-		if want := XYPath(a, b); !pathsEqual(buf, want) {
+		if want := XYPathInto(nil, a, b); !pathsEqual(buf, want) {
 			t.Fatalf("XYPathInto %v->%v = %v, want %v", a, b, buf, want)
 		}
 		buf = YXPathInto(buf, a, b)
-		if want := YXPath(a, b); !pathsEqual(buf, want) {
+		if want := YXPathInto(nil, a, b); !pathsEqual(buf, want) {
 			t.Fatalf("YXPathInto %v->%v = %v, want %v", a, b, buf, want)
 		}
 	}

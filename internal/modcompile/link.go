@@ -3,6 +3,7 @@ package modcompile
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"sync"
 
 	"surfcomm/internal/circuit"
@@ -45,15 +46,18 @@ type StitchStats struct {
 func link(p *circuit.Program, res *Result, cfg Config) error {
 	// Static multiplicity of each module: times it executes per run of
 	// the entry. Reverse topo order visits callers before callees.
+	// Multiplicities grow geometrically with call nesting, so every sum
+	// and product below is overflow-checked.
+	var ov overflow
 	mult := make(map[string]int64, len(res.Topo))
 	mult[p.Entry] = 1
 	for i := len(res.Topo) - 1; i >= 0; i-- {
 		caller := res.Topo[i]
 		for _, in := range p.Modules[caller].Insts {
 			if in.IsCall() {
-				mult[in.Callee] += mult[caller]
-				res.Stitch.CallExecutions += mult[caller]
-				res.Stitch.CrossBraids += int64(len(in.Args)) * mult[caller]
+				mult[in.Callee] = ov.add(mult[in.Callee], mult[caller])
+				res.Stitch.CallExecutions = ov.add(res.Stitch.CallExecutions, mult[caller])
+				res.Stitch.CrossBraids = ov.add(res.Stitch.CrossBraids, ov.mul(int64(len(in.Args)), mult[caller]))
 			}
 		}
 	}
@@ -63,13 +67,16 @@ func link(p *circuit.Program, res *Result, cfg Config) error {
 	// execution.
 	for _, name := range res.Topo {
 		mp := res.Plans[name]
-		res.Cycles += mult[name] * mp.Cycles
-		res.CommOps += mult[name] * mp.CommOps
+		res.Cycles = ov.add(res.Cycles, ov.mul(mult[name], mp.Cycles))
+		res.CommOps = ov.add(res.CommOps, ov.mul(mult[name], mp.CommOps))
 		res.PhysicalQubits += mp.PhysicalQubits
 	}
-	res.Stitch.StitchCycles = int64(cfg.Distance) * res.Stitch.CallExecutions
-	res.Cycles += res.Stitch.StitchCycles
-	res.CommOps += res.Stitch.CrossBraids
+	res.Stitch.StitchCycles = ov.mul(int64(cfg.Distance), res.Stitch.CallExecutions)
+	res.Cycles = ov.add(res.Cycles, res.Stitch.StitchCycles)
+	res.CommOps = ov.add(res.CommOps, res.Stitch.CrossBraids)
+	if ov {
+		return scerr.BadConfig("modcompile: program %q: call multiplicities overflow int64", p.Entry)
+	}
 
 	if len(res.Topo) < 2 || res.Stitch.CallExecutions == 0 {
 		return nil // nothing to stitch
@@ -83,6 +90,20 @@ func link(p *circuit.Program, res *Result, cfg Config) error {
 	res.Stitch.RouteLinks = links
 	res.PhysicalQubits += float64(links) * cfg.ChannelQubitsPerLink
 	return nil
+}
+
+// overflow latches when checked int64 arithmetic on non-negative
+// operands overflows; results computed after that are meaningless.
+type overflow bool
+
+func (o *overflow) add(a, b int64) int64 {
+	*o = *o || a > math.MaxInt64-b
+	return a + b
+}
+
+func (o *overflow) mul(a, b int64) int64 {
+	*o = *o || (a != 0 && b > math.MaxInt64/a)
+	return a * b
 }
 
 // StitchMemo caches the outcome of the linker's placement + routing

@@ -3,7 +3,9 @@ package modcompile
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -291,5 +293,28 @@ func TestStitchLayerRoutesCrossEdges(t *testing.T) {
 	}
 	if want := patches + float64(res.Stitch.RouteLinks)*2; res.PhysicalQubits != want {
 		t.Errorf("PhysicalQubits = %g, want %g", res.PhysicalQubits, want)
+	}
+}
+
+// TestMultiplicityOverflowRejected: a 64-level chain of doubled calls
+// executes its leaf 2^64 times; the linker refuses it as a
+// configuration error instead of wrapping its int64 totals.
+func TestMultiplicityOverflowRejected(t *testing.T) {
+	name := func(k int) string { return fmt.Sprintf("m%d", k) }
+	p := &circuit.Program{Modules: map[string]*circuit.Module{}, Entry: name(64)}
+	for k := 64; k > 0; k-- {
+		m := &circuit.Module{Name: name(k), NumQubits: 1}
+		m.Call(name(k-1), 0)
+		m.Call(name(k-1), 0)
+		p.Modules[m.Name] = m
+	}
+	leaf := &circuit.Module{Name: name(0), NumQubits: 1}
+	leaf.Gate(circuit.T, 0)
+	p.Modules[leaf.Name] = leaf
+	var mu sync.Mutex
+	var log []string
+	_, err := Run(context.Background(), p, Config{Distance: 9, Compile: countingCompile(&mu, &log)})
+	if !errors.Is(err, scerr.ErrBadConfig) || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("2^64-execution chain: got %v, want an ErrBadConfig overflow", err)
 	}
 }

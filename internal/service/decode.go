@@ -423,7 +423,14 @@ func handleDecode(s *Service) http.HandlerFunc {
 			session.Fail()
 			return
 		}
+		// The server's ReadTimeout bounds the whole body; re-armed before
+		// every frame, it bounds the gap between frames instead, so a live
+		// session streams on and an idle client still frees its slot.
+		srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 		for {
+			if srv != nil && srv.ReadTimeout > 0 {
+				rc.SetReadDeadline(time.Now().Add(srv.ReadTimeout)) //nolint:errcheck // unsupported: the whole-body bound stays
+			}
 			var frame DecodeFrame
 			if err := body.Decode(&frame); err != nil {
 				// Malformed frame or mid-session disconnect: the ack is

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -396,4 +397,74 @@ func TestDecodeBadHeaders(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
+}
+
+// readTimeoutServer serves svc with the daemon's slow-client bound
+// scaled down: ReadTimeout 300 ms.
+func readTimeoutServer(t *testing.T, svc *service.Service) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewUnstartedServer(service.NewHandler(svc))
+	srv.Config.ReadTimeout = 300 * time.Millisecond
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestDecodeSessionOutlivesReadTimeout: the server's ReadTimeout bounds
+// the gap between frames, not the session — a client sending a frame
+// every 200 ms (100 ms of slack for a loaded scheduler) streams well
+// past the 300 ms bound to its summary.
+func TestDecodeSessionOutlivesReadTimeout(t *testing.T) {
+	svc := newService(t, service.Config{})
+	c := client.New(readTimeoutServer(t, svc).URL)
+	// A cut session can strand Send on the request pipe; the deadline
+	// turns that into a failure instead of a hang.
+	ctx, cancel := context.WithTimeout(t.Context(), 5*time.Second)
+	defer cancel()
+	ds, err := c.DecodeStream(ctx, service.DecodeStart{Distance: 3, Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	const rounds = 7 // 1.4 s of streaming
+	for i := 0; i < rounds; i++ {
+		time.Sleep(200 * time.Millisecond)
+		if err := ds.Send(make([]bool, 9)); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	if err := ds.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := ds.Next(); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum, ok := ds.Summary(); !ok || sum.Rounds != rounds {
+		t.Fatalf("summary = %+v ok=%v, want %d rounds", sum, ok, rounds)
+	}
+}
+
+// TestDecodeIdleSessionHitsReadTimeout: a client that stops sending for
+// longer than ReadTimeout loses its session, which counts as errored
+// and frees its worker slot.
+func TestDecodeIdleSessionHitsReadTimeout(t *testing.T) {
+	svc := newService(t, service.Config{})
+	c := client.New(readTimeoutServer(t, svc).URL)
+	ds, err := c.DecodeStream(t.Context(), service.DecodeStart{Distance: 3, Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.Send(make([]bool, 9)); err != nil {
+		t.Fatal(err)
+	}
+	// The client now goes silent; only the read deadline can end it.
+	waitFor(t, "idle session cut", func() bool {
+		s := svc.DecodeStats()
+		return s.Errors == 1 && s.Active == 0
+	})
 }

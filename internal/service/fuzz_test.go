@@ -2,10 +2,15 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"surfcomm"
 	"surfcomm/internal/scerr"
 )
 
@@ -67,6 +72,75 @@ func FuzzUnpackBits(f *testing.F) {
 		}
 		if packed := PackBits(bits); packed != strings.ToLower(frame) {
 			t.Fatalf("frame %q re-packs to %q", frame, packed)
+		}
+	})
+}
+
+// FuzzDecodeSession sends untrusted POST /decode bodies (header plus
+// frames, possibly truncated or garbled) through the full handler. No
+// input panics. A 200 reply is NDJSON whose every line is a JSON object
+// and whose last line is the summary or an {"error":...} line; any
+// other status carries a JSON error. Afterwards no session is active
+// and no worker slot is held. The seed corpus lives in
+// testdata/fuzz/FuzzDecodeSession.
+func FuzzDecodeSession(f *testing.F) {
+	tc, err := surfcomm.NewToolchain()
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc := New(tc, Config{})
+	f.Cleanup(svc.Close)
+	h := NewHandler(svc)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/decode", bytes.NewReader(body)))
+		var last map[string]json.RawMessage
+		if rec.Code != http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &last); err != nil || last["error"] == nil {
+				t.Fatalf("status %d without a JSON error: %q", rec.Code, rec.Body)
+			}
+		} else {
+			lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+			for i, line := range lines {
+				last = nil
+				if err := json.Unmarshal([]byte(line), &last); err != nil {
+					t.Fatalf("line %d of a 200 reply is not a JSON object: %q", i+1, line)
+				}
+			}
+			if len(lines) < 2 || (last["error"] == nil && string(last["done"]) != "true") {
+				t.Fatalf("200 reply does not end with a summary or an error line: %q", rec.Body)
+			}
+		}
+		if a, r := svc.DecodeStats().Active, svc.AdmissionStats().Running; a != 0 || r != 0 {
+			t.Fatalf("after the session: %d active, %d slots running", a, r)
+		}
+	})
+}
+
+// FuzzRequestDeadline feeds untrusted X-Request-Deadline values through
+// the header parse at arbitrary arrival times. No input panics; every
+// rejection matches ErrBadConfig (a 400); an accepted positive duration
+// yields a deadline after now, and any other accepted value is the RFC
+// 3339 instant it names. The seed corpus lives in
+// testdata/fuzz/FuzzRequestDeadline.
+func FuzzRequestDeadline(f *testing.F) {
+	f.Fuzz(func(t *testing.T, hv string, nowNanos int64) {
+		now := time.Unix(0, nowNanos)
+		deadline, err := parseRequestDeadline(hv, now)
+		if err != nil {
+			if !errors.Is(err, scerr.ErrBadConfig) {
+				t.Fatalf("error %v does not match ErrBadConfig", err)
+			}
+			return
+		}
+		if d, derr := time.ParseDuration(hv); derr == nil && d > 0 {
+			if !deadline.After(now) {
+				t.Fatalf("duration %q at %v gives deadline %v, not after now", hv, now, deadline)
+			}
+			return
+		}
+		if at, perr := time.Parse(time.RFC3339Nano, hv); perr != nil || !at.Equal(deadline) {
+			t.Fatalf("accepted %q as %v, which is neither a positive duration nor its RFC 3339 time", hv, deadline)
 		}
 	})
 }

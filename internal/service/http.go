@@ -228,17 +228,27 @@ func withRequestDeadline(w http.ResponseWriter, r *http.Request) (*http.Request,
 	if hv == "" {
 		return r, func() {}, true
 	}
+	deadline, err := parseRequestDeadline(hv, time.Now())
+	if err != nil {
+		writeErr(w, err)
+		return nil, nil, false
+	}
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
+	return r.WithContext(ctx), cancel, true
+}
+
+// parseRequestDeadline reads a DeadlineHeader value received at now: a
+// positive Go duration counts from now, an RFC 3339 time is absolute.
+// Anything else is an error matching ErrBadConfig.
+func parseRequestDeadline(hv string, now time.Time) (time.Time, error) {
 	if d, err := time.ParseDuration(hv); err == nil && d > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		return r.WithContext(ctx), cancel, true
+		return now.Add(d), nil
 	}
 	if t, err := time.Parse(time.RFC3339Nano, hv); err == nil {
-		ctx, cancel := context.WithDeadline(r.Context(), t)
-		return r.WithContext(ctx), cancel, true
+		return t, nil
 	}
-	writeErr(w, scerr.BadConfig("service: bad %s %q (want a positive Go duration or an RFC 3339 time)",
-		DeadlineHeader, hv))
-	return nil, nil, false
+	return time.Time{}, scerr.BadConfig("service: bad %s %q (want a positive Go duration or an RFC 3339 time)",
+		DeadlineHeader, hv)
 }
 
 // NewHandler mounts the serving endpoints:

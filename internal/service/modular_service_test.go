@@ -1,8 +1,15 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"surfcomm"
 	"surfcomm/internal/service"
@@ -167,5 +174,71 @@ func TestHierarchicalBadProgramRejected(t *testing.T) {
 	}
 	if _, err := service.RoutingKey(service.Request{QASM: qasm}); err == nil {
 		t.Fatal("recursive program routed")
+	}
+}
+
+// doubledChainQASM is a hierarchical program whose module k calls
+// module k-1 twice: about 45 bytes a level, yet it executes 2^depth
+// leaf gates.
+func doubledChainQASM(depth int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "entry m%d\n", depth)
+	for k := depth; k > 0; k-- {
+		fmt.Fprintf(&b, "module m%d 2\ncall m%d q0,q1\ncall m%d q0,q1\n", k, k-1, k-1)
+	}
+	b.WriteString("module m0 2\ncnot q0,q1\n")
+	return b.String()
+}
+
+// within runs fn in a goroutine and fails the test if it has not
+// returned after d, so a hang fails instead of wedging the run.
+func within(t *testing.T, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still running after %v", d)
+	}
+}
+
+// TestDeepCallChainCompilesPromptly: a 40-level doubled chain (2^40
+// leaf executions in under 2 KB) compiles in linear time — module
+// compiles and the linker never walk the expanded call tree.
+func TestDeepCallChainCompilesPromptly(t *testing.T) {
+	svc := newService(t, service.Config{})
+	within(t, 5*time.Second, func() {
+		res, err := svc.Compile(context.Background(), service.Request{QASM: doubledChainQASM(40)})
+		if err != nil {
+			t.Errorf("depth-40 chain: %v", err)
+			return
+		}
+		if got, want := res.Plan.Modular.CallExecutions, int64(1)<<41-2; got != want {
+			t.Errorf("call executions = %d, want %d", got, want)
+		}
+	})
+}
+
+// TestHierarchicalBlowupAnswers400: a chain that flattens past the
+// flatten cap (/estimate) or whose call multiplicities overflow int64
+// (/compile) is a 400 configuration error, answered promptly.
+func TestHierarchicalBlowupAnswers400(t *testing.T) {
+	h := service.NewHandler(newService(t, service.Config{}))
+	for _, c := range []struct {
+		path  string
+		depth int
+	}{{"/estimate", 21}, {"/compile", 64}} {
+		body, _ := json.Marshal(service.Request{QASM: doubledChainQASM(c.depth)})
+		rec := httptest.NewRecorder()
+		within(t, 5*time.Second, func() {
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(body)))
+		})
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s of a depth-%d chain: status %d, want 400 (body %s)", c.path, c.depth, rec.Code, rec.Body)
+		}
 	}
 }

@@ -524,17 +524,8 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(surfcomm.E
 		if s.inj.Fire(faultinject.CompileError) {
 			return surfcomm.Plan{}, fmt.Errorf("%w: compile of %.12s…", faultinject.ErrInjected, key.digest)
 		}
-		tc := s.tc
 		if emit != nil {
 			emit(surfcomm.Event{Stage: StageCompiling, Backend: key.backend.Name()})
-			// The per-request progress clone forwards the toolchain's own
-			// compile events into this request's stream under a
-			// "toolchain/" stage prefix; the shared toolchain (and whatever
-			// observer it was built with) is untouched.
-			tc = s.tc.CloneWithProgress(func(ev surfcomm.Event) {
-				ev.Stage = "toolchain/" + ev.Stage
-				emit(ev)
-			})
 		}
 		var p surfcomm.Plan
 		var err error
@@ -543,16 +534,19 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(surfcomm.E
 			// the service's LRU/disk stack under their content digests,
 			// so an edited program's recompile reuses every unchanged
 			// module even though its program digest missed.
-			mtc := tc.CloneWithModuleCache(&svcModuleCache{s: s, persist: persist})
+			mtc := s.tc.CloneWithModuleCache(&svcModuleCache{s: s, persist: persist})
 			p, err = mtc.CompileIncremental(compileCtx, key.backend, key.program, func(t *surfcomm.Target) { *t = key.target })
 		} else {
-			p, err = tc.Compile(compileCtx, key.backend, key.circuit, func(t *surfcomm.Target) { *t = key.target })
+			p, err = s.tc.Compile(compileCtx, key.backend, key.circuit, func(t *surfcomm.Target) { *t = key.target })
 		}
 		if err == nil {
 			// Only successful compiles feed the queue-pricing EWMA:
 			// injected/aborted compiles would teach admission the wrong
 			// service time.
 			observed = time.Since(start)
+			if emit != nil {
+				emit(surfcomm.Event{Stage: "toolchain/compile", Backend: key.backend.Name(), Cell: p.Circuit})
+			}
 		}
 		return p, err
 	})
@@ -708,9 +702,6 @@ func (s *Service) Ready() (bool, string) {
 // (the daemon that opened it owns it) and the service keeps serving
 // from memory afterwards.
 func (s *Service) Close() { s.cache.disk.close() }
-
-// Toolchain returns the toolchain the service compiles with.
-func (s *Service) Toolchain() *surfcomm.Toolchain { return s.tc }
 
 // CalibrationHealth reports the toolchain's startup calibration as its
 // /healthz view (digest + age at now); nil when the service compiles

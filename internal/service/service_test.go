@@ -199,7 +199,8 @@ func TestLRUEvictionBound(t *testing.T) {
 
 // TestCompileBatch pins batch semantics: request order preserved at
 // any worker count, identical requests share one compile, per-request
-// failures stay in their slot.
+// failures stay in their slot, and a canceled context marks every slot
+// with ErrCanceled.
 func TestCompileBatch(t *testing.T) {
 	qasm := testQASM(t)
 	reqs := []service.Request{
@@ -243,6 +244,13 @@ func TestCompileBatch(t *testing.T) {
 			if results[i].Err == nil && planDigest(results[i].Plan) != planDigest(serial[i].Plan) {
 				t.Errorf("workers=%d: slot %d plan differs from serial run", workers, i)
 			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, res := range newService(t, service.Config{Workers: 2}).CompileBatch(ctx, reqs) {
+		if !errors.Is(res.Err, surfcomm.ErrCanceled) {
+			t.Errorf("canceled batch: slot %d error = %v, want ErrCanceled", i, res.Err)
 		}
 	}
 }

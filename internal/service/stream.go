@@ -35,8 +35,8 @@ import (
 // statuses — the stream only commits to 200 once the request has
 // resolved.
 
-// Stage names the service emits on the /compile NDJSON stream; the
-// toolchain's own events follow under a "toolchain/" prefix.
+// Stage names the service emits on the /compile NDJSON stream, besides
+// the "toolchain/compile" line that follows a successful compile.
 const (
 	StageResolved  = "resolved"
 	StageQueued    = "queued"

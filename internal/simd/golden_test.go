@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -27,7 +28,7 @@ func TestGoldenSchedules(t *testing.T) {
 		if !ok {
 			t.Fatalf("no golden for suite app %s", w.Name)
 		}
-		sched, err := Run(w.Circuit, ConfigFor(w.Circuit.NumQubits, 1))
+		sched, err := RunContext(context.Background(), w.Circuit, ConfigFor(w.Circuit.NumQubits, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

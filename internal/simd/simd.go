@@ -120,15 +120,10 @@ func (s *Schedule) Parallelism() float64 {
 	return float64(s.Ops) / float64(s.Timesteps)
 }
 
-// Run schedules the circuit on the Multi-SIMD machine.
-func Run(c *circuit.Circuit, cfg Config) (*Schedule, error) {
-	return RunContext(context.Background(), c, cfg)
-}
-
 // schedState is the per-run scheduling state: the ready structure plus
-// all per-timestep scratch, allocated once per Run and stamp-cleared
-// between timesteps so the scheduling loop never allocates in steady
-// state (the mesh/braid scratch pattern).
+// all per-timestep scratch, allocated once per RunContext and
+// stamp-cleared between timesteps so the scheduling loop never
+// allocates in steady state (the mesh/braid scratch pattern).
 type schedState struct {
 	c       *circuit.Circuit
 	cfg     Config
@@ -215,8 +210,9 @@ func (st *schedState) flush() {
 	st.pending = st.pending[:0]
 }
 
-// RunContext is Run with cooperative cancellation, polled once per
-// timestep; an aborted run returns an error matching scerr.ErrCanceled.
+// RunContext schedules the circuit on the Multi-SIMD machine. It polls
+// ctx once per timestep; an aborted run returns an error matching
+// scerr.ErrCanceled.
 func RunContext(ctx context.Context, c *circuit.Circuit, cfg Config) (*Schedule, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

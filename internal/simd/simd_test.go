@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 
 func run(t *testing.T, c *circuit.Circuit, cfg Config) *Schedule {
 	t.Helper()
-	s, err := Run(c, cfg)
+	s, err := RunContext(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", c.Name, err)
 	}
@@ -155,10 +156,10 @@ func TestLocalityPartitionReducesTeleports(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	c := circuit.New("x", 1)
 	c.Append(circuit.X, 0)
-	if _, err := Run(c, Config{Regions: 3}); err == nil {
+	if _, err := RunContext(context.Background(), c, Config{Regions: 3}); err == nil {
 		t.Error("non-power-of-two regions should fail")
 	}
-	if _, err := Run(c, Config{Regions: 4, Width: -1}); err == nil {
+	if _, err := RunContext(context.Background(), c, Config{Regions: 4, Width: -1}); err == nil {
 		t.Error("negative width should fail")
 	}
 }
@@ -224,7 +225,7 @@ func TestScheduleQuick(t *testing.T) {
 			}
 		}
 		cfg := Config{Regions: 1 << uint(rng.Intn(3)), Width: 1 + rng.Intn(6), Seed: seed}
-		s, err := Run(c, cfg)
+		s, err := RunContext(context.Background(), c, cfg)
 		if err != nil {
 			return false
 		}

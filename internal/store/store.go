@@ -24,9 +24,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -242,6 +244,33 @@ func encodeEntry(payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// decodeEntry is the inverse of encodeEntry: it returns the payload
+// only when the header is exactly the one encodeEntry writes for it,
+// and a descriptive error for torn or corrupt entries. It never
+// returns unverified bytes.
+func decodeEntry(data []byte) ([]byte, error) {
+	header, payload, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, errors.New("truncated header")
+	}
+	fields := strings.Split(string(header), " ")
+	if len(fields) != 3 || fields[0] != headerTag {
+		return nil, errors.New("malformed header")
+	}
+	n, err := strconv.Atoi(fields[2])
+	if err != nil || n < 0 || strconv.Itoa(n) != fields[2] {
+		return nil, errors.New("malformed header")
+	}
+	if len(payload) != n {
+		return nil, fmt.Errorf("torn entry (%d of %d payload bytes)", len(payload), n)
+	}
+	sum := sha256.Sum256(payload)
+	if hex.EncodeToString(sum[:]) != fields[1] {
+		return nil, errors.New("checksum mismatch")
+	}
+	return payload, nil
+}
+
 // readVerified reads and checksum-verifies one live entry. It returns
 // an os.IsNotExist error for absent digests and a descriptive error for
 // torn/corrupt ones; it never returns unverified bytes.
@@ -250,25 +279,9 @@ func (s *Store) readVerified(digest string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("store: %s: truncated header", digest)
-	}
-	var (
-		tag    string
-		sumHex string
-		n      int
-	)
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s %s %d", &tag, &sumHex, &n); err != nil || tag != headerTag {
-		return nil, fmt.Errorf("store: %s: malformed header", digest)
-	}
-	payload := data[nl+1:]
-	if len(payload) != n {
-		return nil, fmt.Errorf("store: %s: torn entry (%d of %d payload bytes)", digest, len(payload), n)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != sumHex {
-		return nil, fmt.Errorf("store: %s: checksum mismatch", digest)
+	payload, err := decodeEntry(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", digest, err)
 	}
 	return payload, nil
 }

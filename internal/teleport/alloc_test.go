@@ -1,6 +1,7 @@
 package teleport
 
 import (
+	"context"
 	"testing"
 
 	"surfcomm/internal/simd"
@@ -26,14 +27,14 @@ func TestDistributeZeroAlloc(t *testing.T) {
 	d := NewDistributor()
 	windows := []int64{0, 16, 64, PrefetchAll}
 	for _, w := range windows { // grow every buffer to its working size
-		if _, err := d.Distribute(s, w, cfg); err != nil {
+		if _, err := d.DistributeContext(context.Background(), s, w, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, w := range windows {
 		w := w
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := d.Distribute(s, w, cfg); err != nil {
+			if _, err := d.DistributeContext(context.Background(), s, w, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,6 +1,7 @@
 package teleport
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ import (
 func gseSchedule(t testing.TB) *simd.Schedule {
 	t.Helper()
 	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
-	s, err := simd.Run(c, simd.ConfigFor(c.NumQubits, 1))
+	s, err := simd.RunContext(context.Background(), c, simd.ConfigFor(c.NumQubits, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestPerfectDeviceDistributionIdentical(t *testing.T) {
 	windows := []int64{0, 32, 256, PrefetchAll}
 	d := NewDistributor()
 	for _, w := range windows {
-		base, err := Distribute(s, w, Config{})
+		base, err := DistributeContext(context.Background(), s, w, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestPerfectDeviceDistributionIdentical(t *testing.T) {
 			"perfect":    device.Perfect(),
 			"zero-yield": device.RandomYield(0, 9),
 		} {
-			got, err := d.Distribute(s, w, Config{Device: dev})
+			got, err := d.DistributeContext(context.Background(), s, w, Config{Device: dev})
 			if err != nil {
 				t.Fatalf("%s window %d: %v", name, w, err)
 			}
@@ -54,7 +55,7 @@ func TestPerfectDeviceDistributionIdentical(t *testing.T) {
 // only delay arrivals — never accelerate the schedule.
 func TestDisabledLinkDetours(t *testing.T) {
 	s := gseSchedule(t)
-	base, err := Distribute(s, 0, Config{})
+	base, err := DistributeContext(context.Background(), s, 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestDisabledLinkDetours(t *testing.T) {
 			device.Coord{Row: topo.Rows() - 1, Col: 1},
 		)
 	})
-	got, err := Distribute(s, 0, Config{Device: dev})
+	got, err := DistributeContext(context.Background(), s, 0, Config{Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestDisabledLinkDetours(t *testing.T) {
 // longer than on the ideal grid.
 func TestWeightedLinksSlowHops(t *testing.T) {
 	s := gseSchedule(t)
-	base, err := Distribute(s, 0, Config{})
+	base, err := DistributeContext(context.Background(), s, 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestWeightedLinksSlowHops(t *testing.T) {
 			}
 		}
 	})
-	got, err := Distribute(s, 0, Config{Device: dev})
+	got, err := DistributeContext(context.Background(), s, 0, Config{Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestDeadRegionUnroutable(t *testing.T) {
 	dev := device.Custom("dead-region", 0, func(topo *device.Topology, _ *rand.Rand) {
 		topo.DisableTile(device.Coord{Row: 0, Col: 0})
 	})
-	_, err := Distribute(s, 0, Config{Device: dev})
+	_, err := DistributeContext(context.Background(), s, 0, Config{Device: dev})
 	if !errors.Is(err, scerr.ErrUnroutable) {
 		t.Fatalf("err = %v, want ErrUnroutable", err)
 	}
@@ -133,7 +134,7 @@ func TestDisconnectedFabricUnroutable(t *testing.T) {
 			}
 		}
 	})
-	_, err := Distribute(s, 0, Config{Device: dev})
+	_, err := DistributeContext(context.Background(), s, 0, Config{Device: dev})
 	if !errors.Is(err, scerr.ErrUnroutable) {
 		t.Fatalf("err = %v, want ErrUnroutable", err)
 	}

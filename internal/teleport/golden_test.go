@@ -1,6 +1,7 @@
 package teleport
 
 import (
+	"context"
 	"testing"
 
 	"surfcomm/internal/apps"
@@ -39,14 +40,14 @@ func TestGoldenDistributions(t *testing.T) {
 		if !ok {
 			continue
 		}
-		sched, err := simd.Run(w.Circuit, simd.ConfigFor(w.Circuit.NumQubits, 1))
+		sched, err := simd.RunContext(context.Background(), w.Circuit, simd.ConfigFor(w.Circuit.NumQubits, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := Config{Distance: 9}
 		jit := JITWindow(sched, cfg)
 		for i, win := range []int64{0, jit / 2, jit, PrefetchAll} {
-			got, err := d.Distribute(sched, win, cfg)
+			got, err := d.DistributeContext(context.Background(), sched, win, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

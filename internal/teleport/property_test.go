@@ -1,6 +1,7 @@
 package teleport
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,11 +40,11 @@ func TestDistributionBoundsQuick(t *testing.T) {
 			Moves:     moves,
 		}
 		cfg := Config{Distance: 3 + 2*rng.Intn(4)}
-		flood, err := Distribute(s, PrefetchAll, cfg)
+		flood, err := DistributeContext(context.Background(), s, PrefetchAll, cfg)
 		if err != nil {
 			return false
 		}
-		tight, err := Distribute(s, 0, cfg)
+		tight, err := DistributeContext(context.Background(), s, 0, cfg)
 		if err != nil {
 			return false
 		}
@@ -93,7 +94,7 @@ func TestLiveAccountingQuick(t *testing.T) {
 			Timesteps: timesteps,
 			Moves:     moves,
 		}
-		r, err := Distribute(s, int64(rng.Intn(200)), Config{Distance: 5})
+		r, err := DistributeContext(context.Background(), s, int64(rng.Intn(200)), Config{Distance: 5})
 		if err != nil {
 			return false
 		}

@@ -146,12 +146,12 @@ type delta struct {
 	d  int32
 }
 
-// Distributor owns the reusable simulation state of Distribute: pooled
-// halves, the time-bucketed propagation calendar, dense per-link usage
-// tables, and the arrival/live-accounting scratch. Reusing one
-// Distributor across runs (as SweepWindows does) makes steady-state
-// distribution allocation-free. A Distributor is safe for one goroutine
-// at a time.
+// Distributor owns the reusable simulation state of DistributeContext:
+// pooled halves, the time-bucketed propagation calendar, dense per-link
+// usage tables, and the arrival/live-accounting scratch. Reusing one
+// Distributor across runs (as SweepWindowsContext does) makes
+// steady-state distribution allocation-free. A Distributor is safe for
+// one goroutine at a time.
 type Distributor struct {
 	geo        geometry // cached for geoRegions
 	geoRegions int
@@ -336,23 +336,13 @@ func (d *Distributor) checkRoutable(geo geometry, s *simd.Schedule) error {
 	return nil
 }
 
-// Distribute replays the schedule's move list with the given look-ahead
-// window (in EC cycles): each pair launches at
+// DistributeContext replays the schedule's move list with the given
+// look-ahead window (in EC cycles): each pair launches at
 // max(0, useTime − window) and its halves contend for link bandwidth.
-func Distribute(s *simd.Schedule, window int64, cfg Config) (Result, error) {
-	return DistributeContext(context.Background(), s, window, cfg)
-}
-
-// DistributeContext is Distribute with cooperative cancellation,
-// polled every few thousand propagation cycles; an aborted run returns
-// an error matching scerr.ErrCanceled.
+// It polls ctx every few thousand propagation cycles; an aborted run
+// returns an error matching scerr.ErrCanceled.
 func DistributeContext(ctx context.Context, s *simd.Schedule, window int64, cfg Config) (Result, error) {
 	return NewDistributor().DistributeContext(ctx, s, window, cfg)
-}
-
-// Distribute runs one distribution on the reusable state.
-func (d *Distributor) Distribute(s *simd.Schedule, window int64, cfg Config) (Result, error) {
-	return d.DistributeContext(context.Background(), s, window, cfg)
 }
 
 // DistributeContext runs one cancelable distribution on the reusable
@@ -616,15 +606,10 @@ func stepToward(pos, dest layout.Coord) layout.Coord {
 	return next
 }
 
-// SweepWindows runs Distribute across a set of windows — the §8.1
-// window-size sensitivity study.
-func SweepWindows(s *simd.Schedule, windows []int64, cfg Config) ([]Result, error) {
-	return SweepWindowsContext(context.Background(), s, windows, cfg)
-}
-
-// SweepWindowsContext is SweepWindows with cooperative cancellation.
-// One Distributor is shared across the windows, so only the first run
-// pays the scratch allocation.
+// SweepWindowsContext runs DistributeContext across a set of windows —
+// the §8.1 window-size sensitivity study. One Distributor is shared
+// across the windows, so only the first run pays the scratch
+// allocation.
 func SweepWindowsContext(ctx context.Context, s *simd.Schedule, windows []int64, cfg Config) ([]Result, error) {
 	d := NewDistributor()
 	out := make([]Result, 0, len(windows))

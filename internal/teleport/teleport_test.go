@@ -1,6 +1,7 @@
 package teleport
 
 import (
+	"context"
 	"testing"
 
 	"surfcomm/internal/apps"
@@ -20,7 +21,7 @@ func fixedSchedule(regions, timesteps int, moves []simd.Move) *simd.Schedule {
 
 func distribute(t *testing.T, s *simd.Schedule, w int64, cfg Config) Result {
 	t.Helper()
-	r, err := Distribute(s, w, cfg)
+	r, err := DistributeContext(context.Background(), s, w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestMagicSourceMovesWork(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	c := apps.SQ(apps.SQConfig{N: 6, Iters: 1})
-	sched, err := simd.Run(c, simd.Config{Regions: 4, Width: 8, Seed: 1})
+	sched, err := simd.RunContext(context.Background(), c, simd.Config{Regions: 4, Width: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +178,14 @@ func TestDeterminism(t *testing.T) {
 
 func TestRejectsNegativeWindow(t *testing.T) {
 	s := fixedSchedule(4, 1, nil)
-	if _, err := Distribute(s, -1, Config{}); err == nil {
+	if _, err := DistributeContext(context.Background(), s, -1, Config{}); err == nil {
 		t.Error("negative window should fail")
 	}
 }
 
 func TestEndToEndAppDistribution(t *testing.T) {
 	c := apps.Ising(apps.IsingConfig{N: 16, Steps: 1}, true)
-	sched, err := simd.Run(c, simd.Config{Regions: 4, Width: 16, Seed: 2})
+	sched, err := simd.RunContext(context.Background(), c, simd.Config{Regions: 4, Width: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestEndToEndAppDistribution(t *testing.T) {
 
 func TestSweepWindows(t *testing.T) {
 	s := fixedSchedule(4, 10, []simd.Move{{Timestep: 5, Qubit: 0, From: 0, To: 1}})
-	rs, err := SweepWindows(s, []int64{0, 10, 100}, Config{Distance: 8})
+	rs, err := SweepWindowsContext(context.Background(), s, []int64{0, 10, 100}, Config{Distance: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

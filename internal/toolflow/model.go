@@ -65,14 +65,9 @@ type AppModel struct {
 // kernel simulation.
 const referenceDistance = 9
 
-// Characterize measures an application's model from its reference
-// circuit: frontend estimate, Multi-SIMD schedule, and braid simulation.
-func Characterize(w apps.Workload, seed int64) (AppModel, error) {
-	return CharacterizeContext(context.Background(), w, seed)
-}
-
-// CharacterizeContext is Characterize with cooperative cancellation
-// threaded through both backend simulations.
+// CharacterizeContext measures an application's model from its
+// reference circuit: frontend estimate, Multi-SIMD schedule, and braid
+// simulation, with ctx threaded through both backend simulations.
 func CharacterizeContext(ctx context.Context, w apps.Workload, seed int64) (AppModel, error) {
 	est, err := resource.EstimateCircuit(w.Circuit)
 	if err != nil {
@@ -265,19 +260,16 @@ func Crossover(m AppModel, physicalError float64) (kStar float64, ok bool) {
 
 // CurvePoint evaluates one grid index of a log-spaced K sweep:
 // K = 10^(i/pointsPerDecade). It is the single cell definition shared
-// by the serial Curve and the Figures 7–8 studies, which evaluate it
-// point by point on the worker pool, so the two can never drift.
+// by the serial CurveContext and the Figures 7–8 studies, which
+// evaluate it point by point on the worker pool, so the two can never
+// drift.
 func CurvePoint(m AppModel, physicalError float64, gridIndex, pointsPerDecade int) (DesignPoint, error) {
 	k := math.Pow(10, float64(gridIndex)/float64(pointsPerDecade))
 	return Evaluate(m, k, physicalError)
 }
 
-// Curve evaluates a log-spaced K sweep (Figures 7 and 8 series).
-func Curve(m AppModel, physicalError float64, fromExp, toExp, pointsPerDecade int) ([]DesignPoint, error) {
-	return CurveContext(context.Background(), m, physicalError, fromExp, toExp, pointsPerDecade)
-}
-
-// CurveContext is Curve with cooperative cancellation, polled per point.
+// CurveContext evaluates a log-spaced K sweep (Figures 7 and 8
+// series), polling ctx per point.
 func CurveContext(ctx context.Context, m AppModel, physicalError float64, fromExp, toExp, pointsPerDecade int) ([]DesignPoint, error) {
 	done := ctx.Done()
 	var out []DesignPoint
@@ -345,14 +337,9 @@ func ReferenceWorkloads() []apps.Workload {
 	return append(workloads, apps.IMVariants(96, 2)...)
 }
 
-// ReferenceModels characterizes the reference suite — the models behind
-// Figures 7–9.
-func ReferenceModels(seed int64) ([]AppModel, error) {
-	return ReferenceModelsContext(context.Background(), seed)
-}
-
-// ReferenceModelsContext is ReferenceModels with cooperative
-// cancellation threaded through every characterization.
+// ReferenceModelsContext characterizes the reference suite — the
+// models behind Figures 7–9 — with ctx threaded through every
+// characterization.
 func ReferenceModelsContext(ctx context.Context, seed int64) ([]AppModel, error) {
 	workloads := ReferenceWorkloads()
 	out := make([]AppModel, 0, len(workloads))

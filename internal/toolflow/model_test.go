@@ -1,6 +1,7 @@
 package toolflow
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -196,7 +197,7 @@ func TestBoundarySweep(t *testing.T) {
 }
 
 func TestCurve(t *testing.T) {
-	pts, err := Curve(serialModel(), 1e-6, 0, 12, 2)
+	pts, err := CurveContext(context.Background(), serialModel(), 1e-6, 0, 12, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +212,14 @@ func TestCurve(t *testing.T) {
 }
 
 func TestCharacterizeSmallApps(t *testing.T) {
-	gse, err := Characterize(apps.Workload{Name: "GSE", Circuit: apps.GSE(apps.GSEConfig{M: 6, Steps: 1})}, 1)
+	gse, err := CharacterizeContext(context.Background(), apps.Workload{Name: "GSE", Circuit: apps.GSE(apps.GSEConfig{M: 6, Steps: 1})}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := gse.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	im, err := Characterize(apps.Workload{Name: "IM", Circuit: apps.Ising(apps.IsingConfig{N: 32, Steps: 1}, true)}, 1)
+	im, err := CharacterizeContext(context.Background(), apps.Workload{Name: "IM", Circuit: apps.Ising(apps.IsingConfig{N: 32, Steps: 1}, true)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestCharacterizeSmallApps(t *testing.T) {
 
 func TestCharacterizeUnknownScaling(t *testing.T) {
 	c := apps.GSE(apps.GSEConfig{M: 4, Steps: 1})
-	if _, err := Characterize(apps.Workload{Name: "mystery", Circuit: c}, 1); err == nil {
+	if _, err := CharacterizeContext(context.Background(), apps.Workload{Name: "mystery", Circuit: c}, 1); err == nil {
 		t.Error("unknown app name should fail (no scaling model)")
 	}
 }
@@ -254,7 +255,7 @@ func TestReferenceModelsIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration characterization skipped in -short mode")
 	}
-	models, err := ReferenceModels(1)
+	models, err := ReferenceModelsContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

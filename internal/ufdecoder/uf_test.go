@@ -1,6 +1,7 @@
 package ufdecoder
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -69,7 +70,7 @@ func TestUFHistoryMonteCarlo(t *testing.T) {
 			Rng:     rand.New(rand.NewSource(21)),
 			Config:  decoder.Config{Workers: 2, Strategy: Strategy()},
 		}
-		if _, err := mc.Run(c.p, c.q, 200); err != nil {
+		if _, err := mc.RunContext(context.Background(), c.p, c.q, 200); err != nil {
 			t.Fatalf("d=%d rounds=%d: %v", c.d, c.rounds, err)
 		}
 	}
@@ -98,7 +99,7 @@ func TestUFGoldenFailureCounts(t *testing.T) {
 				Rng:     rand.New(rand.NewSource(c.seed)),
 				Config:  decoder.Config{Workers: workers, Strategy: Strategy()},
 			}
-			r, err := mc.Run(c.p, c.trials)
+			r, err := mc.RunContext(context.Background(), c.p, c.trials)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +137,7 @@ func TestUFStatisticallyConsistentWithMWPM(t *testing.T) {
 			Rng:     rand.New(rand.NewSource(c.seed)),
 			Config:  decoder.Config{Workers: 1, Strategy: Strategy()},
 		}
-		r, err := mc.Run(c.p, c.trials)
+		r, err := mc.RunContext(context.Background(), c.p, c.trials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestUFSuppressionBelowThreshold(t *testing.T) {
 			Rng:     rand.New(rand.NewSource(7)),
 			Config:  decoder.Config{Strategy: Strategy()},
 		}
-		r, err := mc.Run(p, trials)
+		r, err := mc.RunContext(context.Background(), p, trials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func TestUFWorkOpsDeterministic(t *testing.T) {
 			Rng:     rand.New(rand.NewSource(5)),
 			Config:  decoder.Config{Workers: 3, Strategy: Strategy()},
 		}
-		r, err := mc.Run(0.06, 300)
+		r, err := mc.RunContext(context.Background(), 0.06, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +319,7 @@ func TestUFCheaperThanMWPMAtScale(t *testing.T) {
 			Rng:     rand.New(rand.NewSource(13)),
 			Config:  decoder.Config{Workers: 1, Strategy: s},
 		}
-		r, err := mc.Run(p, trials)
+		r, err := mc.RunContext(context.Background(), p, trials)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func runTable1(ctx context.Context, s *studyRun) error {
 	const d = table1Distance
 	labels := []string{"teleportation", "braiding"}
 	measure := []func() (table1Row, error){
-		table1Teleport,
+		func() (table1Row, error) { return table1Teleport(ctx) },
 		func() (table1Row, error) { return table1Braid(ctx, s) },
 	}
 	rows, err := sweep.Map(ctx, s.opts(labels), measure, func(_ int, m func() (table1Row, error)) (table1Row, error) {
@@ -119,7 +119,7 @@ func runTable1(ctx context.Context, s *studyRun) error {
 // the bottom-right of the region grid; a "near" pair adjoins it, a
 // "far" pair sits at the opposite corner, and prefetch hides the far
 // pair's transit.
-func table1Teleport() (table1Row, error) {
+func table1Teleport(ctx context.Context) (table1Row, error) {
 	dist := NewEPRDistributor()
 	stall := func(from, to int, window int64) (int64, error) {
 		sched := &SIMDSchedule{
@@ -127,7 +127,7 @@ func table1Teleport() (table1Row, error) {
 			Timesteps: 8,
 			Moves:     []SIMDMove{{Timestep: 5, Qubit: 0, From: from, To: to}},
 		}
-		r, err := dist.Distribute(sched, window, TeleportConfig{Distance: table1Distance})
+		r, err := dist.DistributeContext(ctx, sched, window, TeleportConfig{Distance: table1Distance})
 		return r.StallCycles, err
 	}
 	var row table1Row
@@ -672,7 +672,7 @@ func modularCell(ctx context.Context, tc *Toolchain, n int) (map[string]float64,
 	}
 
 	wallMono, err := bestOf(modularWallReps, func(int) error {
-		_, err := mono.compile(ctx, BraidBackend{}, flat)
+		_, err := mono.Compile(ctx, BraidBackend{}, flat)
 		return err
 	})
 	if err != nil {

@@ -227,7 +227,7 @@ func JITWindow(s *SIMDSchedule, cfg TeleportConfig) int64 { return teleport.JITW
 
 // SweepEPRWindows runs the §8.1 window-size sensitivity study.
 func SweepEPRWindows(s *SIMDSchedule, windows []int64, cfg TeleportConfig) ([]TeleportResult, error) {
-	return teleport.SweepWindows(s, windows, cfg)
+	return teleport.SweepWindowsContext(context.TODO(), s, windows, cfg)
 }
 
 // --- Design-space toolflow (Figures 7-9) ---
@@ -254,7 +254,7 @@ func Crossover(m AppModel, physicalError float64) (kStar float64, ok bool) {
 
 // Curve evaluates a log-spaced K sweep (Figures 7 and 8).
 func Curve(m AppModel, physicalError float64, fromExp, toExp, pointsPerDecade int) ([]DesignPoint, error) {
-	return toolflow.Curve(m, physicalError, fromExp, toExp, pointsPerDecade)
+	return toolflow.CurveContext(context.TODO(), m, physicalError, fromExp, toExp, pointsPerDecade)
 }
 
 // Boundary sweeps error rates, returning the Figure 9 line for an app.
@@ -266,7 +266,9 @@ func Boundary(m AppModel, errorRates []float64) []BoundaryPoint {
 func Figure9ErrorRates() []float64 { return toolflow.Figure9ErrorRates() }
 
 // ReferenceModels characterizes the standard suite for Figures 7-9.
-func ReferenceModels(seed int64) ([]AppModel, error) { return toolflow.ReferenceModels(seed) }
+func ReferenceModels(seed int64) ([]AppModel, error) {
+	return toolflow.ReferenceModelsContext(context.TODO(), seed)
+}
 
 // ModelFor picks a characterized model by name.
 func ModelFor(models []AppModel, name string) (AppModel, error) {
@@ -435,15 +437,6 @@ type DecoderResult = decoder.Result
 // NewDecoderLattice returns a distance-d lattice (d odd, >= 3).
 func NewDecoderLattice(d int) (*DecoderLattice, error) { return decoder.NewLattice(d) }
 
-// MeasureLogicalErrorRate runs a decoding Monte Carlo: independent
-// physical errors at rate p, matching-decoded, counting logical
-// failures — the empirical grounding of the p_L(d) model. Trials decode
-// across GOMAXPROCS workers; the failure count is identical to a serial
-// run (use Toolchain.MeasureLogicalErrorRate to bound the pool).
-func MeasureLogicalErrorRate(d int, p float64, trials int, seed int64) (DecoderResult, error) {
-	return measureCodeCapacity(context.Background(), d, p, trials, seed, decoder.Config{})
-}
-
 // MeasureLogicalErrorRateHistory runs the syndrome-history Monte Carlo
 // (§2.3 space-time decoding): rounds noisy measurement rounds with data
 // error rate p and measurement error rate q, decoded in a space-time
@@ -455,7 +448,7 @@ func MeasureLogicalErrorRateHistory(d, rounds int, p, q float64, trials int, see
 		return DecoderResult{}, err
 	}
 	mc := &decoder.HistoryMonteCarlo{Lattice: l, Rounds: rounds, Rng: rand.New(rand.NewSource(seed))}
-	return mc.Run(p, q, trials)
+	return mc.RunContext(context.TODO(), p, q, trials)
 }
 
 // --- QASM interchange ---

@@ -20,9 +20,9 @@ import (
 // order.
 type Event struct {
 	// Stage names the pipeline stage: "characterize", "compile",
-	// "cost", "decoder" (MeasureLogicalErrorRate), or the Name of the
-	// running Study, whose events label each completed cell with its
-	// record's cell (the serving layer adds its own request stages).
+	// "decoder" (MeasureLogicalErrorRate), or the Name of the running
+	// Study, whose events label each completed cell with its record's
+	// cell (the serving layer adds its own request stages).
 	Stage string `json:"stage"`
 	// Backend is the compiling backend's name (compile events only).
 	Backend string `json:"backend,omitempty"`
@@ -234,22 +234,6 @@ func (tc *Toolchain) Target() Target {
 // here.
 func (tc *Toolchain) Calibration() *Calibration { return tc.calibration }
 
-// CloneWithProgress returns a copy of the toolchain that delivers
-// progress events to fn instead of the original callback, sharing every
-// other setting — plans from the copy are bit-identical to the
-// original's. Serving layers use it to stream one request's stage
-// events without rebinding the shared toolchain (whose progress
-// callback is fixed at construction and may be observing a different
-// consumer).
-func (tc *Toolchain) CloneWithProgress(fn func(Event)) *Toolchain {
-	cp := *tc
-	cp.progress = fn
-	return &cp
-}
-
-// Seed returns the toolchain's base seed (recorded in emitted cells).
-func (tc *Toolchain) Seed() int64 { return tc.seed }
-
 // Workers returns the WithWorkers pool bound (0 = GOMAXPROCS), so
 // layers above the toolchain (the serving batch pool) can size
 // themselves consistently.
@@ -279,20 +263,9 @@ func (tc *Toolchain) sweepOpts(stage string, label func(i int) string) sweep.Opt
 
 // Compile lowers a circuit onto one backend at the toolchain's target.
 // Optional override functions adjust the target for this call only
-// (e.g. a fixed placement or an ablation knob).
+// (e.g. a fixed placement or an ablation knob). A failure names the
+// backend; a success emits one "compile" progress event.
 func (tc *Toolchain) Compile(ctx context.Context, b Backend, c *Circuit, override ...func(*Target)) (Plan, error) {
-	plan, err := tc.compile(ctx, b, c, override...)
-	if err == nil {
-		tc.emit(Event{Stage: "compile", Backend: b.Name(), Cell: plan.Circuit, Total: 1})
-	}
-	return plan, err
-}
-
-// compile is the toolchain's one compile step: resolve the target,
-// lower c onto b, and name the backend in any failure. It emits no
-// progress event, so CompileBatch's pool workers never invoke the
-// progress callback concurrently; callers report their own progress.
-func (tc *Toolchain) compile(ctx context.Context, b Backend, c *Circuit, override ...func(*Target)) (Plan, error) {
 	if b == nil {
 		return Plan{}, scerr.BadConfig("toolchain: nil backend")
 	}
@@ -301,6 +274,7 @@ func (tc *Toolchain) compile(ctx context.Context, b Backend, c *Circuit, overrid
 	if err != nil {
 		return Plan{}, fmt.Errorf("toolchain: %s: %w", b.Name(), err)
 	}
+	tc.emit(Event{Stage: "compile", Backend: b.Name(), Cell: plan.Circuit, Total: 1})
 	return plan, nil
 }
 
@@ -316,22 +290,6 @@ func (tc *Toolchain) resolveTarget(override []func(*Target)) Target {
 	return t
 }
 
-// CompileAll compiles the circuit through every backend, in Backends()
-// order — the paper's three-way communication comparison for one
-// program.
-func (tc *Toolchain) CompileAll(ctx context.Context, c *Circuit, override ...func(*Target)) ([]Plan, error) {
-	backends := Backends()
-	plans := make([]Plan, 0, len(backends))
-	for _, b := range backends {
-		p, err := tc.Compile(ctx, b, c, override...)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p)
-	}
-	return plans, nil
-}
-
 // Characterize measures application models across the worker pool; the
 // result is identical to serial characterization at any worker count.
 func (tc *Toolchain) Characterize(ctx context.Context, ws []Workload) ([]AppModel, error) {
@@ -345,57 +303,6 @@ func (tc *Toolchain) Characterize(ctx context.Context, ws []Workload) ([]AppMode
 // Figures 7–9.
 func (tc *Toolchain) Models(ctx context.Context) ([]AppModel, error) {
 	return tc.Characterize(ctx, toolflow.ReferenceWorkloads())
-}
-
-// Cost evaluates one design point (application model × computation
-// size) at the toolchain's technology.
-func (tc *Toolchain) Cost(m AppModel, totalOps float64) (DesignPoint, error) {
-	dp, err := toolflow.Evaluate(m, totalOps, tc.tech.PhysicalErrorRate)
-	if err != nil {
-		return DesignPoint{}, err
-	}
-	tc.emit(Event{Stage: "cost", Cell: m.Name, Total: 1})
-	return dp, nil
-}
-
-// CostSurgery evaluates the design point under all three communication
-// schemes (the quantified §8.2 comparison).
-func (tc *Toolchain) CostSurgery(m AppModel, totalOps float64) (SurgeryPoint, error) {
-	sp, err := toolflow.EvaluateSurgery(m, totalOps, tc.tech.PhysicalErrorRate)
-	if err != nil {
-		return SurgeryPoint{}, err
-	}
-	tc.emit(Event{Stage: "cost", Cell: m.Name, Total: 1})
-	return sp, nil
-}
-
-// PipelineResult is one workload carried through the full pipeline:
-// its measured model, its compiled plan under every backend, and its
-// costed design point under all three communication schemes.
-type PipelineResult struct {
-	Model AppModel
-	Plans []Plan
-	Point SurgeryPoint
-}
-
-// Run carries one workload through Characterize → Compile → Cost: the
-// toolchain's end-to-end path for a single application at computation
-// size totalOps.
-func (tc *Toolchain) Run(ctx context.Context, w Workload, totalOps float64) (PipelineResult, error) {
-	m, err := toolflow.CharacterizeContext(ctx, w, tc.seed)
-	if err != nil {
-		return PipelineResult{}, fmt.Errorf("toolchain: %w", err)
-	}
-	tc.emit(Event{Stage: "characterize", Cell: w.Name, Total: 1})
-	plans, err := tc.CompileAll(ctx, w.Circuit)
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	sp, err := tc.CostSurgery(m, totalOps)
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	return PipelineResult{Model: m, Plans: plans, Point: sp}, nil
 }
 
 // MeasureLogicalErrorRate runs the decoding Monte Carlo at the

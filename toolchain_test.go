@@ -22,7 +22,7 @@ import (
 
 // TestBraidBackendParity compiles every Fig6Suite workload through
 // Toolchain.Compile and asserts the plan — including the recorded
-// static schedule — is identical to a direct braid.Simulate run.
+// static schedule — is identical to a direct braid.SimulateContext run.
 func TestBraidBackendParity(t *testing.T) {
 	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1))
 	if err != nil {
@@ -34,7 +34,7 @@ func TestBraidBackendParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		ref, err := braid.Simulate(w.Circuit, braid.Policy6,
+		ref, err := braid.SimulateContext(context.Background(), w.Circuit, braid.Policy6,
 			braid.Config{Distance: 5, Seed: 1, RecordSchedule: true})
 		if err != nil {
 			t.Fatalf("%s: reference path: %v", w.Name, err)
@@ -57,7 +57,8 @@ func TestBraidBackendParity(t *testing.T) {
 
 // TestPlanarBackendParity compiles every Fig6Suite workload through the
 // planar backend and asserts the fused schedule + distribution match
-// a direct simd.Run → teleport.JITWindow → teleport.Distribute chain.
+// a direct simd.RunContext → teleport.JITWindow →
+// teleport.DistributeContext chain.
 func TestPlanarBackendParity(t *testing.T) {
 	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
 	if err != nil {
@@ -76,12 +77,12 @@ func TestPlanarBackendParity(t *testing.T) {
 		if perBank := (w.Circuit.NumQubits + regions - 1) / regions; perBank > width {
 			width = perBank
 		}
-		sched, err := simd.Run(w.Circuit, simd.Config{Regions: regions, Width: width, Seed: 1})
+		sched, err := simd.RunContext(context.Background(), w.Circuit, simd.Config{Regions: regions, Width: width, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: reference path: %v", w.Name, err)
 		}
 		cfg := teleport.Config{Distance: 9}
-		ref, err := teleport.Distribute(sched, teleport.JITWindow(sched, cfg), cfg)
+		ref, err := teleport.DistributeContext(context.Background(), sched, teleport.JITWindow(sched, cfg), cfg)
 		if err != nil {
 			t.Fatalf("%s: reference path: %v", w.Name, err)
 		}
@@ -150,8 +151,8 @@ func syntheticModel(name string) surfcomm.AppModel {
 }
 
 // TestToolchainRecordParity asserts the Toolchain's pooled
-// characterization reproduces serial toolflow.Characterize at the same
-// seed: every field the characterization records carry
+// characterization reproduces serial toolflow.CharacterizeContext at
+// the same seed: every field the characterization records carry
 // (BENCH_sweep.json) must match.
 func TestToolchainRecordParity(t *testing.T) {
 	ctx := context.Background()
@@ -174,7 +175,7 @@ func TestToolchainRecordParity(t *testing.T) {
 	}
 	for i, w := range workloads {
 		n := models[i]
-		o, err := toolflow.Characterize(w, seed)
+		o, err := toolflow.CharacterizeContext(context.Background(), w, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,11 +302,11 @@ func TestSentinelErrors(t *testing.T) {
 
 	c := surfcomm.NewCircuit("bad", 2)
 	c.Append(surfcomm.OpCNOT, 0, 1)
-	if _, err := braid.Simulate(c, braid.Policy(42), braid.Config{}); !errors.Is(err, surfcomm.ErrBadConfig) {
-		t.Errorf("braid.Simulate bad policy: %v, want ErrBadConfig", err)
+	if _, err := braid.SimulateContext(context.Background(), c, braid.Policy(42), braid.Config{}); !errors.Is(err, surfcomm.ErrBadConfig) {
+		t.Errorf("braid.SimulateContext bad policy: %v, want ErrBadConfig", err)
 	}
-	if _, err := simd.Run(c, simd.Config{Regions: 3}); !errors.Is(err, surfcomm.ErrBadConfig) {
-		t.Errorf("simd.Run regions=3: %v, want ErrBadConfig", err)
+	if _, err := simd.RunContext(context.Background(), c, simd.Config{Regions: 3}); !errors.Is(err, surfcomm.ErrBadConfig) {
+		t.Errorf("simd.RunContext regions=3: %v, want ErrBadConfig", err)
 	}
 
 	if _, err := surfcomm.ModelFor(nil, "nope"); !errors.Is(err, surfcomm.ErrUnknownModel) {
@@ -319,52 +320,52 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestToolchainRunPipeline drives the Characterize→Compile→Cost path
-// end to end for one workload.
-func TestToolchainRunPipeline(t *testing.T) {
-	var stages []string
+// TestCompileEmitsCompileEvent pins the toolchain's one compile
+// progress event: Compile and CompileIncremental (stitched and
+// single-module fast path) each emit exactly one "compile" event naming
+// the backend and the compiled circuit; a failed compile emits none.
+func TestCompileEmitsCompileEvent(t *testing.T) {
+	var events []surfcomm.Event
 	tc, err := surfcomm.NewToolchain(
 		surfcomm.WithDistance(5),
-		surfcomm.WithProgress(func(ev surfcomm.Event) { stages = append(stages, ev.Stage) }),
-		surfcomm.WithTechnology(surfcomm.Superconducting(1e-5)),
+		surfcomm.WithProgress(func(ev surfcomm.Event) { events = append(events, ev) }),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := surfcomm.Workload{
-		Name:    "IM",
-		Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 16, Steps: 1}, true)),
+	ctx := context.Background()
+	check := func(what string, plan surfcomm.Plan, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want := surfcomm.Event{Stage: "compile", Backend: plan.Backend, Cell: plan.Circuit, Total: 1}
+		if len(events) != 1 || events[0] != want {
+			t.Errorf("%s events = %+v, want [%+v]", what, events, want)
+		}
+		events = nil
 	}
-	res, err := tc.Run(context.Background(), w, 1e6)
+	circ := must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 8, Steps: 1}, true))
+	plan, err := tc.Compile(ctx, surfcomm.PlanarBackend{}, circ)
+	check("Compile", plan, err)
+
+	prog, err := surfcomm.PipelineProgram(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Plans) != 3 {
-		t.Fatalf("want 3 plans, got %d", len(res.Plans))
+	plan, err = tc.CompileIncremental(ctx, surfcomm.BraidBackend{}, prog)
+	check("CompileIncremental", plan, err)
+	single := surfcomm.NewProgram("single", 2)
+	single.Modules["single"].Insts = append(single.Modules["single"].Insts,
+		surfcomm.ModuleInst{Op: surfcomm.OpCNOT, Args: []int{0, 1}})
+	plan, err = tc.CompileIncremental(ctx, surfcomm.BraidBackend{}, single)
+	check("CompileIncremental fast path", plan, err)
+
+	if _, err := tc.Compile(ctx, surfcomm.BraidBackend{}, surfcomm.NewCircuit("empty", 0)); err == nil {
+		t.Fatal("compiling a zero-qubit circuit succeeded")
 	}
-	names := map[string]bool{}
-	for _, p := range res.Plans {
-		names[p.Backend] = true
-		if p.Cycles <= 0 || p.PhysicalQubits <= 0 {
-			t.Errorf("%s: implausible plan %+v", p.Backend, p)
-		}
-	}
-	for _, n := range []string{"braid", "planar", "surgery"} {
-		if !names[n] {
-			t.Errorf("missing plan for backend %q", n)
-		}
-	}
-	if res.Point.SpaceTimeRatio <= 0 || res.Point.SurgeryVsPlanar <= 0 {
-		t.Errorf("implausible design point: %+v", res.Point)
-	}
-	seen := map[string]bool{}
-	for _, s := range stages {
-		seen[s] = true
-	}
-	for _, s := range []string{"characterize", "compile", "cost"} {
-		if !seen[s] {
-			t.Errorf("pipeline emitted no %q event (events: %v)", s, stages)
-		}
+	if len(events) != 0 {
+		t.Errorf("failed compile emitted %+v", events)
 	}
 }
 
