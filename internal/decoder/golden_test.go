@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// TestGoldenMonteCarloFailures pins the Monte Carlo failure counts
-// bit-identically to the pre-refactor serial harness, at every worker
-// count: draws are pregenerated sequentially from the Rng, so the
-// consumed stream — and therefore each trial's outcome — is the same
-// no matter how the decoding work is pooled.
+// TestGoldenMonteCarloFailures pins the Monte Carlo failure and
+// work-op counts bit-identically to the pre-refactor serial harness, at
+// every worker count: draws are pregenerated sequentially from the Rng,
+// so the consumed stream — and therefore each trial's outcome and
+// matching work — is the same no matter how the decoding work is
+// pooled.
 func TestGoldenMonteCarloFailures(t *testing.T) {
 	cases := []struct {
 		d        int
@@ -19,10 +20,11 @@ func TestGoldenMonteCarloFailures(t *testing.T) {
 		trials   int
 		seed     int64
 		failures int
+		workOps  uint64
 	}{
-		{3, 0.03, 400, 7, 10},
-		{5, 0.05, 300, 11, 19},
-		{7, 0.08, 200, 3, 42},
+		{3, 0.03, 400, 7, 10, 582},
+		{5, 0.05, 300, 11, 19, 6785},
+		{7, 0.08, 200, 3, 42, 49464},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -32,9 +34,9 @@ func TestGoldenMonteCarloFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Failures != c.failures {
-				t.Errorf("d=%d p=%g seed=%d workers=%d: failures = %d, want %d",
-					c.d, c.p, c.seed, workers, r.Failures, c.failures)
+			if r.Failures != c.failures || r.WorkOps != c.workOps {
+				t.Errorf("d=%d p=%g seed=%d workers=%d: failures, work-ops = %d, %d, want %d, %d",
+					c.d, c.p, c.seed, workers, r.Failures, r.WorkOps, c.failures, c.workOps)
 			}
 		}
 	}

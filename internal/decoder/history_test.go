@@ -69,29 +69,6 @@ func TestHistorySuppressionWithDistance(t *testing.T) {
 	}
 }
 
-func TestHistorySingleRoundMatchesPerfectDecoder(t *testing.T) {
-	// One round with q=0 degenerates to the perfect-measurement case:
-	// identical failure statistics under the same seed stream length is
-	// too strict, but the rates should be close.
-	const p = 0.04
-	const trials = 2000
-	hist := &HistoryMonteCarlo{Lattice: lattice(t, 5), Rounds: 1, Rng: rand.New(rand.NewSource(5))}
-	hr, err := hist.RunContext(context.Background(), p, 0, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := &MonteCarlo{Lattice: lattice(t, 5), Rng: rand.New(rand.NewSource(5))}
-	sr, err := mc.RunContext(context.Background(), p, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := sr.LogicalRate*0.5-0.01, sr.LogicalRate*2+0.01
-	if hr.LogicalRate < lo || hr.LogicalRate > hi {
-		t.Errorf("single-round history rate %.4f far from perfect-measurement rate %.4f",
-			hr.LogicalRate, sr.LogicalRate)
-	}
-}
-
 func TestHistoryMeasurementNoiseHurts(t *testing.T) {
 	// Adding measurement noise must not make decoding better.
 	const p = 0.02

@@ -76,10 +76,10 @@ func TestUFHistoryMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestUFGoldenFailureCounts pins the union-find failure counts at the
-// MWPM golden configurations, at several worker counts: the union-find
-// decode is deterministic, so these are exact — any drift means the
-// algorithm changed.
+// TestUFGoldenFailureCounts pins the union-find failure and work-op
+// counts at the MWPM golden configurations, at several worker counts:
+// the union-find decode is deterministic, so these are exact — any
+// drift means the algorithm changed.
 func TestUFGoldenFailureCounts(t *testing.T) {
 	cases := []struct {
 		d        int
@@ -87,10 +87,11 @@ func TestUFGoldenFailureCounts(t *testing.T) {
 		trials   int
 		seed     int64
 		failures int
+		workOps  uint64
 	}{
-		{3, 0.03, 400, 7, 12},
-		{5, 0.05, 300, 11, 18},
-		{7, 0.08, 200, 3, 29},
+		{3, 0.03, 400, 7, 12, 2956},
+		{5, 0.05, 300, 11, 18, 11880},
+		{7, 0.08, 200, 3, 29, 29249},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
@@ -103,9 +104,64 @@ func TestUFGoldenFailureCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Failures != c.failures {
-				t.Errorf("d=%d p=%g workers=%d: %d failures, want %d",
-					c.d, c.p, workers, r.Failures, c.failures)
+			if r.Failures != c.failures || r.WorkOps != c.workOps {
+				t.Errorf("d=%d p=%g workers=%d: %d failures, %d work-ops, want %d, %d",
+					c.d, c.p, workers, r.Failures, r.WorkOps, c.failures, c.workOps)
+			}
+		}
+	}
+}
+
+// TestHistorySingleRoundMatchesPerfectDecoder: one round with q = 0 is
+// the perfect-measurement (code-capacity) case. Both harnesses draw one
+// Float64 per data qubit per trial in the same order, every defect sits
+// at t = 0, and the one-round detector graph is the spatial one, so the
+// two Results are equal field for field — failures and work-ops
+// included — under both strategies and at any worker count.
+func TestHistorySingleRoundMatchesPerfectDecoder(t *testing.T) {
+	const trials, seed = 2000, 5
+	cases := []struct {
+		strategy string
+		d        int
+		p        float64
+		failures int
+		workOps  uint64
+	}{
+		{decoder.StrategyMWPM, 3, 0.08, 300, 10960},
+		{decoder.StrategyMWPM, 5, 0.04, 49, 31933},
+		{decoder.StrategyMWPM, 9, 0.06, 148, 831195},
+		{decoder.StrategyUnionFind, 3, 0.08, 353, 36929},
+		{decoder.StrategyUnionFind, 5, 0.04, 41, 60574},
+		{decoder.StrategyUnionFind, 9, 0.06, 87, 358221},
+	}
+	for _, c := range cases {
+		s, err := decoder.StrategyByName(c.strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := decoder.Result{
+			Distance: c.d, PhysicalRate: c.p, Trials: trials,
+			Failures: c.failures, LogicalRate: float64(c.failures) / trials, WorkOps: c.workOps,
+		}
+		for _, workers := range []int{1, 4} {
+			cfg := decoder.Config{Workers: workers, Strategy: s}
+			hist := &decoder.HistoryMonteCarlo{Lattice: lattice(t, c.d), Rounds: 1, Rng: rand.New(rand.NewSource(seed)), Config: cfg}
+			hr, err := hist.RunContext(context.Background(), c.p, 0, trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc := &decoder.MonteCarlo{Lattice: lattice(t, c.d), Rng: rand.New(rand.NewSource(seed)), Config: cfg}
+			sr, err := mc.RunContext(context.Background(), c.p, trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hr != sr {
+				t.Errorf("%s d=%d p=%g workers=%d: one-round history %+v != perfect-measurement %+v",
+					c.strategy, c.d, c.p, workers, hr, sr)
+			}
+			if hr != want {
+				t.Errorf("%s d=%d p=%g workers=%d: one-round history %+v, want %+v",
+					c.strategy, c.d, c.p, workers, hr, want)
 			}
 		}
 	}
