@@ -1,6 +1,6 @@
 // Benchmark harness regenerating every table and figure of the paper's
 // evaluation. Each benchmark prints/report-metrics the same series the
-// paper plots; EXPERIMENTS.md records paper-vs-measured values.
+// paper plots.
 //
 //	go test -bench=. -benchmem .
 //
@@ -13,7 +13,8 @@
 //	BenchmarkFigure8Crossover     — Fig. 8 resource ratios and crossover
 //	BenchmarkFigure9Boundary      — Fig. 9 boundary across error rates
 //	BenchmarkSection81EPRWindow   — §8.1 JIT window sweep
-//	BenchmarkAblation*            — design-choice ablations (DESIGN.md §6)
+//	BenchmarkAblation*            — design-choice ablations: magic-state traffic,
+//	                                interaction-aware layout, factory refill time
 package surfcomm_test
 
 import (

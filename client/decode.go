@@ -24,11 +24,12 @@ func (e *StreamError) Error() string { return "surfcommd: decode stream: " + e.M
 // DecodeSession is one live /decode stream. Send and Next may run
 // concurrently (the protocol is full-duplex: with a window of w, every
 // w-th Send has a result to read — a caller that never drains Next
-// eventually blocks Send on the transport window). Close always; it is
-// idempotent.
+// eventually blocks Send on the transport window). Once the server has
+// ended the session, Send fails. Close always; it is idempotent.
 type DecodeSession struct {
 	ack     service.DecodeAck
 	pw      *io.PipeWriter
+	body    io.Closer   // ends the pipe for Send once the stream has ended
 	stop    func() bool // detaches the context hook that ends pw
 	enc     *json.Encoder
 	resp    *http.Response
@@ -36,6 +37,23 @@ type DecodeSession struct {
 	summary *service.DecodeSummary
 	closed  bool
 }
+
+// errSessionEnded is what Send returns once the session's response
+// stream has ended.
+var errSessionEnded = errors.New("surfcommd: decode session ended by the server")
+
+// sessionBody is a /decode request body: the header line, then the
+// pipe Send writes into. Closing it ends the pipe, so when the
+// transport gives the exchange up — the server cut the session — and
+// closes the body, a blocked or later Send fails instead of waiting on
+// a reader that is gone. (A plain io.MultiReader is not an io.Closer:
+// net/http would wrap it in a no-op Close.)
+type sessionBody struct {
+	io.Reader
+	pr *io.PipeReader
+}
+
+func (b sessionBody) Close() error { return b.pr.CloseWithError(errSessionEnded) }
 
 // DecodeStream opens a streaming decode session. Unlike the one-shot
 // endpoints there are no retries: a stream is stateful, so the caller
@@ -49,6 +67,7 @@ func (c *Client) DecodeStream(ctx context.Context, start service.DecodeStart) (_
 	}
 	header = append(header, '\n')
 	pr, pw := io.Pipe()
+	body := sessionBody{io.MultiReader(bytes.NewReader(header), pr), pr}
 	// The transport can wait for the request body to finish before Do
 	// reports a canceled request, and this body is a pipe the caller
 	// only feeds after Do returns: end the pipe with ctx so an expired
@@ -60,8 +79,7 @@ func (c *Client) DecodeStream(ctx context.Context, start service.DecodeStart) (_
 			pw.Close()
 		}
 	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/decode",
-		io.MultiReader(bytes.NewReader(header), pr))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/decode", body)
 	if err != nil {
 		return nil, err
 	}
@@ -87,14 +105,17 @@ func (c *Client) DecodeStream(ctx context.Context, start service.DecodeStart) (_
 		}
 		return nil, fmt.Errorf("surfcommd: decode ack: %w", err)
 	}
-	return &DecodeSession{ack: ack, pw: pw, stop: stop, enc: json.NewEncoder(pw), resp: resp, dec: dec}, nil
+	return &DecodeSession{ack: ack, pw: pw, body: body, stop: stop, enc: json.NewEncoder(pw), resp: resp, dec: dec}, nil
 }
 
 // Ack returns the server's session acceptance (checks and qubits size
 // the syndrome and correction bitmaps).
 func (ds *DecodeSession) Ack() service.DecodeAck { return ds.ack }
 
-// Send streams one measured syndrome round (length Ack().Checks).
+// Send streams one measured syndrome round (length Ack().Checks). It
+// fails once the server has ended the session: an in-stream error, the
+// summary, a hangup, or the server's per-frame read bound cutting an
+// idle client.
 func (ds *DecodeSession) Send(syndrome []bool) error {
 	if len(syndrome) != ds.ack.Checks {
 		return fmt.Errorf("surfcommd: syndrome length %d != %d checks", len(syndrome), ds.ack.Checks)
@@ -114,11 +135,17 @@ func (ds *DecodeSession) CloseSend() error {
 
 // Next returns the next decoded window. It returns io.EOF once the
 // summary line has arrived (Summary then reports it), and a
-// *StreamError when the server reported an in-stream failure.
-func (ds *DecodeSession) Next() (*service.DecodeWindowResult, error) {
+// *StreamError when the server reported an in-stream failure. Either
+// ends the session for Send too.
+func (ds *DecodeSession) Next() (_ *service.DecodeWindowResult, err error) {
 	if ds.summary != nil {
 		return nil, io.EOF
 	}
+	defer func() {
+		if err != nil {
+			ds.body.Close()
+		}
+	}()
 	var raw json.RawMessage
 	if err := ds.dec.Decode(&raw); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {

@@ -1,6 +1,6 @@
 package surfcomm
 
-// Decode facade: strategy selection by name, the code-capacity Monte
+// Decode facade: strategy selection by name, the one space-time Monte
 // Carlo behind every logical-rate measurement, and the windowed
 // streaming decoder the /decode service wraps.
 
@@ -48,17 +48,19 @@ func NewStreamDecoder(d, window int, strategy string) (*StreamDecoder, error) {
 	return decoder.NewWindowDecoder(l, window, s)
 }
 
-// measureCodeCapacity runs the code-capacity decoding Monte Carlo:
-// trials rounds of independent physical errors at rate p on a
-// distance-d lattice, drawn from seed and decoded under cfg. The failure
-// count depends on the seed and strategy, never on cfg.Workers.
-// Toolchain.MeasureLogicalErrorRate and the decoder studies' cells
-// measure through it.
-func measureCodeCapacity(ctx context.Context, d int, p float64, trials int, seed int64, cfg decoder.Config) (DecoderResult, error) {
+// measureLogicalRate runs the decoding Monte Carlo: trials syndrome
+// histories of the given rounds on a distance-d lattice, with data
+// error rate p and measurement error rate q, drawn from seed and
+// decoded as space-time volumes under cfg. Rounds 1 with q = 0 is the
+// code-capacity measurement behind Toolchain.MeasureLogicalErrorRate
+// and the decoder studies' cells; MeasureLogicalErrorRateHistory passes
+// its own. The failure count depends on the seed and strategy, never on
+// cfg.Workers.
+func measureLogicalRate(ctx context.Context, d, rounds int, p, q float64, trials int, seed int64, cfg decoder.Config) (DecoderResult, error) {
 	l, err := decoder.NewLattice(d)
 	if err != nil {
 		return DecoderResult{}, err
 	}
-	mc := &decoder.MonteCarlo{Lattice: l, Rng: rand.New(rand.NewSource(seed)), Config: cfg}
-	return mc.RunContext(ctx, p, trials)
+	mc := &decoder.HistoryMonteCarlo{Lattice: l, Rounds: rounds, Rng: rand.New(rand.NewSource(seed)), Config: cfg}
+	return mc.RunContext(ctx, p, q, trials)
 }

@@ -11,24 +11,30 @@
 // boundary special-casing. One Pauli sector is simulated (independent X
 // errors against Z-plaquette checks); the other sector is symmetric.
 //
+// Every decode is a space-time decode (history.go): syndromes recorded
+// over rounds form one volume of syndrome changes. A perfect-measurement
+// ("code-capacity") decode is that volume with one round, so
+// Solver.Decode is DecodeHistory with rounds = 1, and the one Monte
+// Carlo harness, HistoryMonteCarlo, measures code capacity at Rounds 1
+// and q = 0.
+//
 // The paper decodes with Edmonds' minimum-weight perfect matching
 // (their ref [25]); this package substitutes greedy nearest-pair
 // matching with a 2-opt refinement pass — the same matching objective,
-// polynomial and dependency-free, with a slightly lower threshold
-// (documented in DESIGN.md). The exponential error suppression below
-// threshold, which is what the toolflow consumes, is preserved.
+// polynomial and dependency-free. 2-opt can settle on a heavier
+// pairing than the minimum, so its threshold sits slightly below exact
+// matching's. The exponential error suppression below threshold, which
+// is what the toolflow consumes, is preserved.
 //
-// The Monte Carlo harnesses parallelize over trials: random draws are
-// generated sequentially from the caller's Rng (so the consumed stream
-// is identical to a serial run), then trials decode across a bounded
+// The harness parallelizes over trials: random draws are generated
+// sequentially from the caller's Rng (so the consumed stream is
+// identical to a serial run), then trials decode across a bounded
 // worker pool with per-worker scratch. Failure counts are bit-identical
 // at any worker count.
 package decoder
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -140,32 +146,6 @@ func abs(x int) int {
 	return x
 }
 
-// Decode returns a correction pattern whose application clears the
-// syndrome: defects are paired by matching and each pair is joined by a
-// geodesic chain of edge flips. The correction plus the true error
-// always forms closed loops; decoding succeeds when no loop winds
-// around the torus.
-func (l *Lattice) Decode(syndrome []bool) (ErrorPattern, error) {
-	if len(syndrome) != l.Checks() {
-		return nil, fmt.Errorf("decoder: syndrome length %d != %d checks", len(syndrome), l.Checks())
-	}
-	var defects []defect
-	for i, hot := range syndrome {
-		if hot {
-			defects = append(defects, defect{r: i / l.d, c: i % l.d})
-		}
-	}
-	if len(defects)%2 != 0 {
-		return nil, fmt.Errorf("decoder: odd defect count %d (corrupted syndrome)", len(defects))
-	}
-	pairs := l.match(defects)
-	correction := l.NewErrorPattern()
-	for _, p := range pairs {
-		l.flipGeodesic(correction, defects[p[0]], defects[p[1]])
-	}
-	return correction, nil
-}
-
 // cand is one candidate defect pairing with its matching weight.
 type cand struct{ a, b, w int }
 
@@ -249,15 +229,6 @@ func (ms *matchScratch) matchPairs(n int, dist func(a, b int) int) [][2]int {
 	return pairs
 }
 
-// match pairs defects with a fresh scratch (steady-state callers hold a
-// trialScratch and call matchPairs directly).
-func (l *Lattice) match(defects []defect) [][2]int {
-	var ms matchScratch
-	return ms.matchPairs(len(defects), func(a, b int) int {
-		return l.torusDist(defects[a], defects[b])
-	})
-}
-
 // flipGeodesic flips the edges of a shortest torus path between two
 // defects: first along rows (through the vertical edges separating
 // vertically-adjacent plaquettes), then along columns.
@@ -322,8 +293,7 @@ func (l *Lattice) LogicalFailure(err, correction ErrorPattern) bool {
 // strategy. The zero value is valid (GOMAXPROCS workers, MWPM).
 type Config struct {
 	// Workers bounds the decoding worker pool; 0 selects GOMAXPROCS,
-	// 1 forces serial decoding. Negative counts are rejected by
-	// Validate — they used to silently select GOMAXPROCS.
+	// 1 forces serial decoding. Validate rejects negative counts.
 	Workers int
 	// Strategy selects the decoding algorithm; nil selects MWPM.
 	Strategy Strategy
@@ -346,16 +316,6 @@ func (c Config) strategy() Strategy {
 	return c.Strategy
 }
 
-// MonteCarlo estimates the logical X-error rate per decode round for
-// independent physical error rate p over the given number of trials.
-// Trials decode in parallel (see Config.Workers); the random stream and
-// the failure count are identical to a serial run at any worker count.
-type MonteCarlo struct {
-	Lattice *Lattice
-	Rng     *rand.Rand
-	Config
-}
-
 // Result summarizes a Monte Carlo run.
 type Result struct {
 	Distance     int
@@ -370,17 +330,15 @@ type Result struct {
 }
 
 // trialScratch is one worker's reusable decode state: error/correction
-// patterns, syndrome buffers, and the strategy's solver (which owns the
-// matching/cluster scratch). With it, a steady-state trial allocates
-// nothing.
+// patterns, the change volume, the residual-syndrome buffer, and the
+// strategy's solver (which owns the matching/cluster scratch). With it,
+// a steady-state trial allocates nothing.
 type trialScratch struct {
 	solver     Solver
 	errs       ErrorPattern
 	correction ErrorPattern
 	combined   ErrorPattern
 	syndrome   []bool
-	meas       []bool
-	prev       []bool
 	changes    []bool
 }
 
@@ -394,87 +352,23 @@ func (l *Lattice) newTrialScratch(s Strategy) *trialScratch {
 		correction: l.NewErrorPattern(),
 		combined:   l.NewErrorPattern(),
 		syndrome:   make([]bool, l.Checks()),
-		meas:       make([]bool, l.Checks()),
-		prev:       make([]bool, l.Checks()),
 	}
-}
-
-// mcTrial decodes one pregenerated trial: draws holds the per-qubit
-// error flips. Returns whether the trial is a logical failure. It
-// panics only on internal invariant violations (syndrome not cleared by
-// its own correction), which indicate decoder bugs, not user error.
-func (l *Lattice) mcTrial(sc *trialScratch, draws []bool) (bool, error) {
-	copy(sc.errs, draws)
-	l.syndromeInto(sc.syndrome, sc.errs)
-	if err := sc.solver.Decode(sc.correction, sc.syndrome); err != nil {
-		return false, err
-	}
-	// Invariant: correction must clear the syndrome.
-	for q := range sc.combined {
-		sc.combined[q] = sc.errs[q] != sc.correction[q]
-	}
-	l.syndromeInto(sc.syndrome, sc.combined)
-	for i, hot := range sc.syndrome {
-		if hot {
-			panic(fmt.Sprintf("decoder: residual defect at plaquette %d — the solver broke the syndrome", i))
-		}
-	}
-	return l.LogicalFailure(sc.errs, sc.correction), nil
-}
-
-// RunContext samples error patterns, decodes, and counts logical
-// failures. It polls ctx between trial batches; an aborted run returns
-// an error matching scerr.ErrCanceled, and a nonsensical configuration
-// one matching scerr.ErrBadConfig.
-func (mc *MonteCarlo) RunContext(ctx context.Context, p float64, trials int) (Result, error) {
-	if mc.Lattice == nil {
-		return Result{}, scerr.BadConfig("decoder: nil lattice")
-	}
-	if mc.Rng == nil {
-		return Result{}, scerr.BadConfig("decoder: nil random source")
-	}
-	if err := mc.Config.Validate(); err != nil {
-		return Result{}, err
-	}
-	if p < 0 || p > 1 {
-		return Result{}, scerr.BadConfig("decoder: physical rate %g outside [0,1]", p)
-	}
-	if trials < 1 {
-		return Result{}, scerr.BadConfig("decoder: need at least one trial, got %d", trials)
-	}
-	l := mc.Lattice
-	res := Result{Distance: l.Distance(), PhysicalRate: p, Trials: trials}
-	stride := l.DataQubits()
-	failures, ops, err := runTrialBatches(ctx, l, mc.Workers, mc.strategy(), trials, stride,
-		func(draws []bool) {
-			for i := range draws {
-				draws[i] = mc.Rng.Float64() < p
-			}
-		},
-		(*Lattice).mcTrial)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Failures = failures
-	res.WorkOps = ops
-	res.LogicalRate = float64(res.Failures) / float64(res.Trials)
-	return res, nil
 }
 
 // batchTrials bounds the pregenerated-draw buffer: draws for at most
 // this many trials are in memory at once.
 const batchTrials = 1024
 
-// runTrialBatches is the shared Monte Carlo engine: it draws trial
-// randomness sequentially (gen fills one trial's stride of draws, so
-// the Rng stream matches a serial run), then decodes each batch across
-// the worker pool with per-worker scratch. The failure count is a sum
-// of independent per-trial outcomes, so it is identical at any worker
-// count — and so is the summed work-op count, since each trial's ops
-// depend only on its own draws; errors surface from the lowest-indexed
-// failing trial.
-func runTrialBatches(ctx context.Context, l *Lattice, workers int, strategy Strategy, trials, stride int,
-	gen func(draws []bool), trial func(*Lattice, *trialScratch, []bool) (bool, error)) (int, uint64, error) {
+// runTrialBatches is the Monte Carlo engine: it draws trial randomness
+// sequentially (gen fills one trial's stride of draws, so the Rng
+// stream matches a serial run), then decodes each batch of
+// rounds-round histories across the worker pool with per-worker
+// scratch. The failure count is a sum of independent per-trial
+// outcomes, so it is identical at any worker count — and so is the
+// summed work-op count, since each trial's ops depend only on its own
+// draws; errors surface from the lowest-indexed failing trial.
+func runTrialBatches(ctx context.Context, l *Lattice, workers int, strategy Strategy, trials, rounds, stride int,
+	gen func(draws []bool)) (int, uint64, error) {
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -513,7 +407,7 @@ func runTrialBatches(ctx context.Context, l *Lattice, workers int, strategy Stra
 		if workers <= 1 {
 			sc := scratch[0]
 			for t := 0; t < n; t++ {
-				fails[t], errs[t] = trial(l, sc, draws[t*stride:(t+1)*stride])
+				fails[t], errs[t] = l.historyTrial(sc, rounds, draws[t*stride:(t+1)*stride])
 			}
 		} else {
 			var next atomic.Int64
@@ -528,7 +422,7 @@ func runTrialBatches(ctx context.Context, l *Lattice, workers int, strategy Stra
 						if t >= n {
 							return
 						}
-						fails[t], errs[t] = trial(l, sc, draws[t*stride:(t+1)*stride])
+						fails[t], errs[t] = l.historyTrial(sc, rounds, draws[t*stride:(t+1)*stride])
 					}
 				}()
 			}

@@ -2,9 +2,12 @@ package decoder
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"surfcomm/internal/scerr"
 )
 
 func lattice(t *testing.T, d int) *Lattice {
@@ -14,6 +17,12 @@ func lattice(t *testing.T, d int) *Lattice {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// codeCapacity is the harness at one perfectly measured round: the
+// code-capacity Monte Carlo every logical-rate measurement runs.
+func codeCapacity(l *Lattice, seed int64, cfg Config) *HistoryMonteCarlo {
+	return &HistoryMonteCarlo{Lattice: l, Rounds: 1, Rng: rand.New(rand.NewSource(seed)), Config: cfg}
 }
 
 func TestNewLatticeValidation(t *testing.T) {
@@ -54,8 +63,8 @@ func TestNoErrorNoSyndrome(t *testing.T) {
 			t.Fatalf("clean pattern produced defect at %d", i)
 		}
 	}
-	corr, err := l.Decode(s)
-	if err != nil {
+	corr := l.NewErrorPattern()
+	if err := MWPM().NewSolver(l).Decode(corr, s); err != nil {
 		t.Fatal(err)
 	}
 	for q, f := range corr {
@@ -68,6 +77,8 @@ func TestNoErrorNoSyndrome(t *testing.T) {
 func TestSingleErrorExactlyCorrected(t *testing.T) {
 	for _, d := range []int{3, 5, 7} {
 		l := lattice(t, d)
+		solver := MWPM().NewSolver(l)
+		corr := l.NewErrorPattern()
 		for q := 0; q < l.DataQubits(); q++ {
 			e := l.NewErrorPattern()
 			e[q] = true
@@ -81,8 +92,7 @@ func TestSingleErrorExactlyCorrected(t *testing.T) {
 			if defects != 2 {
 				t.Fatalf("d=%d single error on %d: %d defects, want 2", d, q, defects)
 			}
-			corr, err := l.Decode(s)
-			if err != nil {
+			if err := solver.Decode(corr, s); err != nil {
 				t.Fatal(err)
 			}
 			if l.LogicalFailure(e, corr) {
@@ -136,15 +146,36 @@ func TestWindingLoopIsLogical(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadSyndrome: the matching solver answers
+// ErrBadConfig for a flat syndrome or a change volume of the wrong
+// length, for rounds < 1, and for an odd defect count — it never
+// decodes bits that are not a syndrome, and never indexes past them.
 func TestDecodeRejectsBadSyndrome(t *testing.T) {
 	l := lattice(t, 3)
-	if _, err := l.Decode(make([]bool, 5)); err == nil {
-		t.Error("wrong-length syndrome should fail")
+	s := MWPM().NewSolver(l)
+	corr := l.NewErrorPattern()
+	for _, n := range []int{0, 5, 2 * l.Checks()} {
+		if err := s.Decode(corr, make([]bool, n)); !errors.Is(err, scerr.ErrBadConfig) {
+			t.Errorf("%d-bit syndrome: got %v, want ErrBadConfig", n, err)
+		}
+	}
+	for _, c := range []struct{ n, rounds int }{
+		{5, 1},                // short
+		{4*l.Checks() + 1, 4}, // long
+		{3 * l.Checks(), 4},   // a round short
+		{l.Checks(), 0},       // no rounds
+		{0, 0},                // no rounds, empty
+		{l.Checks(), -1},      // negative rounds
+		{2 * l.Checks(), 1},   // two rounds' bits called one
+	} {
+		if err := s.DecodeHistory(corr, make([]bool, c.n), c.rounds); !errors.Is(err, scerr.ErrBadConfig) {
+			t.Errorf("%d bits over %d rounds: got %v, want ErrBadConfig", c.n, c.rounds, err)
+		}
 	}
 	odd := make([]bool, l.Checks())
 	odd[0] = true
-	if _, err := l.Decode(odd); err == nil {
-		t.Error("odd defect count should fail")
+	if err := s.Decode(corr, odd); !errors.Is(err, scerr.ErrBadConfig) {
+		t.Errorf("odd defect count: got %v, want ErrBadConfig", err)
 	}
 }
 
@@ -160,8 +191,8 @@ func TestCorrectionClearsSyndromeQuick(t *testing.T) {
 				e[q] = true
 			}
 		}
-		corr, err := l.Decode(l.Syndrome(e))
-		if err != nil {
+		corr := l.NewErrorPattern()
+		if err := MWPM().NewSolver(l).Decode(corr, l.Syndrome(e)); err != nil {
 			return false
 		}
 		combined := l.NewErrorPattern()
@@ -181,15 +212,14 @@ func TestCorrectionClearsSyndromeQuick(t *testing.T) {
 }
 
 func TestMonteCarloValidation(t *testing.T) {
-	mc := &MonteCarlo{Rng: rand.New(rand.NewSource(1))}
-	mc.Lattice = lattice(t, 3)
-	if _, err := mc.RunContext(context.Background(), -0.1, 10); err == nil {
+	mc := codeCapacity(lattice(t, 3), 1, Config{})
+	if _, err := mc.RunContext(context.Background(), -0.1, 0, 10); err == nil {
 		t.Error("negative rate should fail")
 	}
-	if _, err := mc.RunContext(context.Background(), 0.1, 0); err == nil {
+	if _, err := mc.RunContext(context.Background(), 0.1, 0, 0); err == nil {
 		t.Error("zero trials should fail")
 	}
-	r, err := mc.RunContext(context.Background(), 0, 50)
+	r, err := mc.RunContext(context.Background(), 0, 0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +236,7 @@ func TestSuppressionBelowThreshold(t *testing.T) {
 	const trials = 3000
 	rates := map[int]float64{}
 	for _, d := range []int{3, 5, 7} {
-		mc := &MonteCarlo{Lattice: lattice(t, d), Rng: rand.New(rand.NewSource(7))}
-		r, err := mc.RunContext(context.Background(), p, trials)
+		r, err := codeCapacity(lattice(t, d), 7, Config{}).RunContext(context.Background(), p, 0, trials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,13 +257,11 @@ func TestSuppressionBelowThreshold(t *testing.T) {
 func TestNoSuppressionAboveThreshold(t *testing.T) {
 	const p = 0.25
 	const trials = 1500
-	mc3 := &MonteCarlo{Lattice: lattice(t, 3), Rng: rand.New(rand.NewSource(9))}
-	r3, err := mc3.RunContext(context.Background(), p, trials)
+	r3, err := codeCapacity(lattice(t, 3), 9, Config{}).RunContext(context.Background(), p, 0, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc7 := &MonteCarlo{Lattice: lattice(t, 7), Rng: rand.New(rand.NewSource(9))}
-	r7, err := mc7.RunContext(context.Background(), p, trials)
+	r7, err := codeCapacity(lattice(t, 7), 9, Config{}).RunContext(context.Background(), p, 0, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +277,10 @@ func TestMatchRefinementImproves(t *testing.T) {
 	// total weight is minimal.
 	l := lattice(t, 7)
 	defects := []defect{{0, 0}, {0, 3}, {1, 0}, {1, 3}}
-	pairs := l.match(defects)
+	var ms matchScratch
+	pairs := ms.matchPairs(len(defects), func(a, b int) int {
+		return l.torusDist(defects[a], defects[b])
+	})
 	total := 0
 	for _, p := range pairs {
 		total += l.torusDist(defects[p[0]], defects[p[1]])

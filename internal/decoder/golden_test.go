@@ -29,8 +29,7 @@ func TestGoldenMonteCarloFailures(t *testing.T) {
 	for _, c := range cases {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			l := lattice(t, c.d)
-			mc := &MonteCarlo{Lattice: l, Rng: rand.New(rand.NewSource(c.seed)), Config: Config{Workers: workers}}
-			r, err := mc.RunContext(context.Background(), c.p, c.trials)
+			r, err := codeCapacity(l, c.seed, Config{Workers: workers}).RunContext(context.Background(), c.p, 0, c.trials)
 			if err != nil {
 				t.Fatal(err)
 			}

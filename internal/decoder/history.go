@@ -23,13 +23,14 @@ type spacetimeDefect struct {
 	d defect
 }
 
-// HistoryMonteCarlo estimates logical error rates for a syndrome
-// history of the given number of rounds: each round injects fresh data
-// errors with probability p per qubit and flips each syndrome bit with
-// probability q (the final round is measured perfectly, closing the
-// volume — the standard terminating round). Trials decode in parallel
-// (see Workers); the failure count is identical to a serial run at any
-// worker count.
+// HistoryMonteCarlo is the Monte Carlo harness: it estimates logical
+// error rates for a syndrome history of the given number of rounds.
+// Each round injects fresh data errors with probability p per qubit and
+// flips each syndrome bit with probability q (the final round is
+// measured perfectly, closing the volume — the standard terminating
+// round). Rounds 1 with q = 0 is the code-capacity (perfect-measurement)
+// measurement. Trials decode in parallel (see Workers); the failure
+// count is identical to a serial run at any worker count.
 type HistoryMonteCarlo struct {
 	Lattice *Lattice
 	Rounds  int
@@ -68,7 +69,7 @@ func (mc *HistoryMonteCarlo) RunContext(ctx context.Context, p, q float64, trial
 	// the Rng: per round, nq data-flip draws, then (for every round but
 	// the perfectly-measured last) checks measurement-flip draws.
 	stride := rounds*nq + (rounds-1)*checks
-	failures, ops, err := runTrialBatches(ctx, l, mc.Workers, mc.strategy(), trials, stride,
+	failures, ops, err := runTrialBatches(ctx, l, mc.Workers, mc.strategy(), trials, rounds, stride,
 		func(draws []bool) {
 			pos := 0
 			for t := 0; t < rounds; t++ {
@@ -83,9 +84,6 @@ func (mc *HistoryMonteCarlo) RunContext(ctx context.Context, p, q float64, trial
 					pos += checks
 				}
 			}
-		},
-		func(l *Lattice, sc *trialScratch, draws []bool) (bool, error) {
-			return l.historyTrial(sc, rounds, draws)
 		})
 	if err != nil {
 		return Result{}, err
@@ -98,38 +96,42 @@ func (mc *HistoryMonteCarlo) RunContext(ctx context.Context, p, q float64, trial
 
 // historyTrial replays one pregenerated syndrome history, extracts the
 // round-to-round syndrome changes, and hands the space-time volume to
-// the solver.
+// the solver. Each round's measured syndrome lands in its slot of the
+// change volume; the slots are then diffed in place, last round first,
+// so a one-round trial costs one syndrome extraction and one decode.
+// It panics only on internal invariant violations (syndrome not cleared
+// by its own correction), which indicate decoder bugs, not user error.
 func (l *Lattice) historyTrial(sc *trialScratch, rounds int, draws []bool) (bool, error) {
 	nq, checks := l.DataQubits(), l.Checks()
-	clear(sc.errs) // cumulative data errors
-	clear(sc.prev)
 	if cap(sc.changes) < rounds*checks {
 		sc.changes = make([]bool, rounds*checks)
 	}
-	sc.changes = sc.changes[:rounds*checks]
+	changes := sc.changes[:rounds*checks]
+	copy(sc.errs, draws[:nq]) // cumulative data errors, starting clear
 	pos := 0
 	for t := 0; t < rounds; t++ {
-		for qb := 0; qb < nq; qb++ {
-			if draws[pos+qb] {
-				sc.errs[qb] = !sc.errs[qb]
+		if t > 0 {
+			for qb, flip := range draws[pos : pos+nq] {
+				sc.errs[qb] = sc.errs[qb] != flip
 			}
 		}
 		pos += nq
-		l.syndromeInto(sc.meas, sc.errs)
+		meas := changes[t*checks : (t+1)*checks]
+		l.syndromeInto(meas, sc.errs)
 		if t < rounds-1 { // final round is perfect
-			for i := 0; i < checks; i++ {
-				if draws[pos+i] {
-					sc.meas[i] = !sc.meas[i]
-				}
+			for i, flip := range draws[pos : pos+checks] {
+				meas[i] = meas[i] != flip
 			}
 			pos += checks
 		}
-		for i := range sc.meas {
-			sc.changes[t*checks+i] = sc.meas[i] != sc.prev[i]
-		}
-		sc.meas, sc.prev = sc.prev, sc.meas
 	}
-	if err := sc.solver.DecodeHistory(sc.correction, sc.changes, rounds); err != nil {
+	for t := rounds - 1; t > 0; t-- {
+		prev := changes[(t-1)*checks : t*checks]
+		for i, hot := range prev {
+			changes[t*checks+i] = changes[t*checks+i] != hot
+		}
+	}
+	if err := sc.solver.DecodeHistory(sc.correction, changes, rounds); err != nil {
 		return false, err
 	}
 

@@ -29,15 +29,18 @@ const (
 // session holds its own.
 type Solver interface {
 	// Decode writes a correction clearing the syndrome (length Checks)
-	// into correction (length DataQubits, cleared by the solver). It
-	// fails on syndromes no correction can clear (odd defect parity on
-	// a boundaryless lattice).
+	// into correction (length DataQubits, cleared by the solver). It is
+	// DecodeHistory over a one-round volume: a perfect measurement's
+	// syndrome is its own change volume.
 	Decode(correction ErrorPattern, syndrome []bool) error
 	// DecodeHistory decodes a space-time syndrome volume: changes holds
 	// rounds × Checks() syndrome-CHANGE bits in round-major order
 	// (changes[t*Checks()+i] reports check i flipping between rounds
 	// t-1 and t). The spatial projection of the space-time matching —
-	// the data correction — lands in correction.
+	// the data correction — lands in correction. It fails with an
+	// error matching scerr.ErrBadConfig when rounds < 1, when changes
+	// is not rounds × Checks() long, and on volumes no correction can
+	// clear (an odd defect count on the boundaryless torus).
 	DecodeHistory(correction ErrorPattern, changes []bool, rounds int) error
 	// WorkOps reports the cumulative algorithmic work this solver has
 	// performed, in strategy-specific primitive operations (candidate
@@ -110,44 +113,33 @@ func (mwpmStrategy) NewSolver(l *Lattice) Solver { return &mwpmSolver{l: l} }
 // mwpmSolver is one worker's matching decoder: the greedy + 2-opt
 // matcher plus the defect-list scratch, reused across decodes.
 type mwpmSolver struct {
-	l         *Lattice
-	match     matchScratch
-	defects   []defect
-	stDefects []spacetimeDefect
+	l       *Lattice
+	match   matchScratch
+	defects []spacetimeDefect
 }
 
 func (s *mwpmSolver) WorkOps() uint64 { return s.match.ops }
 
 func (s *mwpmSolver) Decode(correction ErrorPattern, syndrome []bool) error {
-	l := s.l
-	s.defects = s.defects[:0]
-	for i, hot := range syndrome {
-		if hot {
-			s.defects = append(s.defects, defect{r: i / l.d, c: i % l.d})
-		}
-	}
-	if len(s.defects)%2 != 0 {
-		return scerr.BadConfig("decoder: odd defect count %d (corrupted syndrome)", len(s.defects))
-	}
-	pairs := s.match.matchPairs(len(s.defects), func(a, b int) int {
-		return l.torusDist(s.defects[a], s.defects[b])
-	})
-	clear(correction)
-	for _, p := range pairs {
-		l.flipGeodesic(correction, s.defects[p[0]], s.defects[p[1]])
-	}
-	return nil
+	return s.DecodeHistory(correction, syndrome, 1)
 }
 
+// DecodeHistory pairs the volume's defects by space-time matching and
+// joins each pair's spatial projection by a geodesic chain of edge
+// flips. The correction plus the true error always forms closed loops;
+// decoding succeeds when no loop winds around the torus.
 func (s *mwpmSolver) DecodeHistory(correction ErrorPattern, changes []bool, rounds int) error {
 	l := s.l
 	checks := l.Checks()
-	s.stDefects = s.stDefects[:0]
+	if rounds < 1 || len(changes) != rounds*checks {
+		return scerr.BadConfig("decoder: change volume of %d bits over %d rounds, want rounds >= 1 and rounds × %d checks", len(changes), rounds, checks)
+	}
+	s.defects = s.defects[:0]
 	for t := 0; t < rounds; t++ {
 		base := t * checks
 		for i := 0; i < checks; i++ {
 			if changes[base+i] {
-				s.stDefects = append(s.stDefects, spacetimeDefect{
+				s.defects = append(s.defects, spacetimeDefect{
 					t: t,
 					d: defect{r: i / l.d, c: i % l.d},
 				})
@@ -155,13 +147,13 @@ func (s *mwpmSolver) DecodeHistory(correction ErrorPattern, changes []bool, roun
 		}
 	}
 	clear(correction)
-	if len(s.stDefects) == 0 {
+	if len(s.defects) == 0 {
 		return nil
 	}
-	if len(s.stDefects)%2 != 0 {
-		return scerr.BadConfig("decoder: odd space-time defect count %d (corrupted syndrome stream)", len(s.stDefects))
+	if len(s.defects)%2 != 0 {
+		return scerr.BadConfig("decoder: odd space-time defect count %d (corrupted syndrome stream)", len(s.defects))
 	}
-	defects := s.stDefects
+	defects := s.defects
 	pairs := s.match.matchPairs(len(defects), func(a, b int) int {
 		dt := defects[a].t - defects[b].t
 		if dt < 0 {

@@ -34,23 +34,19 @@ func TestConfigValidation(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config should validate, got %v", err)
 	}
-	// The harnesses surface it too.
-	mc := &MonteCarlo{Lattice: lattice(t, 3), Rng: rand.New(rand.NewSource(1)), Config: Config{Workers: -2}}
-	if _, err := mc.RunContext(context.Background(), 0.1, 10); !errors.Is(err, scerr.ErrBadConfig) {
-		t.Errorf("MonteCarlo negative workers: got %v, want ErrBadConfig", err)
-	}
-	if _, err := (&MonteCarlo{Lattice: lattice(t, 3), Rng: rand.New(rand.NewSource(1))}).RunContext(context.Background(), 0.1, 0); !errors.Is(err, scerr.ErrBadConfig) {
-		t.Errorf("zero trials: want ErrBadConfig")
-	}
-	if _, err := (&MonteCarlo{Rng: rand.New(rand.NewSource(1))}).RunContext(context.Background(), 0.1, 5); !errors.Is(err, scerr.ErrBadConfig) {
-		t.Errorf("nil lattice: want ErrBadConfig")
-	}
-	if _, err := (&MonteCarlo{Lattice: lattice(t, 3)}).RunContext(context.Background(), 0.1, 5); !errors.Is(err, scerr.ErrBadConfig) {
-		t.Errorf("nil rng: want ErrBadConfig")
-	}
+	// The harness surfaces it too.
 	hmc := &HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 3, Rng: rand.New(rand.NewSource(1)), Config: Config{Workers: -1}}
 	if _, err := hmc.RunContext(context.Background(), 0.01, 0.01, 10); !errors.Is(err, scerr.ErrBadConfig) {
-		t.Errorf("HistoryMonteCarlo negative workers: got %v, want ErrBadConfig", err)
+		t.Errorf("negative workers: got %v, want ErrBadConfig", err)
+	}
+	if _, err := codeCapacity(lattice(t, 3), 1, Config{}).RunContext(context.Background(), 0.1, 0, 0); !errors.Is(err, scerr.ErrBadConfig) {
+		t.Errorf("zero trials: want ErrBadConfig")
+	}
+	if _, err := codeCapacity(nil, 1, Config{}).RunContext(context.Background(), 0.1, 0, 5); !errors.Is(err, scerr.ErrBadConfig) {
+		t.Errorf("nil lattice: want ErrBadConfig")
+	}
+	if _, err := (&HistoryMonteCarlo{Lattice: lattice(t, 3), Rounds: 1}).RunContext(context.Background(), 0.1, 0, 5); !errors.Is(err, scerr.ErrBadConfig) {
+		t.Errorf("nil rng: want ErrBadConfig")
 	}
 	if _, err := NewLattice(4); !errors.Is(err, scerr.ErrBadConfig) {
 		t.Errorf("even distance: want ErrBadConfig")

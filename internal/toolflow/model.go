@@ -7,7 +7,7 @@
 // with their favorability crossover, and the crossover boundary as a
 // function of device error rate.
 //
-// Cost model (documented in DESIGN.md §4.6):
+// Cost model:
 //
 //   - Both encodings run at the code distance d(K, p_P) that meets the
 //     paper's 50% success target for K logical operations.

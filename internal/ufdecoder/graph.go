@@ -1,17 +1,21 @@
 // Package ufdecoder implements the union-find decoder (Delfosse &
 // Nickerson's almost-linear-time decoder): defect-seeded clusters grow
 // in half-edge steps over a detector graph, merging through a
-// path-compressed union-find until every cluster has even parity (or
-// touches a boundary), then a peeling pass over each cluster's grown
-// spanning forest reads off the correction. It registers itself as the
-// "unionfind" decoder.Strategy: slightly less accurate than matching,
-// but near-linear in the defect count where matching is quadratic —
-// the raw-speed strategy for large distances and real-time streaming.
+// path-compressed union-find until every cluster has even parity, then
+// a peeling pass over each cluster's grown spanning forest reads off
+// the correction. It registers itself as the "unionfind"
+// decoder.Strategy: slightly less accurate than matching, but
+// near-linear in the defect count where matching is quadratic — the
+// raw-speed strategy for large distances and real-time streaming.
 //
-// The detector graph is constructed once per (distance, error-model)
-// and reused across syndrome batches (the stim+pymatching workflow);
-// per-solver scratch is stamp-reset, so steady-state decoding
-// allocates nothing.
+// Every decode is a space-time decode over the closed toric volume of
+// NewToricHistory: the torus has no boundary and the harness measures
+// the final round perfectly, so there is no boundary node and a
+// cluster is done exactly when its parity is even. A code-capacity
+// decode is the one-round volume. The graph is built once per (distance,
+// rounds) and reused across syndrome batches (the stim+pymatching
+// workflow); per-solver scratch is stamp-reset, so steady-state
+// decoding allocates nothing.
 package ufdecoder
 
 import (
@@ -19,15 +23,12 @@ import (
 )
 
 // Graph is an immutable detector graph: nodes are stabilizer checks
-// (plus optional virtual boundary nodes), edges are error mechanisms
-// carrying the data-qubit observable they flip (or -1 for pure
-// measurement errors). It is safe for concurrent read-only use; each
-// solver brings its own mutable scratch.
+// (one per check per round), edges are error mechanisms carrying the
+// data-qubit observable they flip (or -1 for pure measurement errors).
+// It is safe for concurrent read-only use; each solver brings its own
+// mutable scratch.
 type Graph struct {
-	nodes    int
-	checks   int // nodes that carry syndrome bits (boundary nodes sit above)
-	boundary []bool
-	hasBnd   bool
+	checks int // syndrome/change bit i maps to node i
 
 	edgeU   []int32
 	edgeV   []int32
@@ -37,31 +38,19 @@ type Graph struct {
 	// CSR adjacency: edges incident to node v are adj[adjOff[v]:adjOff[v+1]].
 	adjOff []int32
 	adj    []int32
-
-	maxObs int32 // highest observable index (correction length - 1)
 }
 
-// Nodes returns the node count (checks plus boundary nodes).
-func (g *Graph) Nodes() int { return g.nodes }
-
-// Checks returns the number of syndrome-carrying nodes; syndrome/change
-// bit i maps to node i.
+// Checks returns the node count; syndrome/change bit i maps to node i.
 func (g *Graph) Checks() int { return g.checks }
 
 // Edges returns the edge count.
 func (g *Graph) Edges() int { return len(g.edgeU) }
 
-// HasBoundary reports whether the graph has any boundary node (an odd
-// defect set is only decodable when it does).
-func (g *Graph) HasBoundary() bool { return g.hasBnd }
-
-// Builder assembles a detector graph. Check nodes are 0..checks-1;
-// AddBoundary appends virtual boundary nodes above them.
+// Builder assembles a detector graph over check nodes 0..checks-1.
 type Builder struct {
-	checks   int
-	boundary int
-	edges    []bedge
-	err      error
+	checks int
+	edges  []bedge
+	err    error
 }
 
 type bedge struct {
@@ -79,15 +68,6 @@ func NewBuilder(checks int) *Builder {
 	return b
 }
 
-// AddBoundary appends a virtual boundary node and returns its id.
-// Clusters touching a boundary node are neutral: unpaired defects
-// resolve into it.
-func (b *Builder) AddBoundary() int {
-	id := b.checks + b.boundary
-	b.boundary++
-	return id
-}
-
 // AddEdge connects nodes u and v with an error mechanism flipping
 // observable obs (-1 for none, e.g. a measurement error) at integer
 // weight w >= 1.
@@ -95,7 +75,7 @@ func (b *Builder) AddEdge(u, v, obs, w int) {
 	if b.err != nil {
 		return
 	}
-	n := b.checks + b.boundary
+	n := b.checks
 	if u < 0 || u >= n || v < 0 || v >= n || u == v {
 		b.err = scerr.BadConfig("ufdecoder: bad edge (%d,%d) over %d nodes", u, v, n)
 		return
@@ -120,29 +100,19 @@ func (b *Builder) Build() (*Graph, error) {
 	if len(b.edges) == 0 {
 		return nil, scerr.BadConfig("ufdecoder: graph has no edges")
 	}
-	n := b.checks + b.boundary
+	n := b.checks
 	g := &Graph{
-		nodes:    n,
-		checks:   b.checks,
-		boundary: make([]bool, n),
-		hasBnd:   b.boundary > 0,
-		edgeU:    make([]int32, len(b.edges)),
-		edgeV:    make([]int32, len(b.edges)),
-		edgeObs:  make([]int32, len(b.edges)),
-		edgeW:    make([]int16, len(b.edges)),
-		adjOff:   make([]int32, n+1),
-		adj:      make([]int32, 2*len(b.edges)),
-		maxObs:   -1,
-	}
-	for i := b.checks; i < n; i++ {
-		g.boundary[i] = true
+		checks:  n,
+		edgeU:   make([]int32, len(b.edges)),
+		edgeV:   make([]int32, len(b.edges)),
+		edgeObs: make([]int32, len(b.edges)),
+		edgeW:   make([]int16, len(b.edges)),
+		adjOff:  make([]int32, n+1),
+		adj:     make([]int32, 2*len(b.edges)),
 	}
 	deg := make([]int32, n)
 	for i, e := range b.edges {
 		g.edgeU[i], g.edgeV[i], g.edgeObs[i], g.edgeW[i] = e.u, e.v, e.obs, e.w
-		if e.obs > g.maxObs {
-			g.maxObs = e.obs
-		}
 		deg[e.u]++
 		deg[e.v]++
 	}
@@ -163,38 +133,19 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
-// NewToric builds the single-round detector graph of the distance-d
-// toric code's Z-check sector: one node per plaquette, one unit-weight
-// edge per data qubit, matching the adjacency of decoder.Lattice
-// (horizontal edge h(r,c) separates plaquettes (r-1,c) and (r,c);
-// vertical edge v(r,c) separates (r,c-1) and (r,c); all arithmetic mod
-// d). Edge observables are the lattice's data-qubit indices. The torus
-// has no boundary.
-func NewToric(d int) (*Graph, error) {
-	if d < 3 || d%2 == 0 {
-		return nil, scerr.BadConfig("ufdecoder: distance must be odd and >= 3, got %d", d)
-	}
-	b := NewBuilder(d * d)
-	node := func(r, c int) int { return ((r+d)%d)*d + (c+d)%d }
-	for r := 0; r < d; r++ {
-		for c := 0; c < d; c++ {
-			// h(r,c) = r*d + c
-			b.AddEdge(node(r-1, c), node(r, c), r*d+c, 1)
-			// v(r,c) = d² + r*d + c
-			b.AddEdge(node(r, c-1), node(r, c), d*d+r*d+c, 1)
-		}
-	}
-	return b.Build()
-}
-
 // NewToricHistory builds the space-time detector graph for `rounds`
-// syndrome-measurement rounds of the distance-d toric code: node
-// (t, i) = t*d² + i, each round carrying the spatial edges of NewToric
-// (observable = data qubit, shared across rounds), plus unit-weight
-// temporal edges (t,i)–(t+1,i) with no observable (a measurement
-// error flips a check's reading in consecutive change rounds but no
-// data qubit). The volume is closed — the harness measures the final
-// round perfectly — so there is no time boundary.
+// syndrome-measurement rounds of the distance-d toric code's Z-check
+// sector: node (t, i) = t*d² + i. Each round carries one unit-weight
+// spatial edge per data qubit, matching the adjacency of
+// decoder.Lattice (horizontal edge h(r,c) separates plaquettes (r-1,c)
+// and (r,c); vertical edge v(r,c) separates (r,c-1) and (r,c); all
+// arithmetic mod d), with the lattice's data-qubit index as its
+// observable, shared across rounds. Unit-weight temporal edges
+// (t,i)–(t+1,i) carry no observable (a measurement error flips a
+// check's reading in consecutive change rounds but no data qubit). The
+// volume is closed — the harness measures the final round perfectly —
+// so there is no time boundary; at one round it is the code-capacity
+// graph.
 func NewToricHistory(d, rounds int) (*Graph, error) {
 	if d < 3 || d%2 == 0 {
 		return nil, scerr.BadConfig("ufdecoder: distance must be odd and >= 3, got %d", d)

@@ -23,21 +23,18 @@ func (strategy) NewSolver(l *decoder.Lattice) decoder.Solver {
 	return &Solver{lat: l}
 }
 
-// Solver is one worker's union-find decoder for a fixed lattice. The
-// spatial detector graph builds on first use; space-time graphs build
-// once per distinct round count and are reused across batches (the
-// Monte Carlo and streaming paths decode a fixed round count, so this
-// is one build). Not safe for concurrent use — each worker or
+// Solver is one worker's union-find decoder for a fixed lattice. Its
+// space-time detector graph builds on first use and is reused across
+// batches; a different round count rebuilds it (allocating — the Monte
+// Carlo harness decodes one round count, and a stream only its flushed
+// tail differs). Not safe for concurrent use — each worker or
 // streaming session owns its own Solver, per decoder.Solver's
 // contract.
 type Solver struct {
-	lat   *decoder.Lattice
-	space *ufState
-	hist  *ufState
-	// histRounds is the round count hist was built for; a different
-	// count rebuilds (allocating — steady-state callers use one).
-	histRounds int
-	// retired work-ops from discarded hist states, so WorkOps stays
+	lat    *decoder.Lattice
+	st     *ufState
+	rounds int // the round count st was built for
+	// retired work-ops from discarded states, so WorkOps stays
 	// cumulative across rebuilds.
 	retired uint64
 }
@@ -46,75 +43,34 @@ type Solver struct {
 // union/find root walks, and peeling visits. Deterministic for a given
 // decode sequence.
 func (s *Solver) WorkOps() uint64 {
-	ops := s.retired
-	if s.space != nil {
-		ops += s.space.ops
+	if s.st == nil {
+		return s.retired
 	}
-	if s.hist != nil {
-		ops += s.hist.ops
-	}
-	return ops
+	return s.retired + s.st.ops
 }
 
-// Decode implements decoder.Solver over the single-round toric graph.
+// Decode implements decoder.Solver: the one-round space-time decode.
 func (s *Solver) Decode(correction decoder.ErrorPattern, syndrome []bool) error {
-	if s.space == nil {
-		g, err := NewToric(s.lat.Distance())
-		if err != nil {
-			return err
-		}
-		s.space = newUFState(g)
-	}
-	if len(syndrome) != s.space.g.Checks() {
-		return scerr.BadConfig("ufdecoder: syndrome length %d != %d checks", len(syndrome), s.space.g.Checks())
-	}
-	return s.space.decodeBits(correction, syndrome)
+	return s.DecodeHistory(correction, syndrome, 1)
 }
 
 // DecodeHistory implements decoder.Solver over the space-time toric
 // graph: changes holds rounds × Checks() syndrome-change bits in
 // round-major order.
 func (s *Solver) DecodeHistory(correction decoder.ErrorPattern, changes []bool, rounds int) error {
-	if s.hist == nil || s.histRounds != rounds {
+	if checks := s.lat.Checks(); rounds < 1 || len(changes) != rounds*checks {
+		return scerr.BadConfig("ufdecoder: change volume of %d bits over %d rounds, want rounds >= 1 and rounds × %d checks", len(changes), rounds, checks)
+	}
+	if s.st == nil || s.rounds != rounds {
 		g, err := NewToricHistory(s.lat.Distance(), rounds)
 		if err != nil {
 			return err
 		}
-		if s.hist != nil {
-			s.retired += s.hist.ops
+		if s.st != nil {
+			s.retired += s.st.ops
 		}
-		s.hist = newUFState(g)
-		s.histRounds = rounds
+		s.st = newUFState(g)
+		s.rounds = rounds
 	}
-	if len(changes) != s.hist.g.Checks() {
-		return scerr.BadConfig("ufdecoder: change volume length %d != %d (rounds × checks)", len(changes), s.hist.g.Checks())
-	}
-	return s.hist.decodeBits(correction, changes)
+	return s.st.decodeBits(correction, changes)
 }
-
-// NewGraphSolver returns a standalone union-find decode engine over an
-// arbitrary detector graph (boundaries, weights, custom observables) —
-// the general-purpose face of the subsystem, used by tests and future
-// non-toric codes. correction must have room for every observable the
-// graph names.
-type GraphSolver struct {
-	st *ufState
-}
-
-// NewGraphSolver builds a solver over g.
-func NewGraphSolver(g *Graph) *GraphSolver { return &GraphSolver{st: newUFState(g)} }
-
-// Decode seeds defects from bits (bit i → check node i; length must be
-// Checks()) and writes the correction, cleared first.
-func (gs *GraphSolver) Decode(correction decoder.ErrorPattern, bits []bool) error {
-	if len(bits) != gs.st.g.Checks() {
-		return scerr.BadConfig("ufdecoder: defect bitmap length %d != %d checks", len(bits), gs.st.g.Checks())
-	}
-	if int(gs.st.g.maxObs) >= len(correction) {
-		return scerr.BadConfig("ufdecoder: correction length %d <= max observable %d", len(correction), gs.st.g.maxObs)
-	}
-	return gs.st.decodeBits(correction, bits)
-}
-
-// WorkOps reports cumulative work-ops.
-func (gs *GraphSolver) WorkOps() uint64 { return gs.st.ops }

@@ -17,14 +17,12 @@ type ufState struct {
 	stamp uint32 // current decode epoch
 
 	// Per-node, valid when nodeStamp matches stamp. Cluster-level
-	// fields (odd, touchB, bVert, vHead, vTail, size) are maintained
-	// at the cluster root.
+	// fields (odd, vHead, vTail, size) are maintained at the cluster
+	// root.
 	nodeStamp []uint32
 	parent    []int32
 	size      []int32
 	odd       []bool
-	touchB    []bool
-	bVert     []int32 // one boundary vertex in the cluster, -1 if none
 	defect    []bool
 	vHead     []int32 // cluster vertex list head/tail (O(1) concat on merge)
 	vTail     []int32
@@ -41,7 +39,7 @@ type ufState struct {
 	// Round-scoped root markers (one counter per growth/peel sweep).
 	rootSeen  []uint32
 	roundCtr  uint32
-	oddActive int // clusters that are odd-parity and boundary-free
+	oddActive int // odd-parity clusters, the ones still growing
 
 	// Peeling: DFS preorder, tree pointers, visited stamps.
 	peelStamp  []uint32
@@ -54,15 +52,13 @@ type ufState struct {
 }
 
 func newUFState(g *Graph) *ufState {
-	n, m := g.nodes, g.Edges()
+	n, m := g.checks, g.Edges()
 	return &ufState{
 		g:          g,
 		nodeStamp:  make([]uint32, n),
 		parent:     make([]int32, n),
 		size:       make([]int32, n),
 		odd:        make([]bool, n),
-		touchB:     make([]bool, n),
-		bVert:      make([]int32, n),
 		defect:     make([]bool, n),
 		vHead:      make([]int32, n),
 		vTail:      make([]int32, n),
@@ -110,13 +106,6 @@ func (st *ufState) activate(v int32) {
 	st.defect[v] = false
 	st.vHead[v], st.vTail[v] = v, v
 	st.vNext[v] = -1
-	if st.g.boundary[v] {
-		st.touchB[v] = true
-		st.bVert[v] = v
-	} else {
-		st.touchB[v] = false
-		st.bVert[v] = -1
-	}
 }
 
 // addDefect seeds a defect at check node v.
@@ -124,9 +113,7 @@ func (st *ufState) addDefect(v int32) {
 	st.activate(v)
 	st.defect[v] = true
 	st.odd[v] = true
-	if !st.touchB[v] {
-		st.oddActive++
-	}
+	st.oddActive++
 	st.seeds = append(st.seeds, v)
 }
 
@@ -140,9 +127,6 @@ func (st *ufState) find(v int32) int32 {
 	return v
 }
 
-// active reports whether root r still demands growth.
-func (st *ufState) active(r int32) bool { return st.odd[r] && !st.touchB[r] }
-
 // union merges the clusters rooted at ra and rb (by size, smaller
 // index on ties, so merges are deterministic) and maintains the
 // odd-active census.
@@ -150,7 +134,7 @@ func (st *ufState) union(ra, rb int32) {
 	if ra == rb {
 		return
 	}
-	wasA, wasB := st.active(ra), st.active(rb)
+	wasA, wasB := st.odd[ra], st.odd[rb]
 	if st.size[ra] < st.size[rb] || (st.size[ra] == st.size[rb] && rb < ra) {
 		ra, rb = rb, ra
 	}
@@ -158,15 +142,9 @@ func (st *ufState) union(ra, rb int32) {
 	st.parent[rb] = ra
 	st.size[ra] += st.size[rb]
 	st.odd[ra] = st.odd[ra] != st.odd[rb]
-	if st.touchB[rb] {
-		st.touchB[ra] = true
-	}
-	if st.bVert[ra] < 0 {
-		st.bVert[ra] = st.bVert[rb]
-	}
 	st.vNext[st.vTail[ra]] = st.vHead[rb]
 	st.vTail[ra] = st.vTail[rb]
-	if st.active(ra) {
+	if st.odd[ra] {
 		st.oddActive++
 	}
 	if wasA {
@@ -178,9 +156,8 @@ func (st *ufState) union(ra, rb int32) {
 	st.ops++
 }
 
-// growRound advances every odd boundary-free cluster by one half-step
-// on all edges incident to its vertices, then merges across the edges
-// that filled. Increment and merge are two phases, so cluster
+// growRound advances every odd cluster by one half-step on all edges
+// incident to its vertices, then merges across the edges that filled. Increment and merge are two phases, so cluster
 // membership is stable while frontiers are scanned and the result is
 // independent of scan order races (there are none — all sequential).
 func (st *ufState) growRound() {
@@ -192,7 +169,7 @@ func (st *ufState) growRound() {
 			continue
 		}
 		st.rootSeen[r] = st.roundCtr
-		if !st.active(r) {
+		if !st.odd[r] {
 			continue
 		}
 		for v := st.vHead[r]; v >= 0; v = st.vNext[v] {
@@ -223,12 +200,12 @@ func (st *ufState) growRound() {
 	st.pending = st.pending[:0]
 }
 
-// grow runs growth rounds until no odd boundary-free cluster remains.
+// grow runs growth rounds until no odd cluster remains.
 func (st *ufState) grow() error {
 	// Each round adds at least one half-step of support somewhere, so
 	// total rounds are bounded by the graph's support capacity; the
 	// guard turns a broken invariant into an error instead of a hang.
-	limit := 4*st.g.nodes + 8
+	limit := 4*st.g.checks + 8
 	for round := 0; st.oddActive > 0; round++ {
 		if round > limit {
 			return scerr.BadConfig("ufdecoder: growth did not converge after %d rounds", round)
@@ -239,10 +216,10 @@ func (st *ufState) grow() error {
 }
 
 // peel reads the correction off each cluster: a DFS over the fully
-// grown edges builds a spanning forest (rooted at a boundary vertex
-// when the cluster has one), then vertices unwind in reverse preorder
-// — a defect flips its tree edge's observable and hands its parity to
-// the parent; boundary vertices absorb whatever reaches them.
+// grown edges builds a spanning forest rooted at the cluster root, then
+// vertices unwind in reverse preorder — a defect flips its tree edge's
+// observable and hands its parity to the parent. An even cluster
+// leaves its root clear.
 func (st *ufState) peel(correction decoder.ErrorPattern) error {
 	g := st.g
 	st.roundCtr++
@@ -252,16 +229,12 @@ func (st *ufState) peel(correction decoder.ErrorPattern) error {
 			continue
 		}
 		st.rootSeen[r] = st.roundCtr
-		start := r
-		if st.bVert[r] >= 0 {
-			start = st.bVert[r]
-		}
 		st.order = st.order[:0]
 		st.stack = st.stack[:0]
-		st.peelStamp[start] = st.stamp
-		st.parentEdge[start] = -1
-		st.parentNode[start] = -1
-		st.stack = append(st.stack, start)
+		st.peelStamp[r] = st.stamp
+		st.parentEdge[r] = -1
+		st.parentNode[r] = -1
+		st.stack = append(st.stack, r)
 		for len(st.stack) > 0 {
 			v := st.stack[len(st.stack)-1]
 			st.stack = st.stack[:len(st.stack)-1]
@@ -287,10 +260,6 @@ func (st *ufState) peel(correction decoder.ErrorPattern) error {
 		}
 		for k := len(st.order) - 1; k >= 0; k-- {
 			v := st.order[k]
-			if g.boundary[v] {
-				st.defect[v] = false // the boundary absorbs anything pushed here
-				continue
-			}
 			if !st.defect[v] {
 				continue
 			}
@@ -311,8 +280,8 @@ func (st *ufState) peel(correction decoder.ErrorPattern) error {
 }
 
 // decodeBits runs the full union-find pipeline for the defect bitmap
-// (bit i seeds node i; bits beyond the graph's checks are rejected by
-// the caller) and writes the correction (cleared first).
+// (bit i seeds node i; the caller checks the length) and writes the
+// correction (cleared first).
 func (st *ufState) decodeBits(correction decoder.ErrorPattern, bits []bool) error {
 	st.begin()
 	clear(correction)
@@ -324,7 +293,7 @@ func (st *ufState) decodeBits(correction decoder.ErrorPattern, bits []bool) erro
 	if len(st.seeds) == 0 {
 		return nil
 	}
-	if len(st.seeds)%2 != 0 && !st.g.hasBnd {
+	if len(st.seeds)%2 != 0 {
 		return scerr.BadConfig("ufdecoder: odd defect count %d on a boundaryless graph (corrupted syndrome)", len(st.seeds))
 	}
 	if err := st.grow(); err != nil {

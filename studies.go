@@ -473,7 +473,7 @@ func (s *studyRun) decoderGrid(ctx context.Context, distances []int, rates []flo
 	}
 	results, err := sweep.Map(ctx, s.opts(labels), cells, func(i int, c cell) (DecoderResult, error) {
 		cfg := decoder.Config{Workers: 1, Strategy: strategy}
-		return measureCodeCapacity(ctx, c.d, c.p, trials, CellSeed(s.tc.seed, i), cfg)
+		return measureLogicalRate(ctx, c.d, 1, c.p, 0, trials, CellSeed(s.tc.seed, i), cfg)
 	})
 	return results, labels, err
 }

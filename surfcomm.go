@@ -443,12 +443,7 @@ func NewDecoderLattice(d int) (*DecoderLattice, error) { return decoder.NewLatti
 // volume. Trials decode across GOMAXPROCS workers with a failure count
 // identical to a serial run.
 func MeasureLogicalErrorRateHistory(d, rounds int, p, q float64, trials int, seed int64) (DecoderResult, error) {
-	l, err := decoder.NewLattice(d)
-	if err != nil {
-		return DecoderResult{}, err
-	}
-	mc := &decoder.HistoryMonteCarlo{Lattice: l, Rounds: rounds, Rng: rand.New(rand.NewSource(seed))}
-	return mc.RunContext(context.TODO(), p, q, trials)
+	return measureLogicalRate(context.TODO(), d, rounds, p, q, trials, seed, decoder.Config{})
 }
 
 // --- QASM interchange ---

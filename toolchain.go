@@ -305,13 +305,14 @@ func (tc *Toolchain) Models(ctx context.Context) ([]AppModel, error) {
 	return tc.Characterize(ctx, toolflow.ReferenceWorkloads())
 }
 
-// MeasureLogicalErrorRate runs the decoding Monte Carlo at the
-// toolchain's seed, decoding trials across the WithWorkers pool. The
+// MeasureLogicalErrorRate runs the code-capacity decoding Monte Carlo
+// (one perfectly measured round per trial) at the toolchain's seed,
+// decoding trials across the WithWorkers pool. The
 // failure count is bit-identical at any worker count (trial randomness
 // is drawn sequentially; only the decoding work is pooled).
 func (tc *Toolchain) MeasureLogicalErrorRate(ctx context.Context, d int, p float64, trials int) (DecoderResult, error) {
 	cfg := decoder.Config{Workers: tc.workers, Strategy: tc.decodeStrategy}
-	res, err := measureCodeCapacity(ctx, d, p, trials, tc.seed, cfg)
+	res, err := measureLogicalRate(ctx, d, 1, p, 0, trials, tc.seed, cfg)
 	if err != nil {
 		return DecoderResult{}, fmt.Errorf("toolchain: %w", err)
 	}
