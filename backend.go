@@ -21,7 +21,8 @@ const JITWindowAuto = int64(-1)
 // the paper's toolflow. A Toolchain derives one from its options; zero
 // fields select the paper's defaults.
 type Target struct {
-	// Distance is the surface code distance d; zero selects 9.
+	// Distance is the surface code distance d, at most 999; zero
+	// selects 9.
 	Distance int
 	// Technology captures the physical device; a zero value selects
 	// the baseline superconducting technology at p_P = 1e-8.
@@ -97,8 +98,8 @@ func (t Target) WriteFingerprint(w io.Writer, backend string) {
 // constructors' invariant panics are unreachable from the public API:
 // a bad target fails with an error matching ErrBadConfig instead.
 func (t Target) validate() error {
-	if t.Distance < 1 {
-		return scerr.BadConfig("target: distance %d < 1", t.Distance)
+	if t.Distance < 1 || t.Distance > surface.MaxDistance {
+		return scerr.BadConfig("target: distance %d outside [1, %d]", t.Distance, surface.MaxDistance)
 	}
 	if t.Policy < Policy0 || t.Policy > Policy6 {
 		return scerr.BadConfig("target: unknown policy %d", int(t.Policy))

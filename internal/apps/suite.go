@@ -49,6 +49,17 @@ func IMVariants(n, steps int) []Workload {
 	}
 }
 
+// ReferenceSuite returns the applications characterized for Figures
+// 7–9: GSE, SQ and SHA-1 at their Figure 6 sizes plus both Ising
+// inlining variants at 96 spins.
+func ReferenceSuite() []Workload {
+	return append([]Workload{
+		{Name: "GSE", Circuit: GSE(GSEConfig{M: 10, Steps: 2})},
+		{Name: "SQ", Circuit: SQ(SQConfig{N: 8, Iters: 2})},
+		{Name: "SHA-1", Circuit: SHA1(SHA1Config{Rounds: 1, WordWidth: 16})},
+	}, IMVariants(96, 2)...)
+}
+
 // Scaling models how an application's logical footprint grows with
 // total computation size K (the 1/p_L axis of Figures 7-9). Qubit
 // counts follow each generator's allocation; the functions invert the

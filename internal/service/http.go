@@ -92,11 +92,10 @@ type EstimateResponse struct {
 
 // ModelResponse is one characterized application in the /models reply.
 type ModelResponse struct {
-	Name             string  `json:"name"`
-	Parallelism      float64 `json:"parallelism"`
-	SchedParallelism float64 `json:"sched_parallelism"`
-	MoveFraction     float64 `json:"move_fraction"`
-	CongestionDD     float64 `json:"congestion_dd"`
+	Name         string  `json:"name"`
+	Parallelism  float64 `json:"parallelism"`
+	MoveFraction float64 `json:"move_fraction"`
+	CongestionDD float64 `json:"congestion_dd"`
 }
 
 // CalibrationHealth is the /healthz view of the service's startup
@@ -369,11 +368,10 @@ func NewHandler(s *Service) http.Handler {
 		out := make([]ModelResponse, len(models))
 		for i, m := range models {
 			out[i] = ModelResponse{
-				Name:             m.Name,
-				Parallelism:      m.Parallelism,
-				SchedParallelism: m.SchedParallelism,
-				MoveFraction:     m.MoveFraction,
-				CongestionDD:     m.CongestionDD,
+				Name:         m.Name,
+				Parallelism:  m.Parallelism,
+				MoveFraction: m.MoveFraction,
+				CongestionDD: m.CongestionDD,
 			}
 		}
 		writeJSON(w, http.StatusOK, out)

@@ -2,12 +2,17 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"surfcomm"
 	"surfcomm/internal/service"
@@ -209,26 +214,119 @@ func TestEstimateEndpoint(t *testing.T) {
 	}
 }
 
+// TestModelsEndpoint serves the characterized reference suite and pins
+// the shared cold start behind it. The progress callback holds the
+// characterization open at its first event: eight concurrent cold
+// requests must then run one characterization, one "characterize"
+// event per reference workload, and get identical bodies, and a
+// Service.Models waiter whose context ends mid-flight must return
+// ErrCanceled without waiting for the flight.
 func TestModelsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference characterization is slow")
 	}
-	srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/models")
+	var (
+		mu       sync.Mutex
+		events   int
+		held     = make(chan struct{})
+		holdOnce sync.Once
+		release  = make(chan struct{})
+	)
+	releaseFlight := sync.OnceFunc(func() { close(release) })
+	defer releaseFlight()
+	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1),
+		surfcomm.WithProgress(func(ev surfcomm.Event) {
+			if ev.Stage != "characterize" {
+				return
+			}
+			mu.Lock()
+			events++
+			mu.Unlock()
+			holdOnce.Do(func() { close(held) })
+			<-release
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	svc := service.New(tc, service.Config{})
+	t.Cleanup(svc.Close)
+	const clients = 8
+	arrived := make(chan struct{}, clients)
+	h := service.NewHandler(svc)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close) // after the deferred release, so a failed run drains
+
+	bodies := make([][]byte, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(srv.URL + "/models")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status = %d", resp.StatusCode)
+				return
+			}
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+		}()
+	}
+	answered := make(chan struct{})
+	go func() { wg.Wait(); close(answered) }()
+	select {
+	case <-held: // one characterization is in flight and cannot finish
+	case <-answered:
+		t.Fatalf("every request answered without holding a characterization: %v", errs)
+	}
+	for range clients {
+		<-arrived
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := svc.Models(ctx)
+		waiter <- err
+	}()
+	cancel()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, surfcomm.ErrCanceled) {
+			t.Errorf("canceled waiter: err = %v, want ErrCanceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a canceled waiter is still waiting for the held characterization")
+	}
+	releaseFlight()
+	<-answered
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("request %d body differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+		}
 	}
 	var models []service.ModelResponse
-	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
+	if err := json.Unmarshal(bodies[0], &models); err != nil {
 		t.Fatal(err)
 	}
 	if len(models) == 0 {
 		t.Fatal("no models returned")
 	}
+	mu.Lock()
+	if events != len(models) {
+		t.Errorf("%d characterize events for %d models, want one characterization", events, len(models))
+	}
+	mu.Unlock()
 	names := make(map[string]bool, len(models))
 	for _, m := range models {
 		names[m.Name] = true

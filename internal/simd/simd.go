@@ -112,14 +112,6 @@ type Schedule struct {
 	CriticalTimesteps int
 }
 
-// Parallelism returns ops per timestep achieved by the schedule.
-func (s *Schedule) Parallelism() float64 {
-	if s.Timesteps == 0 {
-		return 0
-	}
-	return float64(s.Ops) / float64(s.Timesteps)
-}
-
 // schedState is the per-run scheduling state: the ready structure plus
 // all per-timestep scratch, allocated once per RunContext and
 // stamp-cleared between timesteps so the scheduling loop never

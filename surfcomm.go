@@ -265,11 +265,6 @@ func Boundary(m AppModel, errorRates []float64) []BoundaryPoint {
 // Figure9ErrorRates is the paper's p_P sweep (1e-8 … 1e-3).
 func Figure9ErrorRates() []float64 { return toolflow.Figure9ErrorRates() }
 
-// ReferenceModels characterizes the standard suite for Figures 7-9.
-func ReferenceModels(seed int64) ([]AppModel, error) {
-	return toolflow.ReferenceModelsContext(context.TODO(), seed)
-}
-
 // ModelFor picks a characterized model by name.
 func ModelFor(models []AppModel, name string) (AppModel, error) {
 	return toolflow.ModelFor(models, name)

@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 
+	"surfcomm/internal/apps"
 	"surfcomm/internal/decoder"
 	"surfcomm/internal/modcompile"
 	"surfcomm/internal/scerr"
+	"surfcomm/internal/surface"
 	"surfcomm/internal/sweep"
-	"surfcomm/internal/toolflow"
 )
 
 // Event is one structured progress notification from a Toolchain run:
@@ -53,11 +54,12 @@ func WithPolicy(p BraidPolicy) ToolchainOption {
 	}
 }
 
-// WithDistance selects the surface code distance (default 9).
+// WithDistance selects the surface code distance (default 9), at most
+// 999: the largest distance Technology.RequiredDistance searches.
 func WithDistance(d int) ToolchainOption {
 	return func(tc *Toolchain) error {
-		if d < 1 {
-			return scerr.BadConfig("toolchain: distance %d < 1", d)
+		if d < 1 || d > surface.MaxDistance {
+			return scerr.BadConfig("toolchain: distance %d outside [1, %d]", d, surface.MaxDistance)
 		}
 		tc.distance = d
 		return nil
@@ -290,19 +292,59 @@ func (tc *Toolchain) resolveTarget(override []func(*Target)) Target {
 	return t
 }
 
-// Characterize measures application models across the worker pool; the
-// result is identical to serial characterization at any worker count.
+// studyTarget is the target every study cell and characterization
+// compiles at: the toolchain's distance and seed, Policy 6 (fig6 and
+// table1 set their own), and the device and live defects the caller
+// fixes (nil for the perfect grid). It is built afresh rather than from
+// Target, so the toolchain's device options never reach a study or a
+// model.
+func (tc *Toolchain) studyTarget(dev *Device, defects *DefectSchedule) *Target {
+	return &Target{Distance: tc.distance, Seed: tc.seed, Policy: Policy6, Device: dev, Defects: defects}
+}
+
+// Characterize measures application models across the worker pool,
+// emitting one "characterize" event per workload. Each workload
+// compiles through PlanarBackend and BraidBackend at the study target:
+// MoveFraction is the planar plan's SIMD moves per logical op and
+// CongestionDD the braid plan's schedule/critical-path ratio. Results
+// are identical at any worker count.
 func (tc *Toolchain) Characterize(ctx context.Context, ws []Workload) ([]AppModel, error) {
 	opt := tc.sweepOpts("characterize", func(i int) string { return ws[i].Name })
 	return sweep.Map(ctx, opt, ws, func(_ int, w Workload) (AppModel, error) {
-		return toolflow.CharacterizeContext(ctx, w, tc.seed)
+		scaling, err := apps.ScalingFor(w.Name)
+		if err != nil {
+			return AppModel{}, fmt.Errorf("toolchain: characterize: %w", err)
+		}
+		target := tc.studyTarget(nil, nil)
+		planar, err := PlanarBackend{}.Compile(ctx, w.Circuit, target)
+		if err != nil {
+			return AppModel{}, fmt.Errorf("toolchain: characterize %s: planar: %w", w.Name, err)
+		}
+		braided, err := BraidBackend{}.Compile(ctx, w.Circuit, target)
+		if err != nil {
+			return AppModel{}, fmt.Errorf("toolchain: characterize %s: braid: %w", w.Name, err)
+		}
+		est, err := EstimateCircuit(w.Circuit)
+		if err != nil {
+			return AppModel{}, fmt.Errorf("toolchain: characterize %s: %w", w.Name, err)
+		}
+		m := AppModel{
+			Name:         w.Name,
+			Parallelism:  est.Parallelism,
+			CongestionDD: braided.Braid.Ratio,
+			QubitsForOps: scaling.QubitsForOps,
+		}
+		if est.LogicalOps > 0 {
+			m.MoveFraction = float64(len(planar.SIMD.Moves)) / float64(est.LogicalOps)
+		}
+		return m, nil
 	})
 }
 
 // Models characterizes the reference suite — the app models behind
 // Figures 7–9.
 func (tc *Toolchain) Models(ctx context.Context) ([]AppModel, error) {
-	return tc.Characterize(ctx, toolflow.ReferenceWorkloads())
+	return tc.Characterize(ctx, apps.ReferenceSuite())
 }
 
 // MeasureLogicalErrorRate runs the code-capacity decoding Monte Carlo

@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"surfcomm"
+	"surfcomm/internal/apps"
 	"surfcomm/internal/braid"
 	"surfcomm/internal/simd"
 	"surfcomm/internal/teleport"
-	"surfcomm/internal/toolflow"
 )
 
 // --- API parity: the Toolchain must reproduce the engine entry points
@@ -141,21 +141,52 @@ func TestSurgeryBackendCompilesSuite(t *testing.T) {
 
 func syntheticModel(name string) surfcomm.AppModel {
 	return surfcomm.AppModel{
-		Name:             name,
-		Parallelism:      2,
-		SchedParallelism: 2,
-		MoveFraction:     0.5,
-		CongestionDD:     1.8,
-		QubitsForOps:     func(k float64) float64 { return 8 * math.Cbrt(k) },
+		Name:         name,
+		Parallelism:  2,
+		MoveFraction: 0.5,
+		CongestionDD: 1.8,
+		QubitsForOps: func(k float64) float64 { return 8 * math.Cbrt(k) },
+	}
+}
+
+// characterizationTarget is the target Toolchain.Characterize compiles
+// at on a toolchain with default distance and the given seed.
+func characterizationTarget(seed int64) *surfcomm.Target {
+	return &surfcomm.Target{Distance: 9, Seed: seed, Policy: surfcomm.Policy6}
+}
+
+// checkModelMatchesBackends fails unless m carries w's DAG parallelism,
+// the SIMD moves per logical op of w's planar plan and the
+// schedule/critical-path ratio of its braid plan at target.
+func checkModelMatchesBackends(t *testing.T, m surfcomm.AppModel, w surfcomm.Workload, target *surfcomm.Target) {
+	t.Helper()
+	ctx := context.Background()
+	est, err := surfcomm.EstimateCircuit(w.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planar, err := surfcomm.PlanarBackend{}.Compile(ctx, w.Circuit, target)
+	if err != nil {
+		t.Fatalf("%s: planar: %v", w.Name, err)
+	}
+	braided, err := surfcomm.BraidBackend{}.Compile(ctx, w.Circuit, target)
+	if err != nil {
+		t.Fatalf("%s: braid: %v", w.Name, err)
+	}
+	moves := float64(len(planar.SIMD.Moves)) / float64(est.LogicalOps)
+	if m.Name != w.Name || m.Parallelism != est.Parallelism ||
+		m.MoveFraction != moves || m.CongestionDD != braided.Braid.Ratio {
+		t.Errorf("%s: model (parallelism %v, move fraction %v, congestion %v), backends give (%v, %v, %v)",
+			w.Name, m.Parallelism, m.MoveFraction, m.CongestionDD, est.Parallelism, moves, braided.Braid.Ratio)
 	}
 }
 
 // TestToolchainRecordParity asserts the Toolchain's pooled
-// characterization reproduces serial toolflow.CharacterizeContext at
-// the same seed: every field the characterization records carry
-// (BENCH_sweep.json) must match.
+// characterization reads every field the characterization records carry
+// (BENCH_sweep.json) from Backend compiles at the study target: the
+// toolchain's distance and seed, Policy 6 and the perfect device,
+// whatever its technology.
 func TestToolchainRecordParity(t *testing.T) {
-	ctx := context.Background()
 	const seed = 3
 	tc, err := surfcomm.NewToolchain(
 		surfcomm.WithSeed(seed),
@@ -169,20 +200,110 @@ func TestToolchainRecordParity(t *testing.T) {
 		{Name: "GSE", Circuit: must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 4, Steps: 1}))},
 		{Name: "IM", Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 10, Steps: 1}, true))},
 	}
-	models, err := tc.Characterize(ctx, workloads)
+	models, err := tc.Characterize(context.Background(), workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range workloads {
-		n := models[i]
-		o, err := toolflow.CharacterizeContext(context.Background(), w, seed)
-		if err != nil {
-			t.Fatal(err)
+		checkModelMatchesBackends(t, models[i], w, characterizationTarget(seed))
+	}
+}
+
+// TestReferenceModelsMatchBackends holds every model behind Figures 7–9
+// to what PlanarBackend and BraidBackend compile for its workload at the
+// characterization target, SHA-1 included: at 592 qubits it is the one
+// reference workload the planar backend sizes onto 16 SIMD regions.
+func TestReferenceModelsMatchBackends(t *testing.T) {
+	models, err := referenceModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := apps.ReferenceSuite()
+	if len(models) != len(suite) {
+		t.Fatalf("%d models, want one per reference workload (%d)", len(models), len(suite))
+	}
+	for i, w := range suite {
+		checkModelMatchesBackends(t, models[i], w, characterizationTarget(1))
+	}
+}
+
+func TestCharacterizeSmallApps(t *testing.T) {
+	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := tc.Characterize(context.Background(), []surfcomm.Workload{
+		{Name: "GSE", Circuit: must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 6, Steps: 1}))},
+		{Name: "IM", Circuit: must(surfcomm.NewIsing(surfcomm.IsingConfig{N: 32, Steps: 1}, true))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gse, im := models[0], models[1]
+	if err := gse.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if im.Parallelism <= gse.Parallelism {
+		t.Errorf("IM parallelism %.1f should exceed GSE %.1f", im.Parallelism, gse.Parallelism)
+	}
+	if im.CongestionDD < gse.CongestionDD {
+		t.Errorf("IM congestion %.2f should be at least GSE %.2f", im.CongestionDD, gse.CongestionDD)
+	}
+}
+
+func TestCharacterizeUnknownScaling(t *testing.T) {
+	tc, err := surfcomm.NewToolchain(surfcomm.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := must(surfcomm.NewGSE(surfcomm.GSEConfig{M: 4, Steps: 1}))
+	if _, err := tc.Characterize(context.Background(), []surfcomm.Workload{{Name: "mystery", Circuit: c}}); err == nil {
+		t.Error("unknown app name should fail (no scaling model)")
+	}
+}
+
+// TestReferenceModelsIntegration checks the paper's shape on the full
+// characterized reference suite, guarded by -short.
+func TestReferenceModelsIntegration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration characterization skipped in -short mode")
+	}
+	models, err := referenceModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models) != 5 {
+		t.Fatalf("models = %d, want 5", len(models))
+	}
+	byName := map[string]surfcomm.AppModel{}
+	for _, m := range models {
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
 		}
-		if n.Name != o.Name || n.Parallelism != o.Parallelism || n.SchedParallelism != o.SchedParallelism ||
-			n.MoveFraction != o.MoveFraction || n.CongestionDD != o.CongestionDD {
-			t.Errorf("%s: toolchain model %+v differs from serial model %+v", o.Name, n, o)
-		}
+		byName[m.Name] = m
+	}
+	// Paper-shape assertions on the measured characterization.
+	if !(byName["GSE"].Parallelism < byName["SQ"].Parallelism) {
+		t.Error("GSE should be the most serial app")
+	}
+	if !(byName["SHA-1"].Parallelism > 5) {
+		t.Error("SHA-1 should be parallel")
+	}
+	if !(byName["IM_Fully_Inlined"].Parallelism > byName["IM_Semi_Inlined"].Parallelism) {
+		t.Error("full inlining should expose more parallelism")
+	}
+	if !(byName["IM_Fully_Inlined"].CongestionDD > byName["GSE"].CongestionDD) {
+		t.Error("parallel apps should congest braids more than serial apps")
+	}
+	// Boundary ordering at a mid-range error rate: the congested
+	// parallel app crosses over later than the serial one.
+	gseK, ok1 := surfcomm.Crossover(byName["GSE"], 1e-4)
+	imK, ok2 := surfcomm.Crossover(byName["IM_Fully_Inlined"], 1e-4)
+	if !ok1 || !ok2 {
+		t.Fatalf("both crossovers should exist at 1e-4: %v %v", ok1, ok2)
+	}
+	if imK <= gseK {
+		t.Errorf("IM boundary %.3g should sit above GSE %.3g at p=1e-4", imK, gseK)
 	}
 }
 
@@ -290,8 +411,10 @@ func TestGridPrecanceledRunsNoCells(t *testing.T) {
 // --- Sentinel errors across the facade. ---
 
 func TestSentinelErrors(t *testing.T) {
-	if _, err := surfcomm.NewToolchain(surfcomm.WithDistance(0)); !errors.Is(err, surfcomm.ErrBadConfig) {
-		t.Errorf("WithDistance(0): %v, want ErrBadConfig", err)
+	for _, d := range []int{0, 1001} {
+		if _, err := surfcomm.NewToolchain(surfcomm.WithDistance(d)); !errors.Is(err, surfcomm.ErrBadConfig) {
+			t.Errorf("WithDistance(%d): %v, want ErrBadConfig", d, err)
+		}
 	}
 	if _, err := surfcomm.NewToolchain(surfcomm.WithPolicy(surfcomm.BraidPolicy(99))); !errors.Is(err, surfcomm.ErrBadConfig) {
 		t.Errorf("WithPolicy(99): %v, want ErrBadConfig", err)
