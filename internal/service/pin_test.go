@@ -33,9 +33,47 @@ func pinQASM(t *testing.T) string {
 	return buf.String()
 }
 
+// respelledPinQASM is pinQASM's circuit in every spelling the line
+// grammar folds away: the name comment padded with spaces, CRLF line
+// ends, tabs, runs of spaces and U+00A0 separators, a blank line, a
+// later comment, and the operands q00 and q+2.
+const respelledPinQASM = "  #   pin  \r\n" +
+	"qubits\t  4\r\n" +
+	"\r\n" +
+	"\t# not the name\r\n" +
+	"h\u00a0q00\u00a0\r\n" +
+	"cnot \t q0,q3\r\n" +
+	"  t\u00a0 q+2\t\r\n" +
+	"cnot\tq1,q+2\r\n"
+
+// shuffleModules moves a canonical program's entry directive to the end
+// and reverses the order of its module blocks.
+func shuffleModules(t *testing.T, text string) string {
+	t.Helper()
+	entry, body, ok := strings.Cut(text, "\n")
+	if !ok || !strings.HasPrefix(entry, "entry ") || !strings.HasPrefix(body, "module ") {
+		t.Fatalf("not a canonical program:\n%s", text)
+	}
+	blocks := strings.SplitAfter(body, "\nmodule ")
+	var out strings.Builder
+	for i := len(blocks) - 1; i >= 0; i-- {
+		block := strings.TrimSuffix(blocks[i], "module ")
+		if i > 0 {
+			block = "module " + block
+		}
+		out.WriteString(block)
+	}
+	out.WriteString(entry + "\n")
+	if len(blocks) < 3 || out.Len() != len(text) {
+		t.Fatalf("shuffle kept %d of %d bytes over %d blocks", out.Len(), len(text), len(blocks))
+	}
+	return out.String()
+}
+
 // TestRoutingKeyPinned pins the router's shard key for a flat request,
 // a hierarchical one, and one carrying every optional knob: a drifting
-// key reshuffles every replica's cache slice on upgrade.
+// key reshuffles every replica's cache slice on upgrade. The respelled
+// cases must key exactly as their canonical spellings do.
 func TestRoutingKeyPinned(t *testing.T) {
 	policy, seed := 3, int64(11)
 	cases := []struct {
@@ -45,7 +83,11 @@ func TestRoutingKeyPinned(t *testing.T) {
 	}{
 		{"flat", service.Request{QASM: pinQASM(t)},
 			"d6ae057e84fc2861af9e23df31506fa8866bb5ee2b2f9b5a00f696dad1214c54"},
+		{"flat respelled", service.Request{QASM: respelledPinQASM},
+			"d6ae057e84fc2861af9e23df31506fa8866bb5ee2b2f9b5a00f696dad1214c54"},
 		{"hierarchical", service.Request{QASM: pipelineQASM(t, 3, 0)},
+			"e2b9545b162c9dcceb448f45c07ef1c580041c0cba69bc8ba5dbe6ec7eba22ea"},
+		{"hierarchical shuffled", service.Request{QASM: shuffleModules(t, pipelineQASM(t, 3, 0))},
 			"e2b9545b162c9dcceb448f45c07ef1c580041c0cba69bc8ba5dbe6ec7eba22ea"},
 		{"knobs", service.Request{
 			QASM:           pinQASM(t),
