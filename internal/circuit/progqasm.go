@@ -185,6 +185,9 @@ func ReadProgramQASM(r io.Reader) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("qasm line %d: %w", line, err)
 		}
+		if len(fields) > 2 {
+			return nil, fmt.Errorf("qasm line %d: malformed gate (want: <op> q…,q…)", line)
+		}
 		var qubits []int
 		if len(fields) > 1 {
 			if qubits, err = parseOperands(fields[1], line); err != nil {

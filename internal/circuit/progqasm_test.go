@@ -100,13 +100,15 @@ func TestLooksHierarchicalQASM(t *testing.T) {
 
 func TestReadProgramQASMErrors(t *testing.T) {
 	cases := map[string]string{
-		"missing entry":   "module main 1\nh q0\n",
-		"unknown callee":  "entry main\nmodule main 1\ncall ghost q0\n",
-		"arity mismatch":  "entry main\nmodule main 2\ncall sub q0,q1\nmodule sub 1\nh q0\n",
-		"gate pre-module": "entry main\nh q0\nmodule main 1\n",
-		"bad qubit count": "entry main\nmodule main 0\n",
-		"recursion":       "entry main\nmodule main 1\ncall main q0\n",
-		"duplicate entry": "entry main\nentry other\nmodule main 1\nh q0\n",
+		"missing entry":    "module main 1\nh q0\n",
+		"unknown callee":   "entry main\nmodule main 1\ncall ghost q0\n",
+		"arity mismatch":   "entry main\nmodule main 2\ncall sub q0,q1\nmodule sub 1\nh q0\n",
+		"gate pre-module":  "entry main\nh q0\nmodule main 1\n",
+		"bad qubit count":  "entry main\nmodule main 0\n",
+		"recursion":        "entry main\nmodule main 1\ncall main q0\n",
+		"duplicate entry":  "entry main\nentry other\nmodule main 1\nh q0\n",
+		"extra gate field": "entry main\nmodule main 2\nh q0 q1\n",
+		"extra call field": "entry main\nmodule main 2\ncall sub q0 q1\nmodule sub 1\nh q0\n",
 	}
 	for name, text := range cases {
 		if _, err := ReadProgramQASM(strings.NewReader(text)); err == nil {

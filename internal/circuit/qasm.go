@@ -64,6 +64,9 @@ func ReadQASM(r io.Reader) (*Circuit, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("qasm line %d: malformed qubits directive", line)
 			}
+			if c.NumQubits >= 0 {
+				return nil, fmt.Errorf("qasm line %d: duplicate qubits directive", line)
+			}
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("qasm line %d: bad qubit count %q", line, fields[1])
@@ -77,6 +80,9 @@ func ReadQASM(r io.Reader) (*Circuit, error) {
 		op, err := ParseOpcode(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("qasm line %d: %w", line, err)
+		}
+		if len(fields) > 2 {
+			return nil, fmt.Errorf("qasm line %d: malformed gate (want: <op> q…,q…)", line)
 		}
 		var qubits []int
 		if len(fields) > 1 {

@@ -74,6 +74,9 @@ func TestReadQASMErrors(t *testing.T) {
 		{"missing prefix", "qubits 2\nh 0\n"},
 		{"out of range", "qubits 2\nh q5\n"},
 		{"arity", "qubits 2\ncnot q0\n"},
+		{"duplicate qubits", "qubits 5\nh q4\ncnot q0,q4\nqubits 2\n"},
+		{"extra operand field", "qubits 2\nh q0 q1\n"},
+		{"extra field after operands", "qubits 3\ncnot q0,q1 q2\n"},
 		{"empty", ""},
 	}
 	for _, c := range cases {

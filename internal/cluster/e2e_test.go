@@ -187,3 +187,43 @@ func TestClusterEndToEndFailover(t *testing.T) {
 		t.Fatalf("post-kill compile status %d", resp.StatusCode)
 	}
 }
+
+// TestMalformedEstimateLeavesBreakersClosed: a circuit with a second
+// qubits directive is the client's fault. Through the router each
+// /estimate of it answers 400, and no replica's breaker is charged, so
+// a well-formed request is still served afterwards.
+func TestMalformedEstimateLeavesBreakersClosed(t *testing.T) {
+	names := []string{"m0", "m1"}
+	cfgs := make([]cluster.ReplicaConfig, len(names))
+	for i, name := range names {
+		svc := service.New(nil, service.Config{})
+		srv := httptest.NewServer(service.NewHandler(svc))
+		t.Cleanup(srv.Close)
+		cfgs[i] = cluster.ReplicaConfig{Name: name, URL: srv.URL}
+	}
+	_, front := newRouter(t, cluster.Config{Replicas: cfgs})
+
+	body := compileBody(t, "qubits 5\nh q4\ncnot q0,q4\nqubits 2\n")
+	for i := 0; i < 3; i++ {
+		resp, err := http.Post(front.URL+"/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("estimate %d: status %d, want 400", i+1, resp.StatusCode)
+		}
+	}
+	for _, rh := range routerHealth(t, front.URL).Replicas {
+		if rh.Breaker != "closed" {
+			t.Fatalf("malformed estimates charged a breaker: %+v", rh)
+		}
+	}
+	resp := postCompile(t, front.URL, compileBody(t, qasmVariant(t, 4)))
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed compile after malformed estimates: status %d, want 200", resp.StatusCode)
+	}
+}
