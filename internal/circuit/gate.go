@@ -106,11 +106,23 @@ func (op Opcode) String() string {
 	return fmt.Sprintf("opcode(%d)", uint8(op))
 }
 
+// opcodesByInitial lists the opcodes, Nop left out, by the first byte
+// of their mnemonic: a parse compares against one to three names.
+var opcodesByInitial = func() (t [256][]Opcode) {
+	for op := Nop + 1; op < numOpcodes; op++ {
+		c := opcodeNames[op][0]
+		t[c] = append(t[c], op)
+	}
+	return t
+}()
+
 // ParseOpcode converts a QASM mnemonic back to an Opcode.
 func ParseOpcode(s string) (Opcode, error) {
-	for op, name := range opcodeNames {
-		if name == s && Opcode(op) != Nop {
-			return Opcode(op), nil
+	if s != "" {
+		for _, op := range opcodesByInitial[s[0]] {
+			if opcodeNames[op] == s {
+				return op, nil
+			}
 		}
 	}
 	return Nop, fmt.Errorf("circuit: unknown opcode %q", s)
@@ -204,15 +216,4 @@ func (g Gate) Validate(numQubits int) error {
 }
 
 // String renders the gate in QASM form, e.g. "cnot q0,q3".
-func (g Gate) String() string {
-	s := g.Op.String()
-	for i, q := range g.Qubits {
-		if i == 0 {
-			s += " "
-		} else {
-			s += ","
-		}
-		s += fmt.Sprintf("q%d", q)
-	}
-	return s
-}
+func (g Gate) String() string { return string(appendGate(nil, g.Op, g.Qubits)) }

@@ -1,11 +1,9 @@
 package circuit
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -33,15 +31,19 @@ func WriteProgramQASM(w io.Writer, p *Program) error {
 	if p == nil {
 		return fmt.Errorf("qasm: nil program")
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "entry %s\n", p.Entry)
+	_, err := w.Write(appendProgram(nil, p))
+	return err
+}
+
+// appendProgram appends the canonical text of p.
+func appendProgram(dst []byte, p *Program) []byte {
+	dst = append(dst, "entry "...)
+	dst = append(dst, p.Entry...)
+	dst = append(dst, '\n')
 	for _, name := range p.moduleOrder() {
-		m := p.Modules[name]
-		if err := writeModule(bw, m); err != nil {
-			return err
-		}
+		dst = appendModule(dst, p.Modules[name])
 	}
-	return bw.Flush()
+	return dst
 }
 
 // moduleOrder returns the canonical emission order: entry first, then
@@ -60,25 +62,18 @@ func (p *Program) moduleOrder() []string {
 	return names
 }
 
-// writeModule emits one module body in canonical form.
-func writeModule(bw *bufio.Writer, m *Module) error {
-	fmt.Fprintf(bw, "module %s %d\n", m.Name, m.NumQubits)
+// appendModule appends one module body in canonical form.
+func appendModule(dst []byte, m *Module) []byte {
+	dst = appendModuleHeader(dst, m.Name, m.NumQubits)
 	for _, in := range m.Insts {
 		if in.IsCall() {
-			fmt.Fprintf(bw, "call %s %s\n", in.Callee, operandList(in.Args))
-			continue
+			dst = appendCall(dst, in.Callee, in.Args)
+		} else {
+			dst = appendGate(dst, in.Op, in.Args)
 		}
-		fmt.Fprintln(bw, Gate{Op: in.Op, Qubits: in.Args}.String())
+		dst = append(dst, '\n')
 	}
-	return nil
-}
-
-func operandList(args []int) string {
-	parts := make([]string, len(args))
-	for i, a := range args {
-		parts[i] = "q" + strconv.Itoa(a)
-	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // ProgramQASMString renders the program as a canonical QASM string.
@@ -95,137 +90,35 @@ func ProgramQASMString(p *Program) string {
 // ModuleQASMString renders one module body in the canonical per-module
 // form WriteProgramQASM emits — the text the module content digest
 // covers.
-func ModuleQASMString(m *Module) string {
-	var sb strings.Builder
-	bw := bufio.NewWriter(&sb)
-	if err := writeModule(bw, m); err != nil {
-		panic(err)
-	}
-	if err := bw.Flush(); err != nil {
-		panic(err)
-	}
-	return sb.String()
-}
+func ModuleQASMString(m *Module) string { return string(appendModule(nil, m)) }
 
 // LooksHierarchicalQASM reports whether the text is in the module-
-// extended dialect (it contains an `entry` or `module` directive before
-// any gate line), so services can route flat and hierarchical requests
-// to the right parser without trying both.
+// extended dialect (its first line that is neither blank nor a comment
+// is an `entry` or `module` directive), so services can route flat and
+// hierarchical requests to the right parser without trying both.
 func LooksHierarchicalQASM(text string) bool {
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		t := strings.TrimSpace(sc.Text())
-		if t == "" || strings.HasPrefix(t, "#") {
-			continue
-		}
-		return strings.HasPrefix(t, "entry ") || strings.HasPrefix(t, "module ")
-	}
-	return false
+	l := lines{text: text}
+	hierarchical, _, err := l.sniff()
+	return err == nil && hierarchical
 }
 
 // ReadProgramQASM parses the module-extended QASM dialect produced by
-// WriteProgramQASM. The program is structurally validated (entry
-// exists, calls resolve, arities match, no recursion) before being
-// returned.
+// WriteProgramQASM. It takes one entry directive anywhere in the text;
+// gate and call lines belong to the module directive above them, and a
+// gate line is a mnemonic and at most one operand field, as in the flat
+// dialect. The program is structurally validated (entry exists, calls
+// resolve, arities match, no recursion) before being returned.
 func ReadProgramQASM(r io.Reader) (*Program, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	p := &Program{Modules: map[string]*Module{}}
-	var cur *Module
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "entry":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("qasm line %d: malformed entry directive", line)
-			}
-			if p.Entry != "" {
-				return nil, fmt.Errorf("qasm line %d: duplicate entry directive", line)
-			}
-			p.Entry = fields[1]
-			continue
-		case "module":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("qasm line %d: malformed module directive", line)
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("qasm line %d: bad module qubit count %q", line, fields[2])
-			}
-			cur = &Module{Name: fields[1], NumQubits: n}
-			if err := p.AddModule(cur); err != nil {
-				return nil, fmt.Errorf("qasm line %d: %v", line, err)
-			}
-			continue
-		case "call":
-			if cur == nil {
-				return nil, fmt.Errorf("qasm line %d: call before module directive", line)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("qasm line %d: malformed call (want: call <module> q…)", line)
-			}
-			args, err := parseOperands(fields[2], line)
-			if err != nil {
-				return nil, err
-			}
-			cur.Call(fields[1], args...)
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("qasm line %d: gate before module directive", line)
-		}
-		op, err := ParseOpcode(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("qasm line %d: %w", line, err)
-		}
-		if len(fields) > 2 {
-			return nil, fmt.Errorf("qasm line %d: malformed gate (want: <op> q…,q…)", line)
-		}
-		var qubits []int
-		if len(fields) > 1 {
-			if qubits, err = parseOperands(fields[1], line); err != nil {
-				return nil, err
-			}
-		}
-		cur.Gate(op, qubits...)
-	}
-	if err := sc.Err(); err != nil {
+	text, err := readText(r)
+	if err != nil {
 		return nil, err
 	}
-	if p.Entry == "" {
-		return nil, fmt.Errorf("qasm: missing entry directive")
-	}
-	if len(p.Modules) == 0 {
-		return nil, fmt.Errorf("qasm: no modules")
-	}
-	if err := p.Validate(); err != nil {
+	var b builder
+	l := lines{text: text}
+	if err := parseProgram(&l, &b, &b.operands); err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// parseOperands parses a comma-separated q-prefixed operand list.
-func parseOperands(s string, line int) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if !strings.HasPrefix(tok, "q") {
-			return nil, fmt.Errorf("qasm line %d: operand %q missing q prefix", line, tok)
-		}
-		q, err := strconv.Atoi(tok[1:])
-		if err != nil {
-			return nil, fmt.Errorf("qasm line %d: bad operand %q", line, tok)
-		}
-		out = append(out, q)
-	}
-	return out, nil
+	return b.p, nil
 }
 
 // Clone returns a deep copy of the program: mutating the copy's modules

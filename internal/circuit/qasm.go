@@ -1,9 +1,8 @@
 package circuit
 
 import (
-	"bufio"
-	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -17,98 +16,110 @@ import (
 //	cnot q0,q2
 //	barrier q1,q3
 //
-// The format round-trips through ReadQASM and exists for golden tests,
-// debugging, and interchange with external visualizers.
+// A comment on line 1 names the circuit; later comments and blank lines
+// are ignored. One qubits directive precedes every gate line, and a
+// gate line is a mnemonic and at most one operand field, its qubits
+// separated by commas. The format round-trips through ReadQASM and
+// exists for golden tests, debugging, and interchange with external
+// visualizers.
 func WriteQASM(w io.Writer, c *Circuit) error {
-	bw := bufio.NewWriter(w)
-	if c.Name != "" {
-		fmt.Fprintf(bw, "# %s\n", c.Name)
-	}
-	fmt.Fprintf(bw, "qubits %d\n", c.NumQubits)
-	for _, g := range c.Gates {
-		fmt.Fprintln(bw, g.String())
-	}
-	return bw.Flush()
+	_, err := w.Write(appendCircuit(nil, c))
+	return err
 }
 
 // QASMString renders the circuit as a QASM string.
-func QASMString(c *Circuit) string {
-	var sb strings.Builder
-	if err := WriteQASM(&sb, c); err != nil {
-		// strings.Builder writes cannot fail.
-		panic(err)
+func QASMString(c *Circuit) string { return string(appendCircuit(nil, c)) }
+
+// appendCircuit appends the flat dialect's text of c.
+func appendCircuit(dst []byte, c *Circuit) []byte {
+	if c.Name != "" {
+		dst = append(dst, "# "...)
+		dst = append(dst, c.Name...)
+		dst = append(dst, '\n')
 	}
-	return sb.String()
+	dst = append(dst, "qubits "...)
+	dst = strconv.AppendInt(dst, int64(c.NumQubits), 10)
+	dst = append(dst, '\n')
+	for _, g := range c.Gates {
+		dst = append(appendGate(dst, g.Op, g.Qubits), '\n')
+	}
+	return dst
 }
 
-// ReadQASM parses the flat QASM dialect produced by WriteQASM.
+// ReadQASM parses the flat QASM dialect produced by WriteQASM (see
+// there for its grammar), rejecting a second qubits directive, a gate
+// before the first, and a gate line with a field after its operands.
+// Every gate is validated against the circuit's width.
 func ReadQASM(r io.Reader) (*Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	c := &Circuit{NumQubits: -1}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			if c.Name == "" && line == 1 {
-				c.Name = strings.TrimSpace(strings.TrimPrefix(text, "#"))
-			}
-			continue
-		}
-		fields := strings.Fields(text)
-		if fields[0] == "qubits" {
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("qasm line %d: malformed qubits directive", line)
-			}
-			if c.NumQubits >= 0 {
-				return nil, fmt.Errorf("qasm line %d: duplicate qubits directive", line)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("qasm line %d: bad qubit count %q", line, fields[1])
-			}
-			c.NumQubits = n
-			continue
-		}
-		if c.NumQubits < 0 {
-			return nil, fmt.Errorf("qasm line %d: gate before qubits directive", line)
-		}
-		op, err := ParseOpcode(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("qasm line %d: %w", line, err)
-		}
-		if len(fields) > 2 {
-			return nil, fmt.Errorf("qasm line %d: malformed gate (want: <op> q…,q…)", line)
-		}
-		var qubits []int
-		if len(fields) > 1 {
-			for _, tok := range strings.Split(fields[1], ",") {
-				tok = strings.TrimSpace(tok)
-				if !strings.HasPrefix(tok, "q") {
-					return nil, fmt.Errorf("qasm line %d: operand %q missing q prefix", line, tok)
-				}
-				q, err := strconv.Atoi(tok[1:])
-				if err != nil {
-					return nil, fmt.Errorf("qasm line %d: bad operand %q", line, tok)
-				}
-				qubits = append(qubits, q)
-			}
-		}
-		g := Gate{Op: op, Qubits: qubits}
-		if err := g.Validate(c.NumQubits); err != nil {
-			return nil, fmt.Errorf("qasm line %d: %w", line, err)
-		}
-		c.Gates = append(c.Gates, g)
-	}
-	if err := sc.Err(); err != nil {
+	text, err := readText(r)
+	if err != nil {
 		return nil, err
 	}
-	if c.NumQubits < 0 {
-		return nil, fmt.Errorf("qasm: missing qubits directive")
+	var b builder
+	l := lines{text: text}
+	if err := parseFlat(&l, "", &b, &b.operands); err != nil {
+		return nil, err
 	}
-	return c, nil
+	return b.c, nil
+}
+
+// Parse parses text in the dialect LooksHierarchicalQASM reports:
+// exactly one of the returned circuit (flat dialect) and program
+// (module-extended dialect) is non-nil on success.
+func Parse(text string) (*Circuit, *Program, error) {
+	var b builder
+	if err := parse(text, &b, &b.operands); err != nil {
+		return nil, nil, err
+	}
+	return b.c, b.p, nil
+}
+
+// readText reads all of r.
+func readText(r io.Reader) (string, error) {
+	var sb strings.Builder
+	_, err := io.Copy(&sb, r)
+	return sb.String(), err
+}
+
+// builder assembles the Circuit or Program a text's statements
+// describe. Names are copied out of the text, so a built circuit never
+// pins the request it came from.
+type builder struct {
+	c        *Circuit
+	p        *Program
+	cur      *Module
+	operands []int
+}
+
+func (b *builder) qubits(name string, n int) {
+	b.c = &Circuit{Name: strings.Clone(name), NumQubits: n}
+}
+
+func (b *builder) gate(op Opcode, qs []int) {
+	if b.cur != nil {
+		b.cur.Insts = append(b.cur.Insts, Inst{Op: op, Args: slices.Clone(qs)})
+		return
+	}
+	b.c.Gates = append(b.c.Gates, Gate{Op: op, Qubits: slices.Clone(qs)})
+}
+
+func (b *builder) module(name string, n int) error {
+	if b.p == nil {
+		b.p = &Program{Modules: map[string]*Module{}}
+	}
+	m := &Module{Name: strings.Clone(name), NumQubits: n}
+	if err := b.p.AddModule(m); err != nil {
+		return err
+	}
+	b.cur = m
+	return nil
+}
+
+func (b *builder) call(callee string, args []int) {
+	b.cur.Insts = append(b.cur.Insts, Inst{Callee: strings.Clone(callee), Args: slices.Clone(args)})
+}
+
+func (b *builder) endProgram(entry string) error {
+	b.p.Entry = strings.Clone(entry)
+	return b.p.Validate()
 }

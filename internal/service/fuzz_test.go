@@ -11,38 +11,74 @@ import (
 	"time"
 
 	"surfcomm"
+	"surfcomm/internal/circuit"
 	"surfcomm/internal/scerr"
 )
 
-// frontEnd runs the service's QASM front end: parse, then canonical
-// re-emission.
-func frontEnd(text string) ([]byte, error) {
-	src, err := parseQASM(text)
-	if err != nil {
-		return nil, err
-	}
-	return src.canonical()
-}
-
-// FuzzParseQASM feeds untrusted request text through the one QASM
-// front end that compile, estimate, and the router's RoutingKey share.
-// Every input either fails with an error matching ErrBadConfig (a 400,
-// never a 500) or yields canonical bytes that re-parse to the same
-// bytes; RoutingKey fails exactly when the front end fails; and no
-// input panics. The seed corpus lives in testdata/fuzz/FuzzParseQASM.
+// FuzzParseQASM feeds untrusted request text through the QASM front
+// end that compile, estimate, and the router's RoutingKey share, and
+// holds it to the scanner-and-fmt oracle in oracle_test.go. For every
+// input the one-pass canonical bytes, the circuit or program the
+// builders make, and RoutingKey agree with the oracle: the same accept
+// or reject decision with the same message, byte-identical canonical
+// bytes, and the same key. The dialect parsers agree with theirs on the
+// input even where the sniff would pick the other dialect. Rejections
+// match ErrBadConfig (a 400, never a 500), canonical bytes are a fixed
+// point, and no input panics. The seed corpus lives in
+// testdata/fuzz/FuzzParseQASM.
 func FuzzParseQASM(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
-		canon, err := frontEnd(text)
-		if _, kerr := RoutingKey(Request{QASM: text}); (kerr == nil) != (err == nil) {
-			t.Fatalf("front end error %v, RoutingKey error %v", err, kerr)
+		want, werr := oracleFrontEnd(text)
+		canon, err := appendCanonicalQASM(nil, text)
+		if msg(err) != msg(werr) {
+			t.Fatalf("front end error %q, oracle error %q", msg(err), msg(werr))
+		}
+		key, kerr := RoutingKey(Request{QASM: text})
+		wantKey, wkerr := oracleRoutingKey(Request{QASM: text})
+		if key != wantKey || msg(kerr) != msg(wkerr) {
+			t.Fatalf("RoutingKey %q (error %v), oracle %q (error %v)", key, kerr, wantKey, wkerr)
+		}
+		src, perr := parseQASM(text)
+		if msg(perr) != msg(werr) {
+			t.Fatalf("builder error %q, oracle error %q", msg(perr), msg(werr))
+		}
+		c, cerr := circuit.ReadQASM(strings.NewReader(text))
+		wc, wcerr := oracleReadCircuit(strings.NewReader(text))
+		if msg(cerr) != msg(wcerr) {
+			t.Fatalf("ReadQASM error %q, oracle error %q", msg(cerr), msg(wcerr))
+		}
+		if cerr == nil {
+			if got, want := emitCircuit(c), emitCircuit(wc); got != want {
+				t.Fatalf("ReadQASM built\n%s\noracle built\n%s", got, want)
+			}
+		}
+		p, perr := circuit.ReadProgramQASM(strings.NewReader(text))
+		wp, wperr := oracleReadProgram(strings.NewReader(text))
+		if msg(perr) != msg(wperr) {
+			t.Fatalf("ReadProgramQASM error %q, oracle error %q", msg(perr), msg(wperr))
+		}
+		if perr == nil {
+			if got, want := emitProgram(p), emitProgram(wp); got != want {
+				t.Fatalf("ReadProgramQASM built\n%s\noracle built\n%s", got, want)
+			}
 		}
 		if err != nil {
-			if !errors.Is(err, scerr.ErrBadConfig) {
+			if !errors.Is(err, scerr.ErrBadConfig) || !errors.Is(kerr, scerr.ErrBadConfig) {
 				t.Fatalf("error %v does not match ErrBadConfig", err)
 			}
 			return
 		}
-		again, err := frontEnd(string(canon))
+		if !bytes.Equal(canon, want) {
+			t.Fatalf("canonical bytes\n%s\noracle bytes\n%s", canon, want)
+		}
+		built := emitCircuit(src.circuit)
+		if src.program != nil {
+			built = emitProgram(src.program)
+		}
+		if built != string(want) {
+			t.Fatalf("the builder's circuit emits\n%s\noracle bytes\n%s", built, want)
+		}
+		again, err := appendCanonicalQASM(nil, string(canon))
 		if err != nil {
 			t.Fatalf("canonical form does not re-parse: %v\n%s", err, canon)
 		}
@@ -50,6 +86,32 @@ func FuzzParseQASM(f *testing.F) {
 			t.Fatalf("canonical form is not a fixed point:\n%s\nre-emits as\n%s", canon, again)
 		}
 	})
+}
+
+// msg is err's text, or "" for nil.
+func msg(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// emitCircuit and emitProgram render with the oracle's writers; nil
+// renders as "".
+func emitCircuit(c *circuit.Circuit) string {
+	var b strings.Builder
+	if c != nil {
+		oracleWriteCircuit(&b, c)
+	}
+	return b.String()
+}
+
+func emitProgram(p *circuit.Program) string {
+	var b strings.Builder
+	if p != nil {
+		oracleWriteProgram(&b, p)
+	}
+	return b.String()
 }
 
 // FuzzUnpackBits feeds untrusted /decode syndrome frames through the

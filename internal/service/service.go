@@ -11,7 +11,6 @@
 package service
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"crypto/sha256"
@@ -25,6 +24,7 @@ import (
 	"time"
 
 	"surfcomm"
+	"surfcomm/internal/circuit"
 	"surfcomm/internal/faultinject"
 	"surfcomm/internal/scerr"
 	"surfcomm/internal/store"
@@ -264,70 +264,87 @@ type parsedQASM struct {
 	program *surfcomm.Program
 }
 
-// parseQASM is the service's one QASM front end: it rejects empty text,
-// sniffs the dialect, and parses. Every failure matches
-// scerr.ErrBadConfig, so callers answer 400 without further wrapping.
+// parseQASM builds the circuit or program a request's text describes.
+// It runs on a cache miss and for /estimate; a cache hit never builds
+// one. Every failure matches scerr.ErrBadConfig, so callers answer 400
+// without further wrapping.
 func parseQASM(text string) (parsedQASM, error) {
 	if strings.TrimSpace(text) == "" {
-		return parsedQASM{}, scerr.BadConfig("service: empty qasm")
+		return parsedQASM{}, errEmptyQASM
 	}
 	var (
 		src parsedQASM
 		err error
 	)
-	if surfcomm.LooksHierarchicalQASM(text) {
-		src.program, err = surfcomm.ReadProgramQASM(strings.NewReader(text))
-	} else {
-		src.circuit, err = surfcomm.ReadQASM(strings.NewReader(text))
-	}
+	src.circuit, src.program, err = circuit.Parse(text)
 	if err != nil {
 		return parsedQASM{}, scerr.BadConfig("service: qasm: %v", err)
 	}
 	return src, nil
 }
 
-// canonical re-emits the parsed circuit (or program), so spacing and
-// comments in the submitted text split neither cache lines nor router
-// shards. The two dialects canonicalize into disjoint byte spaces (flat
-// text opens with a comment/qubits line, hierarchical with an entry
-// directive), so they can never collide on a digest.
-func (src parsedQASM) canonical() ([]byte, error) {
-	var (
-		buf bytes.Buffer
-		err error
-	)
-	if src.program != nil {
-		err = surfcomm.WriteProgramQASM(&buf, src.program)
-	} else {
-		err = surfcomm.WriteQASM(&buf, src.circuit)
+var errEmptyQASM = scerr.BadConfig("service: empty qasm")
+
+// appendCanonicalQASM is the service's one QASM front end on the hit
+// path: it validates text as parseQASM would and appends its canonical
+// bytes to dst, so spacing, comments and module order in the submitted
+// text split neither cache lines nor router shards. The two dialects
+// canonicalize into disjoint byte spaces (flat text opens with a
+// comment/qubits line, hierarchical with an entry directive), so they
+// can never collide on a digest.
+func appendCanonicalQASM(dst []byte, text string) ([]byte, error) {
+	if strings.TrimSpace(text) == "" {
+		return dst, errEmptyQASM
 	}
+	out, err := circuit.AppendCanonical(dst, text)
 	if err != nil {
-		return nil, scerr.BadConfig("service: qasm: %v", err)
+		return dst, scerr.BadConfig("service: qasm: %v", err)
 	}
-	return buf.Bytes(), nil
+	return out, nil
+}
+
+// canonBufs recycles the buffers RoutingKey and resolve hash canonical
+// QASM in.
+var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledCanon is the largest buffer canonBufs keeps: a rare huge
+// request's buffer goes back to the GC rather than pinning its size
+// in the pool.
+const maxPooledCanon = 1 << 20
+
+func putCanonBuf(b *[]byte) {
+	if cap(*b) > maxPooledCanon {
+		return
+	}
+	*b = (*b)[:0]
+	canonBufs.Put(b)
 }
 
 // compileKey is one resolved request: everything the compile needs,
-// plus the digest identifying it in the cache.
+// plus the digest identifying it in the cache. The circuit is built
+// from qasm only when the digest misses every cache tier.
 type compileKey struct {
-	parsedQASM
+	qasm    string
 	backend surfcomm.Backend
 	target  surfcomm.Target
 	digest  string
 }
 
-// resolve parses and validates a request into a compileKey. The digest
-// covers the resolved target (not the raw request), the backend name,
-// and the canonical re-serialization of the parsed circuit, so two
-// textually different requests meaning the same compile share a cache
-// line.
+// resolve validates a request into a compileKey without building its
+// circuit. The digest covers the resolved target (not the raw
+// request), the backend name, and the canonical bytes of the circuit,
+// so two textually different requests meaning the same compile share a
+// cache line.
 func (s *Service) resolve(req Request) (compileKey, error) {
 	name := cmp.Or(req.Backend, "braid")
 	backend, err := surfcomm.BackendByName(name)
 	if err != nil {
 		return compileKey{}, err
 	}
-	src, err := parseQASM(req.QASM)
+	buf := canonBufs.Get().(*[]byte)
+	defer putCanonBuf(buf)
+	canon, err := appendCanonicalQASM((*buf)[:0], req.QASM)
+	*buf = canon
 	if err != nil {
 		return compileKey{}, err
 	}
@@ -372,15 +389,11 @@ func (s *Service) resolve(req Request) (compileKey, error) {
 		}
 		target.Device = target.Device.WithCalibration(cal)
 	}
-	canon, err := src.canonical()
-	if err != nil {
-		return compileKey{}, err
-	}
 	return compileKey{
-		parsedQASM: src,
-		backend:    backend,
-		target:     target,
-		digest:     digest(name, canon, target),
+		qasm:    req.QASM,
+		backend: backend,
+		target:  target,
+		digest:  digest(name, canon, target),
 	}, nil
 }
 
@@ -398,42 +411,40 @@ func digest(backend string, canonicalQASM []byte, t surfcomm.Target) string {
 // RoutingKey fingerprints a request for consistent-hash routing across
 // a replica fleet: requests that would resolve to the same compile on
 // any replica share a key, so each shard's LRU and disk store stay hot
-// for their slice of the keyspace. It runs the replica's own front end
-// and canonical form (whitespace and comments don't split shards) but
-// hashes the raw request knobs rather than a resolved target — the
-// router doesn't know each replica's defaults, and it doesn't need to:
-// the key only has to be consistent, not equal to the replica's cache
-// digest.
+// for their slice of the keyspace. It hashes the replica's own
+// canonical bytes (whitespace, comments and module order don't split
+// shards) but the raw request knobs rather than a resolved target —
+// the router doesn't know each replica's defaults, and it doesn't need
+// to: the key only has to be consistent, not equal to the replica's
+// cache digest.
 // Malformed requests fail with errors matching scerr.ErrBadConfig so a
 // router can answer 400 without spending a replica's time.
 func RoutingKey(req Request) (string, error) {
-	src, err := parseQASM(req.QASM)
-	if err != nil {
-		return "", err
-	}
-	canon, err := src.canonical()
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "route/1 backend=%s d=%d window=%d pe=%g record=%t\n",
+	buf := canonBufs.Get().(*[]byte)
+	defer putCanonBuf(buf)
+	b := fmt.Appendf((*buf)[:0], "route/1 backend=%s d=%d window=%d pe=%g record=%t\n",
 		cmp.Or(req.Backend, "braid"), req.Distance, req.Window, req.PhysicalError, req.RecordSchedule)
 	if req.Policy != nil {
-		fmt.Fprintf(h, "policy=%d\n", *req.Policy)
+		b = fmt.Appendf(b, "policy=%d\n", *req.Policy)
 	}
 	if req.Seed != nil {
-		fmt.Fprintf(h, "seed=%d\n", *req.Seed)
+		b = fmt.Appendf(b, "seed=%d\n", *req.Seed)
 	}
 	if req.Device != nil {
-		fmt.Fprintf(h, "device=%s/%g/%d\n", req.Device.Preset, req.Device.Frac, req.Device.Seed)
+		b = fmt.Appendf(b, "device=%s/%g/%d\n", req.Device.Preset, req.Device.Frac, req.Device.Seed)
 	}
 	if len(req.Calibration) > 0 {
 		// Raw snapshot bytes, not the parsed digest: the router must not
 		// spend parse time, and the key only has to be consistent.
-		fmt.Fprintf(h, "cal=%x\n", sha256.Sum256(req.Calibration))
+		b = fmt.Appendf(b, "cal=%x\n", sha256.Sum256(req.Calibration))
 	}
-	h.Write(canon)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	b, err := appendCanonicalQASM(b, req.QASM)
+	*buf = b
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // Result is one served compile: the plan, whether it came from the
@@ -505,6 +516,12 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(surfcomm.E
 	}
 	defer cancel()
 	plan, cached, err := s.cache.do(ctx, key.digest, persist, func() (surfcomm.Plan, error) {
+		// Every cache tier missed: only now is the circuit built, and
+		// before admission, so a compile slot never waits on a parse.
+		src, err := parseQASM(key.qasm)
+		if err != nil {
+			return surfcomm.Plan{}, err
+		}
 		if emit != nil {
 			emit(surfcomm.Event{Stage: StageQueued})
 		}
@@ -528,16 +545,15 @@ func (s *Service) compile(ctx context.Context, req Request, emit func(surfcomm.E
 			emit(surfcomm.Event{Stage: StageCompiling, Backend: key.backend.Name()})
 		}
 		var p surfcomm.Plan
-		var err error
-		if key.program != nil {
+		if src.program != nil {
 			// Hierarchical compile: modules are cached independently in
 			// the service's LRU/disk stack under their content digests,
 			// so an edited program's recompile reuses every unchanged
 			// module even though its program digest missed.
 			mtc := s.tc.CloneWithModuleCache(&svcModuleCache{s: s, persist: persist})
-			p, err = mtc.CompileIncremental(compileCtx, key.backend, key.program, func(t *surfcomm.Target) { *t = key.target })
+			p, err = mtc.CompileIncremental(compileCtx, key.backend, src.program, func(t *surfcomm.Target) { *t = key.target })
 		} else {
-			p, err = s.tc.Compile(compileCtx, key.backend, key.circuit, func(t *surfcomm.Target) { *t = key.target })
+			p, err = s.tc.Compile(compileCtx, key.backend, src.circuit, func(t *surfcomm.Target) { *t = key.target })
 		}
 		if err == nil {
 			// Only successful compiles feed the queue-pricing EWMA:
