@@ -28,35 +28,25 @@ func pipelineText(t testing.TB, n int) string {
 	return circuit.ProgramQASMString(p)
 }
 
-// TestAppendCanonicalFixesWriterOutput: the writers' output is already
-// canonical, and AppendCanonical appends after what dst holds.
-func TestAppendCanonicalFixesWriterOutput(t *testing.T) {
-	for _, text := range []string{gseText(t, 8), pipelineText(t, 4), "qubits 0\n"} {
-		got, err := circuit.AppendCanonical([]byte("head"), text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != "head"+text {
-			t.Errorf("AppendCanonical re-emitted\n%s\nas\n%s", text, got)
-		}
-	}
-}
-
-// TestAppendCanonicalFoldsSpelling: spelling and module order the
-// grammar ignores leave the bytes alone; a rejected text leaves dst as
-// it was.
-func TestAppendCanonicalFoldsSpelling(t *testing.T) {
+// TestAppendCanonical: the writers' output is a fixed point, spelling
+// and module order the grammar ignores leave the bytes alone, the bytes
+// go after what dst holds, and a rejected text leaves dst as it was.
+func TestAppendCanonical(t *testing.T) {
+	gse, pipeline := gseText(t, 8), pipelineText(t, 4)
 	cases := []struct{ in, want string }{
+		{gse, gse},
+		{pipeline, pipeline},
+		{"qubits 0\n", "qubits 0\n"},
 		{"  # bell \r\n\n qubits\t2\ncnot\u00a0q+0,q01\r\n# later\n", "# bell\nqubits 2\ncnot q0,q1\n"},
 		{"module b 1\nh q0\nentry a\nmodule a 2\ncall b q1\n", "entry a\nmodule a 2\ncall b q1\nmodule b 1\nh q0\n"},
 	}
 	for _, c := range cases {
-		got, err := circuit.AppendCanonical(nil, c.in)
+		got, err := circuit.AppendCanonical([]byte("head"), c.in)
 		if err != nil {
 			t.Fatalf("%q: %v", c.in, err)
 		}
-		if string(got) != c.want {
-			t.Errorf("%q canonicalized to %q, want %q", c.in, got, c.want)
+		if string(got) != "head"+c.want {
+			t.Errorf("%q canonicalized to %q, want %q", c.in, got, "head"+c.want)
 		}
 	}
 	dst := []byte("kept")
