@@ -275,6 +275,11 @@ type engine struct {
 	reinjections   int64
 	reroutes       int64
 
+	// Route work, read only by the package's tests: route queries that
+	// reach a path check, and adaptive BFS searches run.
+	routeQueries int64
+	searches     int64
+
 	// Live-defect schedule: events sorted by cycle, consumed in order as
 	// simulated time passes them.
 	defects   []device.DefectEvent
@@ -328,13 +333,20 @@ func InteractionGraph(c *circuit.Circuit) *partition.Graph {
 // matching scerr.ErrCanceled. The poll is a non-blocking select against
 // a pre-latched channel, so the hot path stays allocation-free.
 func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Config) (Result, error) {
+	res, _, err := simulate(ctx, c, p, cfg)
+	return res, err
+}
+
+// simulate is SimulateContext that also returns the finished engine, so
+// the package's tests can read its route work counters.
+func simulate(ctx context.Context, c *circuit.Circuit, p Policy, cfg Config) (Result, *engine, error) {
 	cfg = cfg.withDefaults()
 	if p < Policy0 || p > Policy6 {
-		return Result{}, scerr.BadConfig("braid: unknown policy %d", int(p))
+		return Result{}, nil, scerr.BadConfig("braid: unknown policy %d", int(p))
 	}
 	dag, err := resource.Build(c)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	place := cfg.Placement
 	if place != nil {
@@ -342,12 +354,12 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 		// bug, not a device property; dead-tile refusals are NewArchOn's
 		// job and classify as unroutable there.
 		if err := place.Validate(); err != nil {
-			return Result{}, fmt.Errorf("braid: %w", err)
+			return Result{}, nil, fmt.Errorf("braid: %w", err)
 		}
 	}
 	topo, view, err := realizeDevice(cfg.Device, c.NumQubits, place)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	if place == nil {
 		if p.OptimizedLayout() {
@@ -356,12 +368,12 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 			place, err = layout.RowMajorOn(c.NumQubits, view)
 		}
 		if err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 	}
 	arch, err := NewArchOn(place, topo)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	e := &engine{
 		cfg:     cfg,
@@ -375,13 +387,13 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 		done:    ctx.Done(),
 	}
 	if err := e.buildOps(c); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	if err := e.checkRoutable(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	if err := e.run(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	_, critical := dag.ASAPWeighted(e.latencyWeight)
 	res := Result{
@@ -413,7 +425,7 @@ func SimulateContext(ctx context.Context, c *circuit.Circuit, p Policy, cfg Conf
 		res.Schedule = e.schedule
 		res.Arch = arch
 	}
-	return res, nil
+	return res, e, nil
 }
 
 // realizeDevice instantiates the device at the junction grid the
@@ -974,6 +986,7 @@ func (e *engine) commitPhase(ev *event, o *op, path mesh.Path) {
 // others return to the pool — so routing allocates nothing once the
 // pool has warmed up.
 func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
+	e.routeQueries++
 	p := mesh.XYPathInto(e.getPath(), src, dst)
 	yxFirst := false
 	if e.net.Calibrated() {
@@ -1000,6 +1013,7 @@ func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
 			return p, true
 		}
 		var ok bool
+		e.searches++
 		if p, ok = e.net.AdaptiveRouteInto(p, src, dst); ok {
 			e.adaptiveRoutes++
 			return p, true

@@ -11,7 +11,7 @@ import (
 	"surfcomm/internal/layout"
 )
 
-func simulate(t *testing.T, c *circuit.Circuit, p Policy, cfg Config) Result {
+func mustSimulate(t *testing.T, c *circuit.Circuit, p Policy, cfg Config) Result {
 	t.Helper()
 	r, err := SimulateContext(context.Background(), c, p, cfg)
 	if err != nil {
@@ -23,7 +23,7 @@ func simulate(t *testing.T, c *circuit.Circuit, p Policy, cfg Config) Result {
 func TestSingleCNOTMatchesCriticalPath(t *testing.T) {
 	c := circuit.New("one", 2)
 	c.Append(circuit.CNOT, 0, 1)
-	r := simulate(t, c, Policy1, Config{Distance: 5})
+	r := mustSimulate(t, c, Policy1, Config{Distance: 5})
 	want := int64(2 * (5 + 1)) // two braid phases
 	if r.ScheduleCycles != want {
 		t.Errorf("schedule = %d, want %d", r.ScheduleCycles, want)
@@ -47,7 +47,7 @@ func TestSerialLocalChain(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Append(circuit.H, 0)
 	}
-	r := simulate(t, c, Policy0, Config{Distance: 7})
+	r := mustSimulate(t, c, Policy0, Config{Distance: 7})
 	// Local logical gates are transversal/frame operations: 1 cycle.
 	if r.ScheduleCycles != 10 {
 		t.Errorf("schedule = %d, want 10", r.ScheduleCycles)
@@ -64,7 +64,7 @@ func TestMeasPrepFastLocal(t *testing.T) {
 	c := circuit.New("mp", 1)
 	c.Append(circuit.PrepZ, 0)
 	c.Append(circuit.MeasZ, 0)
-	r := simulate(t, c, Policy1, Config{Distance: 9})
+	r := mustSimulate(t, c, Policy1, Config{Distance: 9})
 	if r.ScheduleCycles != 2 {
 		t.Errorf("prep+meas schedule = %d, want 2", r.ScheduleCycles)
 	}
@@ -74,7 +74,7 @@ func TestBarrierOnlyCircuit(t *testing.T) {
 	c := circuit.New("fences", 2)
 	c.Append(circuit.Barrier, 0, 1)
 	c.Append(circuit.Barrier, 0, 1)
-	r := simulate(t, c, Policy1, Config{Distance: 5})
+	r := mustSimulate(t, c, Policy1, Config{Distance: 5})
 	if r.ScheduleCycles != 0 {
 		t.Errorf("barrier-only schedule = %d, want 0", r.ScheduleCycles)
 	}
@@ -87,7 +87,7 @@ func TestParallelDisjointCNOTs(t *testing.T) {
 	c := circuit.New("par", 4)
 	c.Append(circuit.CNOT, 0, 2)
 	c.Append(circuit.CNOT, 1, 3)
-	r := simulate(t, c, Policy1, Config{Distance: 5})
+	r := mustSimulate(t, c, Policy1, Config{Distance: 5})
 	want := int64(2 * (5 + 1))
 	if r.ScheduleCycles != want {
 		t.Errorf("disjoint braids should run concurrently: schedule %d, want %d",
@@ -103,7 +103,7 @@ func TestConflictingBraidsSerialize(t *testing.T) {
 	c := circuit.New("conflict", 4)
 	c.Append(circuit.CNOT, 0, 3)
 	c.Append(circuit.CNOT, 1, 2)
-	r := simulate(t, c, Policy1, Config{Distance: 5, AdaptTimeout: 1 << 30})
+	r := mustSimulate(t, c, Policy1, Config{Distance: 5, AdaptTimeout: 1 << 30})
 	// With adaptivity disabled the second braid must wait for a phase.
 	if r.ScheduleCycles <= 2*(5+1) {
 		t.Errorf("conflicting braids finished too fast: %d", r.ScheduleCycles)
@@ -117,8 +117,8 @@ func TestAdaptiveRoutingRelievesConflict(t *testing.T) {
 	c := circuit.New("adapt", 4)
 	c.Append(circuit.CNOT, 0, 3)
 	c.Append(circuit.CNOT, 1, 2)
-	blocked := simulate(t, c, Policy1, Config{Distance: 5, AdaptTimeout: 1 << 30})
-	adaptive := simulate(t, c, Policy1, Config{Distance: 5, AdaptTimeout: 1})
+	blocked := mustSimulate(t, c, Policy1, Config{Distance: 5, AdaptTimeout: 1 << 30})
+	adaptive := mustSimulate(t, c, Policy1, Config{Distance: 5, AdaptTimeout: 1})
 	if adaptive.ScheduleCycles > blocked.ScheduleCycles {
 		t.Errorf("adaptivity should not hurt: %d > %d",
 			adaptive.ScheduleCycles, blocked.ScheduleCycles)
@@ -132,7 +132,7 @@ func TestScheduleNeverBeatsCriticalPath(t *testing.T) {
 		{Name: "IM", Circuit: apps.Ising(apps.IsingConfig{N: 12, Steps: 1}, true)},
 	} {
 		for _, p := range AllPolicies {
-			r := simulate(t, w.Circuit, p, Config{Distance: 5})
+			r := mustSimulate(t, w.Circuit, p, Config{Distance: 5})
 			if r.ScheduleCycles < r.CriticalPathCycles {
 				t.Errorf("%s %v: schedule %d beats critical path %d",
 					w.Name, p, r.ScheduleCycles, r.CriticalPathCycles)
@@ -146,8 +146,8 @@ func TestScheduleNeverBeatsCriticalPath(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	c := apps.Ising(apps.IsingConfig{N: 12, Steps: 1}, true)
-	a := simulate(t, c, Policy6, Config{Distance: 5, Seed: 3})
-	b := simulate(t, c, Policy6, Config{Distance: 5, Seed: 3})
+	a := mustSimulate(t, c, Policy6, Config{Distance: 5, Seed: 3})
+	b := mustSimulate(t, c, Policy6, Config{Distance: 5, Seed: 3})
 	if a.ScheduleCycles != b.ScheduleCycles || a.BraidsPlaced != b.BraidsPlaced ||
 		a.AdaptiveRoutes != b.AdaptiveRoutes || a.AvgUtilization != b.AvgUtilization {
 		t.Errorf("nondeterministic simulation: %+v vs %+v", a, b)
@@ -156,8 +156,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestPoliciesImproveParallelApp(t *testing.T) {
 	c := apps.Ising(apps.IsingConfig{N: 24, Steps: 1}, true)
-	p0 := simulate(t, c, Policy0, Config{Distance: 5})
-	p6 := simulate(t, c, Policy6, Config{Distance: 5})
+	p0 := mustSimulate(t, c, Policy0, Config{Distance: 5})
+	p6 := mustSimulate(t, c, Policy6, Config{Distance: 5})
 	if p6.Ratio >= p0.Ratio {
 		t.Errorf("Policy 6 ratio %.2f should beat Policy 0 ratio %.2f", p6.Ratio, p0.Ratio)
 	}
@@ -171,7 +171,7 @@ func TestPoliciesImproveParallelApp(t *testing.T) {
 
 func TestSerialAppAlreadyNearCriticalPath(t *testing.T) {
 	c := apps.GSE(apps.GSEConfig{M: 6, Steps: 1})
-	r := simulate(t, c, Policy0, Config{Distance: 5})
+	r := mustSimulate(t, c, Policy0, Config{Distance: 5})
 	if r.Ratio > 2.5 {
 		t.Errorf("serial app ratio = %.2f, expected near critical path", r.Ratio)
 	}
@@ -182,7 +182,7 @@ func TestMagicTrafficDefault(t *testing.T) {
 	c.Append(circuit.T, 0)
 	c.Append(circuit.T, 1)
 	c.Append(circuit.Tdg, 0)
-	r := simulate(t, c, Policy1, Config{Distance: 5})
+	r := mustSimulate(t, c, Policy1, Config{Distance: 5})
 	if r.BraidsPlaced != 6 {
 		t.Errorf("3 T gates should place 6 braid phases, got %d", r.BraidsPlaced)
 	}
@@ -190,7 +190,7 @@ func TestMagicTrafficDefault(t *testing.T) {
 		t.Error("schedule empty")
 	}
 	// Ablation: with pre-delivered states, T is local.
-	r2 := simulate(t, c, Policy1, Config{Distance: 5, LocalTOps: true})
+	r2 := mustSimulate(t, c, Policy1, Config{Distance: 5, LocalTOps: true})
 	if r2.BraidsPlaced != 0 {
 		t.Error("LocalTOps mode should place no braids")
 	}
@@ -206,7 +206,7 @@ func TestMagicTrafficFactorySerialization(t *testing.T) {
 	for q := 0; q < 16; q++ {
 		c.Append(circuit.T, q)
 	}
-	r := simulate(t, c, Policy1, Config{Distance: 5})
+	r := mustSimulate(t, c, Policy1, Config{Distance: 5})
 	if r.Ratio < 1.5 {
 		t.Errorf("16 parallel T on shared ports should congest: ratio %.2f", r.Ratio)
 	}
@@ -217,8 +217,8 @@ func TestExplicitPlacementOverride(t *testing.T) {
 	c.Append(circuit.CNOT, 0, 1)
 	// Far-apart placement on a 1x8 strip.
 	p := &layout.Placement{Rows: 1, Cols: 8, Pos: []layout.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 7}}}
-	far := simulate(t, c, Policy1, Config{Distance: 5, Placement: p})
-	near := simulate(t, c, Policy1, Config{Distance: 5})
+	far := mustSimulate(t, c, Policy1, Config{Distance: 5, Placement: p})
+	near := mustSimulate(t, c, Policy1, Config{Distance: 5})
 	// Braid latency is distance-independent (1-cycle extension): the
 	// defining property of braids (Table 1).
 	if far.ScheduleCycles != near.ScheduleCycles {
@@ -272,5 +272,48 @@ func TestEngineQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// routeWorkShapes are the flat serve-miss circuits (GSE-40, Ising-64 and
+// SQ-48, as cmd/surfbench's corpus builds them).
+func routeWorkShapes() []apps.Workload {
+	return []apps.Workload{
+		{Name: "GSE-40", Circuit: apps.GSE(apps.GSEConfig{M: 39, Steps: 2})},
+		{Name: "Ising-64", Circuit: apps.Ising(apps.IsingConfig{N: 63, Steps: 2}, false)},
+		{Name: "SQ-48", Circuit: apps.SQ(apps.SQConfig{N: 20, Iters: 1})},
+	}
+}
+
+// pinnedRouteWork holds {route queries that reach a path check, adaptive
+// searches} per compile at d = 9, Policy 6, seed 1. Both counts are
+// deterministic; a rise means the router is asking questions again that
+// it could have refused.
+var pinnedRouteWork = map[string][2]int64{
+	"GSE-40/braid":     {16624, 5862},
+	"GSE-40/surgery":   {43810, 27141},
+	"Ising-64/braid":   {102746, 59546},
+	"Ising-64/surgery": {414802, 295942},
+	"SQ-48/braid":      {4500, 654},
+	"SQ-48/surgery":    {8609, 3588},
+}
+
+// TestRouteWorkPinned pins the router's work on the serve-miss shapes
+// under braid and surgery timing.
+func TestRouteWorkPinned(t *testing.T) {
+	for _, w := range routeWorkShapes() {
+		for _, surgery := range []bool{false, true} {
+			key := w.Name + "/braid"
+			if surgery {
+				key = w.Name + "/surgery"
+			}
+			_, e, err := simulate(context.Background(), w.Circuit, Policy6, Config{Distance: 9, Seed: 1, Surgery: surgery})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if got := [2]int64{e.routeQueries, e.searches}; got != pinnedRouteWork[key] {
+				t.Errorf("%q: {%d, %d}, // pinned %v", key, got[0], got[1], pinnedRouteWork[key])
+			}
+		}
 	}
 }

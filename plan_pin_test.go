@@ -158,13 +158,19 @@ var pinnedPlans = map[string]string{
 	"calibrated/SHA-1/surgery/p0": "bd1695da08dcfc5f",
 	"calibrated/SHA-1/surgery/p4": "99c75f5f94b245a7",
 	"calibrated/SHA-1/surgery/p6": "cbe42c12b725ee7c",
+
+	"live/GSE/braid/p6":   "a9149e15f3382e7a",
+	"live/GSE/surgery/p6": "dcdf0c7782a34191",
+	"live/IM/braid/p6":    "a3861b056efd153c",
+	"live/IM/surgery/p6":  "b971797a894a715d",
 }
 
 // TestPlanDigestsPinned pins the recorded schedules of every backend on
-// a perfect, two defective, a heavy-hex and a calibrated device. The
-// committed artifacts pin only per-cell metrics; these digests pin the
-// placement and every routed path, so a change to placement, device
-// realization or braid routing that moves a single junction fails here.
+// a perfect, two defective, a heavy-hex and a calibrated device, and of
+// the route-claiming backends under live coupler deaths. The committed
+// artifacts pin only per-cell metrics; these digests pin the placement
+// and every routed path, so a change to placement, device realization
+// or braid routing that moves a single junction fails here.
 func TestPlanDigestsPinned(t *testing.T) {
 	ctx := context.Background()
 	devices := []struct {
@@ -225,6 +231,44 @@ func TestPlanDigestsPinned(t *testing.T) {
 		}
 		if !adaptive {
 			t.Errorf("%s: no pinned compile escalated to an adaptive route", d.name)
+		}
+	}
+	// Live defects on the perfect device: each schedule kills couplers
+	// under in-flight braids, so every cell tears a braid down and
+	// re-routes it around the new mask.
+	live := map[string]*surfcomm.DefectSchedule{
+		"GSE": surfcomm.RandomDefectSchedule(2, 6, 6, 12, 7500),
+		"IM":  surfcomm.RandomDefectSchedule(1, 6, 6, 8, 1000),
+	}
+	tc, err := surfcomm.NewToolchain(surfcomm.WithDistance(5), surfcomm.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workloads {
+		sched := live[w.Name]
+		if sched == nil {
+			continue
+		}
+		for _, b := range surfcomm.Backends() {
+			if b.Name() == "planar" {
+				continue
+			}
+			key := fmt.Sprintf("live/%s/%s/p6", w.Name, b.Name())
+			plan, err := tc.Compile(ctx, b, w.Circuit, func(tg *surfcomm.Target) {
+				tg.RecordSchedule = true
+				tg.Policy = surfcomm.Policy6
+				tg.Defects = sched
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if plan.Braid.Reroutes == 0 {
+				t.Errorf("%s: no in-flight braid was re-routed", key)
+			}
+			seen++
+			if got, want := fmt.Sprintf("%016x", planDigest(plan)), pinnedPlans[key]; got != want {
+				t.Errorf("%q: %q, // pinned %q", key, got, want)
+			}
 		}
 	}
 	if seen != len(pinnedPlans) {
