@@ -515,7 +515,6 @@ func (e *engine) checkRoutable() error {
 }
 
 func (e *engine) buildOps(c *circuit.Circuit) error {
-	d := int64(e.cfg.Distance)
 	e.ops = make([]op, len(c.Gates))
 	for i, g := range c.Gates {
 		o := &e.ops[i]
@@ -540,7 +539,6 @@ func (e *engine) buildOps(c *circuit.Circuit) error {
 			o.kind = opLocal
 			o.latency = 1
 		}
-		_ = d
 	}
 	e.tileBusy = make([]bool, e.arch.TileRows*e.arch.TileCols)
 	e.factoryBusy = make([]bool, len(e.arch.FactoryTiles))
@@ -917,12 +915,18 @@ func (e *engine) placeMagicOpen(ev *event, o *op) bool {
 	}
 	dst := e.arch.QubitJunction(o.qubits[0])
 	// Nearest available factory first; deterministic tie-break on index.
+	// A factory the mesh proves unreachable is dropped before the sort:
+	// route would refuse it anyway.
 	cands := e.factoryCands[:0]
 	for f := range e.arch.FactoryTiles {
 		if e.factoryBusy[f] || e.factoryFreeAt[f] > e.now {
 			continue
 		}
-		cands = append(cands, factoryCand{f, mesh.Manhattan(e.arch.FactoryJunction(f), dst)})
+		src := e.arch.FactoryJunction(f)
+		if e.net.Unreachable(src, dst) {
+			continue
+		}
+		cands = append(cands, factoryCand{f, mesh.Manhattan(src, dst)})
 	}
 	slices.SortFunc(cands, func(a, b factoryCand) int {
 		if a.dist != b.dist {
@@ -972,20 +976,26 @@ func (e *engine) commitPhase(ev *event, o *op, path mesh.Path) {
 	})
 }
 
-// route finds a free path from src to dst. It tries one dimension-
-// ordered path first: on a calibrated mesh whichever of XY and YX has
-// the lower per-link cost (mesh.PathCost; ties keep XY), so the router
-// prefers fast, low-error corridors; everywhere else XY. Once the event
-// has been blocked past the adaptivity timeout it escalates to the
-// other dimension order and then to adaptive search (paper §6.1). On a
-// device-masked mesh the escalation is immediate when the first path
-// crosses a dead junction or disabled link: that obstruction is
-// permanent, so waiting out the congestion timeout would only stall (or
-// deadlock) the schedule. Candidates are built in pooled buffers: a
-// successful route keeps its buffer until the braid phase releases, the
-// others return to the pool — so routing allocates nothing once the
-// pool has warmed up.
+// route finds a free path from src to dst. A query the mesh proves
+// sure to fail (mesh.Unreachable) is refused before any path is built:
+// every attempt below would fail without touching the mesh, the
+// schedule or the Result counters, so refusing it leaves schedules
+// unchanged. Otherwise route tries one dimension-ordered path first: on
+// a calibrated mesh whichever of XY and YX has the lower per-link cost
+// (mesh.PathCost; ties keep XY), so the router prefers fast, low-error
+// corridors; everywhere else XY. Once the event has been blocked past
+// the adaptivity timeout it escalates to the other dimension order and
+// then to adaptive search (paper §6.1). On a device-masked mesh the
+// escalation is immediate when the first path crosses a dead junction
+// or disabled link: that obstruction is permanent, so waiting out the
+// congestion timeout would only stall (or deadlock) the schedule.
+// Candidates are built in pooled buffers: a successful route keeps its
+// buffer until the braid phase releases, the others return to the pool
+// — so routing allocates nothing once the pool has warmed up.
 func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
+	if e.net.Unreachable(src, dst) {
+		return nil, false
+	}
 	e.routeQueries++
 	p := mesh.XYPathInto(e.getPath(), src, dst)
 	yxFirst := false

@@ -290,12 +290,12 @@ func routeWorkShapes() []apps.Workload {
 // deterministic; a rise means the router is asking questions again that
 // it could have refused.
 var pinnedRouteWork = map[string][2]int64{
-	"GSE-40/braid":     {16624, 5862},
-	"GSE-40/surgery":   {43810, 27141},
-	"Ising-64/braid":   {102746, 59546},
-	"Ising-64/surgery": {414802, 295942},
-	"SQ-48/braid":      {4500, 654},
-	"SQ-48/surgery":    {8609, 3588},
+	"GSE-40/braid":     {6632, 156},
+	"GSE-40/surgery":   {7199, 415},
+	"Ising-64/braid":   {10566, 1914},
+	"Ising-64/surgery": {13276, 4192},
+	"SQ-48/braid":      {2401, 27},
+	"SQ-48/surgery":    {2887, 97},
 }
 
 // TestRouteWorkPinned pins the router's work on the serve-miss shapes

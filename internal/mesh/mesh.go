@@ -111,6 +111,16 @@ type Mesh struct {
 	visitedAt []int64
 	bfsPrev   []int32 // predecessor node index during BFS
 	bfsQueue  []int32
+
+	// Flood records behind Unreachable. A failed AdaptiveRouteInto has
+	// visited the whole free component of its source, and it writes its
+	// stamp into floodID on every node of that component. A record is
+	// live while its stamp is above floodFloor. Release and ApplyTopology
+	// can join components, so they raise the floor to the current stamp;
+	// Reserve and MaskLink only remove resources, so a live record still
+	// covers the whole free component of every free node that bears it.
+	floodID    []int64
+	floodFloor int64
 }
 
 // New returns an empty mesh with the given junction-grid dimensions.
@@ -196,6 +206,7 @@ func (m *Mesh) linkMasked(l Link) bool {
 // a perfect (non-degraded) topology leaves the mesh unmasked, so the
 // ideal-grid behavior is bit-identical.
 func (m *Mesh) ApplyTopology(t *device.Topology) error {
+	m.floodFloor = m.stamp
 	if t == nil {
 		// Nil means perfect everywhere in the device layer: drop any
 		// previously applied mask.
@@ -466,7 +477,32 @@ func (m *Mesh) Release(p Path, owner int) error {
 		}
 	}
 	m.busyLinks -= len(p) - 1
+	m.floodFloor = m.stamp
 	return nil
+}
+
+// Unreachable reports, in O(1), that no free path joins a and b: an
+// endpoint is claimed, dead or off the mesh, or a failed
+// AdaptiveRouteInto since the last Release flooded the free component
+// of one endpoint and did not reach the other. Every dimension-ordered
+// and adaptive route between such endpoints is sure to fail. False
+// proves nothing: a route may still fail.
+func (m *Mesh) Unreachable(a, b Node) bool {
+	if !m.InBounds(a) || !m.InBounds(b) {
+		return true
+	}
+	ai, bi := m.nodeIndex(a), m.nodeIndex(b)
+	if m.nodeOwner[ai] != Free || m.nodeOwner[bi] != Free {
+		return true
+	}
+	if m.masked && (m.deadNode[ai] || m.deadNode[bi]) {
+		return true
+	}
+	if m.floodID == nil {
+		return false
+	}
+	fa, fb := m.floodID[ai], m.floodID[bi]
+	return fa != fb && max(fa, fb) > m.floodFloor
 }
 
 // BusyLinks returns the number of currently claimed links.
@@ -489,5 +525,6 @@ func (m *Mesh) growScratch() {
 		m.visitedAt = make([]int64, n)
 		m.bfsPrev = make([]int32, n)
 		m.bfsQueue = make([]int32, 0, n)
+		m.floodID = make([]int64, n)
 	}
 }

@@ -1,13 +1,16 @@
 package mesh
 
-// Routing for braid paths (paper §6.1): dimension-ordered routes are
-// tried first; when the network is congested the engine escalates to an
-// adaptive shortest-path search over currently-free resources. On a
-// device-masked mesh (ApplyTopology) the same stamp-scratch BFS doubles
-// as the defect fallback: dead junctions and disabled links are never
-// entered, and the engine escalates to it immediately when a
-// dimension-ordered path is blocked by the mask rather than by
-// congestion (PathBlockedByMask).
+// Routing for braid paths (paper §6.1): a query that is sure to fail is
+// refused before any path is built (Unreachable: an endpoint is claimed
+// or dead, or a failed search has already flooded one endpoint's free
+// component without reaching the other); otherwise dimension-ordered
+// routes are tried first, and when the network is congested the engine
+// escalates to an adaptive shortest-path search over currently-free
+// resources. On a device-masked mesh (ApplyTopology) the same
+// stamp-scratch BFS doubles as the defect fallback: dead junctions and
+// disabled links are never entered, and the engine escalates to it
+// immediately when a dimension-ordered path is blocked by the mask
+// rather than by congestion (PathBlockedByMask).
 //
 // Every routine writes the route into a caller-supplied buffer (reusing
 // its capacity; nil allocates a fresh one) so the braid engine's
@@ -71,7 +74,8 @@ func YXPathInto(dst Path, a, b Node) Path {
 // time out. The search itself runs on the mesh's reusable stamp-based
 // scratch, so repeated calls allocate nothing once the scratch and dst
 // have grown to size. On failure the returned path is dst[:0] (capacity
-// preserved for reuse).
+// preserved for reuse), and a search that ran records the free
+// component it flooded for Unreachable.
 func (m *Mesh) AdaptiveRouteInto(dst Path, a, b Node) (Path, bool) {
 	dst = dst[:0]
 	if !m.InBounds(a) || !m.InBounds(b) {
@@ -119,6 +123,11 @@ func (m *Mesh) AdaptiveRouteInto(dst Path, a, b Node) (Path, bool) {
 			}
 			queue = append(queue, int32(ni))
 		}
+	}
+	// The search visited a's whole free component without reaching b:
+	// record it for Unreachable.
+	for _, ni := range queue {
+		m.floodID[ni] = m.stamp
 	}
 	m.bfsQueue = queue[:0]
 	return dst, false
