@@ -219,11 +219,12 @@ func (c *canonSink) check(i int) error {
 				m.name, call.inst, call.callee, want, call.nargs)
 		}
 		args := c.args[call.args : call.args+call.nargs]
+		dup := firstRepeat(args)
 		for ai, a := range args {
 			if a < 0 || a >= m.n {
 				return fmt.Errorf("circuit: %s inst %d: arg %d out of range", m.name, call.inst, a)
 			}
-			if slices.Contains(args[:ai], a) {
+			if ai == dup {
 				return fmt.Errorf("circuit: %s inst %d: repeated arg %d", m.name, call.inst, a)
 			}
 		}

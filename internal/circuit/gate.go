@@ -195,10 +195,9 @@ func (g Gate) Validate(numQubits int) error {
 	if g.Op == Barrier && len(g.Qubits) == 0 {
 		return fmt.Errorf("circuit: barrier needs at least one qubit")
 	}
-	// Duplicate detection scans the prefix instead of building a set:
-	// operand lists are tiny (1-2 qubits for gates, a module width for
-	// barriers), and this runs per gate on every Append and Validate —
-	// a map allocation here dominates hierarchical recompile profiles.
+	// The first operand that fails a range check or repeats an earlier
+	// one names the error.
+	dup := firstRepeat(g.Qubits)
 	for i, q := range g.Qubits {
 		if q < 0 {
 			return fmt.Errorf("circuit: negative qubit index %d in %v", q, g.Op)
@@ -206,13 +205,43 @@ func (g Gate) Validate(numQubits int) error {
 		if numQubits >= 0 && q >= numQubits {
 			return fmt.Errorf("circuit: qubit %d out of range [0,%d) in %v", q, numQubits, g.Op)
 		}
-		for _, prev := range g.Qubits[:i] {
-			if prev == q {
-				return fmt.Errorf("circuit: repeated qubit %d in %v", q, g.Op)
-			}
+		if i == dup {
+			return fmt.Errorf("circuit: repeated qubit %d in %v", q, g.Op)
 		}
 	}
 	return nil
+}
+
+// prefixScanMax is the widest operand list whose repeats firstRepeat
+// finds by scanning each operand's prefix. Gate and call operand lists
+// are mostly 1-2 wide and this runs per gate on every Append, Validate
+// and canonicalization, so short lists take the scan, which allocates
+// nothing; a set pays off only for wide barriers and calls.
+const prefixScanMax = 64
+
+// firstRepeat returns the smallest index whose operand equals an
+// earlier one, or -1 if the operands are distinct. A list wider than
+// prefixScanMax goes through a set, so a k-operand barrier costs O(k)
+// rather than O(k²).
+func firstRepeat(qs []int) int {
+	if len(qs) <= prefixScanMax {
+		for i, q := range qs {
+			for _, prev := range qs[:i] {
+				if prev == q {
+					return i
+				}
+			}
+		}
+		return -1
+	}
+	seen := make(map[int]struct{}, len(qs))
+	for i, q := range qs {
+		if _, ok := seen[q]; ok {
+			return i
+		}
+		seen[q] = struct{}{}
+	}
+	return -1
 }
 
 // String renders the gate in QASM form, e.g. "cnot q0,q3".

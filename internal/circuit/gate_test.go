@@ -1,8 +1,13 @@
 package circuit
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestOpcodeStringParseRoundTrip(t *testing.T) {
@@ -143,4 +148,107 @@ func TestGateValidateQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// prefixScanValidate is Gate.Validate's operand check as a prefix scan,
+// the reference firstRepeat must agree with on every list.
+func prefixScanValidate(g Gate, numQubits int) error {
+	for i, q := range g.Qubits {
+		if q < 0 {
+			return fmt.Errorf("circuit: negative qubit index %d in %v", q, g.Op)
+		}
+		if numQubits >= 0 && q >= numQubits {
+			return fmt.Errorf("circuit: qubit %d out of range [0,%d) in %v", q, numQubits, g.Op)
+		}
+		for _, prev := range g.Qubits[:i] {
+			if prev == q {
+				return fmt.Errorf("circuit: repeated qubit %d in %v", q, g.Op)
+			}
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesPrefixScan checks Gate.Validate against the prefix
+// scan on random barriers on both sides of prefixScanMax: operands with
+// repeats, negatives and out-of-range values, with and without a qubit
+// count. Both must return the same first error, text included.
+func TestValidateMatchesPrefixScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type kind struct {
+		word string
+		wide bool
+	}
+	kinds := map[kind]int{}
+	for trial := 0; trial < 4000; trial++ {
+		k := 1 + rng.Intn(3*prefixScanMax)
+		n := k + rng.Intn(2*k)
+		qs := rng.Perm(n)[:k]
+		// Plant up to three faults: a repeat, a negative index or an
+		// index at or past n.
+		for f := rng.Intn(4); f > 0; f-- {
+			i := rng.Intn(k)
+			switch rng.Intn(3) {
+			case 0:
+				qs[i] = qs[rng.Intn(k)]
+			case 1:
+				qs[i] = -1 - rng.Intn(3)
+			default:
+				qs[i] = n + rng.Intn(3)
+			}
+		}
+		g := Gate{Op: Barrier, Qubits: qs}
+		for _, width := range []int{n, -1} {
+			want, got := prefixScanValidate(g, width), g.Validate(width)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%d operands, Validate(%d): got %v, want %v", k, width, got, want)
+			}
+			if want != nil {
+				kinds[kind{strings.Fields(want.Error())[1], k > prefixScanMax}]++
+			}
+		}
+	}
+	// Every error kind must have been drawn, on both sides of the width.
+	for _, word := range []string{"negative", "qubit", "repeated"} {
+		for _, wide := range []bool{false, true} {
+			if kinds[kind{word, wide}] == 0 {
+				t.Errorf("no %q error drawn with wide=%v", word, wide)
+			}
+		}
+	}
+}
+
+// TestWideBarrierIsLinear canonicalizes and parses a barrier over a
+// million qubits; a quadratic repeat check would take minutes.
+func TestWideBarrierIsLinear(t *testing.T) {
+	const n = 1_000_000
+	var b strings.Builder
+	b.WriteString("qubits 1000000\nbarrier ")
+	for q := 0; q < n; q++ {
+		if q > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('q')
+		b.WriteString(strconv.Itoa(q))
+	}
+	b.WriteByte('\n')
+	text := b.String()
+	start := time.Now()
+	canon, err := AppendCanonical(nil, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadQASM(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Gates) != 1 || len(c.Gates[0].Qubits) != n || string(canon) != text {
+		t.Fatalf("barrier did not survive: %d gates, canonical form %d of %d bytes", len(c.Gates), len(canon), len(text))
+	}
+	// The repeat is the last operand: every operand is checked first.
+	dup := strings.Replace(text, ",q999999\n", ",q0\n", 1)
+	if _, err := AppendCanonical(nil, dup); err == nil || !strings.Contains(err.Error(), "repeated qubit 0 in barrier") {
+		t.Fatalf("AppendCanonical on a repeated last operand: %v", err)
+	}
+	t.Logf("%d-operand barrier canonicalized twice and parsed once in %v", n, time.Since(start))
 }

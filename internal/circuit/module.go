@@ -89,16 +89,13 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("circuit: %s inst %d: call %s wants %d args, got %d",
 						name, i, in.Callee, callee.NumQubits, len(in.Args))
 				}
-				// Prefix scan, not a set: call widths are small and this
-				// runs on every recompile (see Gate.Validate).
+				dup := firstRepeat(in.Args)
 				for ai, a := range in.Args {
 					if a < 0 || a >= m.NumQubits {
 						return fmt.Errorf("circuit: %s inst %d: arg %d out of range", name, i, a)
 					}
-					for _, prev := range in.Args[:ai] {
-						if prev == a {
-							return fmt.Errorf("circuit: %s inst %d: repeated arg %d", name, i, a)
-						}
+					if ai == dup {
+						return fmt.Errorf("circuit: %s inst %d: repeated arg %d", name, i, a)
 					}
 				}
 				continue

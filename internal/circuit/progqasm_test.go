@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -141,5 +143,43 @@ func TestModuleQASMStringCoversBody(t *testing.T) {
 	}
 	if !strings.Contains(s, "call leaf q1\n") {
 		t.Fatalf("missing call line: %q", s)
+	}
+}
+
+// TestWideCallArgErrors runs the call-argument checks of both program
+// paths on calls wider than prefixScanMax: the first bad argument, a
+// repeat or an index out of range, names the error.
+func TestWideCallArgErrors(t *testing.T) {
+	const n = 2 * prefixScanMax
+	call := func(edit func(args []int)) string {
+		args := make([]int, n)
+		for i := range args {
+			args[i] = i
+		}
+		edit(args)
+		ops := make([]string, n)
+		for i, a := range args {
+			ops[i] = "q" + strconv.Itoa(a)
+		}
+		return fmt.Sprintf("entry main\nmodule main %d\ncall sub %s\nmodule sub %d\nh q0\n",
+			n, strings.Join(ops, ","), n)
+	}
+	cases := map[string]struct{ text, want string }{
+		"repeat first": {call(func(a []int) { a[n-9] = 3; a[n-2] = n }), "main inst 0: repeated arg 3"},
+		"range first":  {call(func(a []int) { a[n-9] = n + 1; a[n-2] = 3 }), fmt.Sprintf("main inst 0: arg %d out of range", n+1)},
+		"distinct":     {call(func([]int) {}), ""},
+	}
+	for name, c := range cases {
+		_, perr := ReadProgramQASM(strings.NewReader(c.text))
+		_, cerr := AppendCanonical(nil, c.text)
+		for path, err := range map[string]error{"ReadProgramQASM": perr, "AppendCanonical": cerr} {
+			if c.want == "" {
+				if err != nil {
+					t.Errorf("%s: %s: %v", name, path, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: %s: got %v, want %q", name, path, err, c.want)
+			}
+		}
 	}
 }
