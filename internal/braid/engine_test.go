@@ -317,3 +317,27 @@ func TestRouteWorkPinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCongestedCompile compiles Ising-64, the most congested
+// serve-miss shape, at d = 9, Policy 6, seed 1, and reports the
+// adaptive searches each compile runs.
+func BenchmarkCongestedCompile(b *testing.B) {
+	c := apps.Ising(apps.IsingConfig{N: 63, Steps: 2}, false)
+	for _, mode := range []struct {
+		name    string
+		surgery bool
+	}{{"braid", false}, {"surgery", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var searches int64
+			for i := 0; i < b.N; i++ {
+				_, e, err := simulate(context.Background(), c, Policy6, Config{Distance: 9, Seed: 1, Surgery: mode.surgery})
+				if err != nil {
+					b.Fatal(err)
+				}
+				searches += e.searches
+			}
+			b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+		})
+	}
+}
