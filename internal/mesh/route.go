@@ -69,22 +69,16 @@ func YXPathInto(dst Path, a, b Node) Path {
 
 // AdaptiveRouteInto searches for the shortest path from a to b across
 // currently-free junctions and links (BFS) and writes it into dst[:0].
-// It returns ok=false when the endpoints are busy or no free corridor
-// exists. Used by the braid engine after dimension-ordered attempts
-// time out. The search itself runs on the mesh's reusable stamp-based
-// scratch, so repeated calls allocate nothing once the scratch and dst
-// have grown to size. On failure the returned path is dst[:0] (capacity
-// preserved for reuse), and a search that ran records the free
-// component it flooded for Unreachable.
+// It returns ok=false when no free corridor exists, at once when
+// Unreachable already proves it. Used by the braid engine after
+// dimension-ordered attempts time out. The search itself runs on the
+// mesh's reusable stamp-based scratch, so repeated calls allocate
+// nothing once the scratch and dst have grown to size. On failure the
+// returned path is dst[:0] (capacity preserved for reuse), and a search
+// that ran records the free component it flooded for Unreachable.
 func (m *Mesh) AdaptiveRouteInto(dst Path, a, b Node) (Path, bool) {
 	dst = dst[:0]
-	if !m.InBounds(a) || !m.InBounds(b) {
-		return dst, false
-	}
-	if m.NodeOwner(a) != Free || m.NodeOwner(b) != Free {
-		return dst, false
-	}
-	if m.masked && (m.deadNode[m.nodeIndex(a)] || m.deadNode[m.nodeIndex(b)]) {
+	if m.Unreachable(a, b) {
 		return dst, false
 	}
 	if a == b {
