@@ -57,3 +57,64 @@ func TestGoldenDistributions(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenDistributionsByRegionCount pins GSE distributions on the
+// all-alive grid at region counts the suite shapes never reach (the
+// Fig. 6 shapes use 4 regions, BENCH_planar and Table 1 use 16): from
+// the degenerate one-region machine, whose only traffic is magic-state
+// delivery, to a 64-region 9×8 grid whose halves cross up to 15 hops.
+// One Distributor serves every shape, so a stale routing table from a
+// previous grid would show as drift.
+func TestGoldenDistributionsByRegionCount(t *testing.T) {
+	golden := map[int][4]Result{
+		1: {
+			{WindowCycles: 0, BaseCycles: 9729, StallCycles: 8, ScheduleCycles: 9737, TotalPairs: 608, PeakLiveEPR: 20, AvgLiveEPR: 2.123035842662011, LatencyOverhead: 0.0008222838935142358},
+			{WindowCycles: 8, BaseCycles: 9729, StallCycles: 0, ScheduleCycles: 9729, TotalPairs: 608, PeakLiveEPR: 20, AvgLiveEPR: 2.1247815808407853, LatencyOverhead: 0},
+			{WindowCycles: 17, BaseCycles: 9729, StallCycles: 0, ScheduleCycles: 9729, TotalPairs: 608, PeakLiveEPR: 40, AvgLiveEPR: 3.2332202692979752, LatencyOverhead: 0},
+			{WindowCycles: PrefetchAll, BaseCycles: 9729, StallCycles: 0, ScheduleCycles: 9729, TotalPairs: 608, PeakLiveEPR: 1216, AvgLiveEPR: 509.890841813136, LatencyOverhead: 0},
+		},
+		2: {
+			{WindowCycles: 0, BaseCycles: 9720, StallCycles: 6, ScheduleCycles: 9726, TotalPairs: 675, PeakLiveEPR: 20, AvgLiveEPR: 2.082048118445404, LatencyOverhead: 0.0006172839506172839},
+			{WindowCycles: 8, BaseCycles: 9720, StallCycles: 0, ScheduleCycles: 9720, TotalPairs: 675, PeakLiveEPR: 20, AvgLiveEPR: 2.361111111111111, LatencyOverhead: 0},
+			{WindowCycles: 17, BaseCycles: 9720, StallCycles: 0, ScheduleCycles: 9720, TotalPairs: 675, PeakLiveEPR: 40, AvgLiveEPR: 3.594650205761317, LatencyOverhead: 0},
+			{WindowCycles: PrefetchAll, BaseCycles: 9720, StallCycles: 0, ScheduleCycles: 9720, TotalPairs: 675, PeakLiveEPR: 1350, AvgLiveEPR: 569.0092592592592, LatencyOverhead: 0},
+		},
+		8: {
+			{WindowCycles: 0, BaseCycles: 9720, StallCycles: 10, ScheduleCycles: 9730, TotalPairs: 679, PeakLiveEPR: 40, AvgLiveEPR: 2.6517985611510793, LatencyOverhead: 0.00102880658436214},
+			{WindowCycles: 11, BaseCycles: 9720, StallCycles: 1, ScheduleCycles: 9721, TotalPairs: 679, PeakLiveEPR: 40, AvgLiveEPR: 2.929533998559819, LatencyOverhead: 0.00010288065843621399},
+			{WindowCycles: 23, BaseCycles: 9720, StallCycles: 3, ScheduleCycles: 9723, TotalPairs: 679, PeakLiveEPR: 40, AvgLiveEPR: 4.859611231101512, LatencyOverhead: 0.00030864197530864197},
+			{WindowCycles: PrefetchAll, BaseCycles: 9720, StallCycles: 1, ScheduleCycles: 9721, TotalPairs: 679, PeakLiveEPR: 1358, AvgLiveEPR: 569.5829647155642, LatencyOverhead: 0.00010288065843621399},
+		},
+		32: {
+			{WindowCycles: 0, BaseCycles: 9711, StallCycles: 22, ScheduleCycles: 9733, TotalPairs: 679, PeakLiveEPR: 40, AvgLiveEPR: 4.3252851125038525, LatencyOverhead: 0.0022654721449902175},
+			{WindowCycles: 17, BaseCycles: 9711, StallCycles: 13, ScheduleCycles: 9724, TotalPairs: 679, PeakLiveEPR: 60, AvgLiveEPR: 5.43006993006993, LatencyOverhead: 0.0013386880856760374},
+			{WindowCycles: 35, BaseCycles: 9711, StallCycles: 13, ScheduleCycles: 9724, TotalPairs: 679, PeakLiveEPR: 80, AvgLiveEPR: 7.890374331550802, LatencyOverhead: 0.0013386880856760374},
+			{WindowCycles: PrefetchAll, BaseCycles: 9711, StallCycles: 13, ScheduleCycles: 9724, TotalPairs: 679, PeakLiveEPR: 1358, AvgLiveEPR: 569.9742904154668, LatencyOverhead: 0.0013386880856760374},
+		},
+		64: {
+			{WindowCycles: 0, BaseCycles: 9711, StallCycles: 30, ScheduleCycles: 9741, TotalPairs: 679, PeakLiveEPR: 60, AvgLiveEPR: 5.437018786572221, LatencyOverhead: 0.0030892801977139327},
+			{WindowCycles: 21, BaseCycles: 9711, StallCycles: 21, ScheduleCycles: 9732, TotalPairs: 679, PeakLiveEPR: 60, AvgLiveEPR: 7.091861898890259, LatencyOverhead: 0.002162496138399753},
+			{WindowCycles: 43, BaseCycles: 9711, StallCycles: 22, ScheduleCycles: 9733, TotalPairs: 679, PeakLiveEPR: 100, AvgLiveEPR: 10.222130894893661, LatencyOverhead: 0.0022654721449902175},
+			{WindowCycles: PrefetchAll, BaseCycles: 9711, StallCycles: 21, ScheduleCycles: 9732, TotalPairs: 679, PeakLiveEPR: 1358, AvgLiveEPR: 570.6220715166461, LatencyOverhead: 0.002162496138399753},
+		},
+	}
+	c := apps.GSE(apps.GSEConfig{M: 10, Steps: 2})
+	d := NewDistributor()
+	for _, regions := range []int{1, 2, 8, 32, 64} {
+		sched, err := simd.RunContext(context.Background(), c, simd.Config{Regions: regions, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Distance: 9}
+		jit := JITWindow(sched, cfg)
+		for i, win := range []int64{0, jit / 2, jit, PrefetchAll} {
+			got, err := d.DistributeContext(context.Background(), sched, win, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := golden[regions][i]; got != want {
+				t.Errorf("%d regions window %d drifted:\n got %+v\nwant %+v", regions, win, got, want)
+			}
+		}
+	}
+}
