@@ -14,8 +14,9 @@
 // same (device, dims) pair always realizes the same Topology, so
 // defective-device sweeps are deterministic and their records
 // reproducible. The Perfect device realizes a defect-free grid and is
-// not a separate code path: placement and braid routing treat it like
-// any other device, as an all-alive View over an unmasked mesh, and
+// not a separate code path: placement, braid routing and EPR
+// distribution treat it like any other device (an all-alive View over
+// an unmasked mesh, next-hop tables over an all-alive region grid) and
 // branch only on what a realized Topology shows — dead cells, Degraded,
 // Calibrated.
 package device

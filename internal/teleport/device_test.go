@@ -22,10 +22,10 @@ func gseSchedule(t testing.TB) *simd.Schedule {
 	return s
 }
 
-// TestPerfectDeviceDistributionIdentical pins the perfect fast path:
-// results with a Perfect (or zero-defect) device equal the deviceless
-// simulator field for field, across windows and on a reused
-// Distributor.
+// TestPerfectDeviceDistributionIdentical checks that a nil, a Perfect
+// and a zero-defect device are one all-alive grid: their results agree
+// field for field, across windows and on a reused Distributor whose
+// routing tables are rebuilt for each device.
 func TestPerfectDeviceDistributionIdentical(t *testing.T) {
 	s := gseSchedule(t)
 	windows := []int64{0, 32, 256, PrefetchAll}

@@ -37,13 +37,13 @@ type Config struct {
 	// channel is a multi-lane swap corridor (the teleport buffers of
 	// Fig. 3a); zero selects 4 lanes.
 	LinkBandwidth int
-	// Device is the physical topology of the region grid: EPR halves
-	// never cross disabled links or dead regions (they detour along
-	// precomputed next-hop routes) and weighted links stretch their hop
-	// time. Nil (or device.Perfect()) is the ideal grid, bit-identical
-	// to the pre-device simulator. A schedule whose endpoints are cut
-	// off from the EPR factory fails with an error matching
-	// scerr.ErrUnroutable.
+	// Device is the physical topology of the region grid. EPR halves
+	// follow precomputed next-hop routes over its alive regions and
+	// enabled links, and weighted links stretch their hop time. Nil (or
+	// device.Perfect()) is the all-alive grid, whose routes are the
+	// columns-first staircase at the base hop time. A schedule whose
+	// endpoints are cut off from the EPR factory fails with an error
+	// matching scerr.ErrUnroutable.
 	Device *device.Device
 }
 
@@ -68,6 +68,12 @@ func (c Config) HopCycles() int64 {
 	}
 	return int64(h)
 }
+
+// maxRegions bounds the schedules a Distributor accepts. The next-hop
+// table holds one direction per (node, destination) pair, so it grows
+// with the square of the region grid: 1.1 MB at 1,024 regions (a
+// 33×32 node grid with the factory row).
+const maxRegions = 1024
 
 // PrefetchAll is a window value large enough to launch every pair at
 // cycle zero — the "distribute as early as possible" baseline the ~24×
@@ -124,13 +130,14 @@ func (g geometry) coordOf(region int) layout.Coord {
 // nodeIndex flattens a coordinate onto the geometry grid.
 func (g geometry) nodeIndex(c layout.Coord) int { return c.Row*g.cols + c.Col }
 
-// half is one EPR half in flight: it follows the XY staircase from the
-// EPR factory to its destination region. Halves are pooled in a flat
-// slice and addressed by index — no per-move heap objects.
+// half is one EPR half in flight: it follows the next-hop table from
+// the EPR factory to its destination region. Positions are node
+// indices on the geometry grid. Halves are pooled in a flat slice and
+// addressed by index — no per-move heap objects.
 type half struct {
 	move int32
-	dest layout.Coord
-	pos  layout.Coord
+	dest int32
+	pos  int32
 }
 
 // linkUse is the per-cycle bandwidth accounting of one directed channel
@@ -147,8 +154,9 @@ type delta struct {
 }
 
 // Distributor owns the reusable simulation state of DistributeContext:
-// pooled halves, the time-bucketed propagation calendar, dense per-link
-// usage tables, and the arrival/live-accounting scratch. Reusing one
+// the device's routing tables, pooled halves, the time-bucketed
+// propagation calendar, dense per-link usage tables, and the
+// arrival/live-accounting scratch. Reusing one
 // Distributor across runs (as SweepWindowsContext does) makes
 // steady-state distribution allocation-free. A Distributor is safe for
 // one goroutine at a time.
@@ -165,17 +173,14 @@ type Distributor struct {
 	starts     []int64 // per timestep: actual start cycle
 	deltas     []delta
 
-	// Device realization, cached per (device, geometry, hop). All nil /
-	// zero on a perfect device, which keeps the ideal-grid XY staircase
-	// bit-identical. On a degraded device, halves follow precomputed
-	// per-destination next-hop tables around dead regions and disabled
-	// links, and hopW prices each directed link's weighted hop time.
+	// Device realization, cached per (device, geometry, hop): halves
+	// follow per-destination next-hop tables around dead regions and
+	// disabled links, and hopW prices each directed link's hop time.
 	dev     *device.Device
 	devRows int
 	devCols int
 	devHop  int64
-	topo    *device.Topology
-	comps   []int32
+	comps   []int32 // connected-component label per node (-1 dead)
 	nextHop []int8  // [dest*nodes + node] -> direction 0..3 (-1 unreachable)
 	hopW    []int64 // [node*4 + dir] -> hop cycles across that link
 	maxHop  int64   // slowest weighted hop (sizes the ring calendar)
@@ -195,8 +200,8 @@ func (d *Distributor) geometryFor(regions int) geometry {
 // use and is retained across runs.
 func NewDistributor() *Distributor { return &Distributor{} }
 
-// dirDelta advances a coordinate along a directed-link slot (the
-// stepTowardDir convention: 0 Col+, 1 Col−, 2 Row+, 3 Row−).
+// dirDelta advances a coordinate along a directed-link slot: 0 Col+,
+// 1 Col−, 2 Row+, 3 Row−.
 func dirDelta(c layout.Coord, dir int8) layout.Coord {
 	switch dir {
 	case 0:
@@ -213,24 +218,15 @@ func dirDelta(c layout.Coord, dir int8) layout.Coord {
 
 // ensureDevice realizes the config's device on the geometry grid,
 // rebuilding the cached routing tables only when the device, grid, or
-// hop time changed. Perfect devices clear the tables: every hot-path
-// branch then takes the ideal-grid side.
+// hop time changed.
 func (d *Distributor) ensureDevice(geo geometry, cfg Config) {
 	hop := cfg.HopCycles()
 	if d.dev == cfg.Device && d.devRows == geo.rows && d.devCols == geo.cols && d.devHop == hop {
 		return
 	}
 	d.dev, d.devRows, d.devCols, d.devHop = cfg.Device, geo.rows, geo.cols, hop
-	d.topo, d.comps, d.nextHop, d.hopW = nil, nil, nil, nil
 	d.maxHop = hop
-	if cfg.Device.IsPerfect() {
-		return
-	}
 	topo := cfg.Device.Instance(geo.rows, geo.cols)
-	if !topo.Degraded() {
-		return
-	}
-	d.topo = topo
 	d.comps = topo.Components()
 	nodes := geo.rows * geo.cols
 	d.hopW = make([]int64, nodes*4)
@@ -262,6 +258,7 @@ func (d *Distributor) ensureDevice(geo geometry, cfg Config) {
 	// Next-hop tables: one BFS per destination over alive regions and
 	// enabled links, each node keeping the first feasible direction in
 	// slot order — deterministic routes, no per-half search at runtime.
+	// On an all-alive grid that is the columns-first staircase.
 	d.nextHop = make([]int8, nodes*nodes)
 	dist := make([]int32, nodes)
 	queue := make([]int32, 0, nodes)
@@ -316,19 +313,19 @@ func (d *Distributor) ensureDevice(geo geometry, cfg Config) {
 
 // checkRoutable fails with an error matching scerr.ErrUnroutable when
 // any move endpoint (or the EPR factory itself) is dead or cut off on
-// the degraded region grid.
+// the region grid.
 func (d *Distributor) checkRoutable(geo geometry, s *simd.Schedule) error {
-	eprIdx := geo.nodeIndex(geo.epr)
-	if d.topo.TileDead(geo.epr) {
+	eprComp := d.comps[geo.nodeIndex(geo.epr)]
+	if eprComp < 0 {
 		return scerr.Unroutable("teleport: EPR factory region %v is dead on the device", geo.epr)
 	}
-	eprComp := d.comps[eprIdx]
 	for m, mv := range s.Moves {
 		for _, c := range [2]layout.Coord{geo.coordOf(mv.From), geo.coordOf(mv.To)} {
-			if d.topo.TileDead(c) {
+			comp := d.comps[geo.nodeIndex(c)]
+			if comp < 0 {
 				return scerr.Unroutable("teleport: move %d endpoint region %v is dead on the device", m, c)
 			}
-			if d.comps[geo.nodeIndex(c)] != eprComp {
+			if comp != eprComp {
 				return scerr.Unroutable("teleport: move %d endpoint region %v is disconnected from the EPR factory", m, c)
 			}
 		}
@@ -352,15 +349,13 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 	if window < 0 {
 		return Result{}, scerr.BadConfig("teleport: negative window %d", window)
 	}
-	if s.Config.Regions < 1 {
-		return Result{}, scerr.BadConfig("teleport: schedule has no regions")
+	if s.Config.Regions < 1 || s.Config.Regions > maxRegions {
+		return Result{}, scerr.BadConfig("teleport: schedule has %d regions, want 1 to %d", s.Config.Regions, maxRegions)
 	}
 	geo := d.geometryFor(s.Config.Regions)
 	d.ensureDevice(geo, cfg)
-	if d.topo != nil {
-		if err := d.checkRoutable(geo, s); err != nil {
-			return Result{}, err
-		}
+	if err := d.checkRoutable(geo, s); err != nil {
+		return Result{}, err
 	}
 	res := Result{
 		WindowCycles: window,
@@ -379,6 +374,7 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 	// out of order and get a stable (time, creation index) sort.
 	d.halves = d.halves[:0]
 	d.launchTime = d.launchTime[:0]
+	epr := int32(geo.nodeIndex(geo.epr))
 	sorted := true
 	for m, mv := range s.Moves {
 		if mv.Timestep < 0 || mv.Timestep >= s.Timesteps {
@@ -393,7 +389,7 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 			if len(d.launchTime) > 0 && at < d.launchTime[len(d.launchTime)-1] {
 				sorted = false
 			}
-			d.halves = append(d.halves, half{move: int32(m), dest: dst, pos: geo.epr})
+			d.halves = append(d.halves, half{move: int32(m), dest: int32(geo.nodeIndex(dst)), pos: epr})
 			d.launchTime = append(d.launchTime, at)
 		}
 	}
@@ -413,10 +409,10 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 		})
 	}
 
-	// Cycle-driven propagation with per-link bandwidth. The pending map
-	// of old is a ring calendar: movement delays are only +1 (blocked
-	// retry) and at most the slowest weighted hop, so maxHop+1 buckets
-	// cover every in-flight half (maxHop == hop on a perfect device).
+	// Cycle-driven propagation with per-link bandwidth on a ring
+	// calendar: movement delays are only +1 (blocked retry) and at most
+	// the slowest weighted hop, so maxHop+1 buckets cover every
+	// in-flight half.
 	hop := cfg.HopCycles()
 	ringSize := int(d.maxHop) + 1
 	if cap(d.ring) < ringSize {
@@ -440,6 +436,8 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 	d.arrival = d.arrival[:len(s.Moves)]
 	clear(d.arrival)
 
+	nodes := geo.rows * geo.cols
+	step := [4]int32{1, -1, int32(geo.cols), -int32(geo.cols)} // dirDelta's slots as node offsets
 	active := len(d.halves)
 	inFlight := 0
 	cursor := 0
@@ -485,18 +483,11 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 				inFlight--
 				continue
 			}
-			var next layout.Coord
-			var dir int
-			if d.nextHop == nil {
-				next, dir = stepTowardDir(h.pos, h.dest)
-			} else {
-				// Defect-aware: follow the precomputed next hop toward
-				// the destination (routability was prechecked).
-				nodes := geo.rows * geo.cols
-				dir = int(d.nextHop[geo.nodeIndex(h.dest)*nodes+geo.nodeIndex(h.pos)])
-				next = dirDelta(h.pos, int8(dir))
-			}
-			u := &d.links[geo.nodeIndex(h.pos)*4+dir]
+			// Follow the next hop toward the destination (routability
+			// was prechecked).
+			dir := d.nextHop[int(h.dest)*nodes+int(h.pos)]
+			link := int(h.pos)*4 + int(dir)
+			u := &d.links[link]
 			if u.cycle != cycle {
 				u.cycle = cycle
 				u.used = 0
@@ -508,12 +499,8 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 				continue
 			}
 			u.used++
-			hopT := hop
-			if d.hopW != nil {
-				hopT = d.hopW[geo.nodeIndex(h.pos)*4+dir]
-			}
-			h.pos = next
-			rs := (cycle + hopT) % int64(ringSize)
+			h.pos += step[dir]
+			rs := (cycle + d.hopW[link]) % int64(ringSize)
 			d.ring[rs] = append(d.ring[rs], hi)
 		}
 		d.ring[slot] = bucket[:0]
@@ -579,31 +566,6 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 		res.AvgLiveEPR = float64(integral) / float64(res.ScheduleCycles)
 	}
 	return res, nil
-}
-
-// stepTowardDir advances one hop along the XY staircase (columns
-// first), also returning the directed-link slot (0..3) the hop uses.
-func stepTowardDir(pos, dest layout.Coord) (layout.Coord, int) {
-	switch {
-	case pos.Col < dest.Col:
-		pos.Col++
-		return pos, 0
-	case pos.Col > dest.Col:
-		pos.Col--
-		return pos, 1
-	case pos.Row < dest.Row:
-		pos.Row++
-		return pos, 2
-	default:
-		pos.Row--
-		return pos, 3
-	}
-}
-
-// stepToward advances one hop along the XY staircase (columns first).
-func stepToward(pos, dest layout.Coord) layout.Coord {
-	next, _ := stepTowardDir(pos, dest)
-	return next
 }
 
 // SweepWindowsContext runs DistributeContext across a set of windows —

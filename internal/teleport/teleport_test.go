@@ -2,10 +2,13 @@ package teleport
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"surfcomm/internal/apps"
+	"surfcomm/internal/device"
 	"surfcomm/internal/layout"
+	"surfcomm/internal/scerr"
 	"surfcomm/internal/simd"
 )
 
@@ -218,19 +221,69 @@ func TestSweepWindows(t *testing.T) {
 	}
 }
 
-func TestStepToward(t *testing.T) {
-	from := layout.Coord{Row: 0, Col: 0}
-	to := layout.Coord{Row: 2, Col: 2}
-	pos := from
-	steps := 0
-	for pos != to {
-		pos = stepToward(pos, to)
-		steps++
-		if steps > 10 {
-			t.Fatal("stepToward does not converge")
+// staircase is the columns-first XY route of the ideal grid, kept as
+// the reference the all-alive next-hop tables must reproduce: the
+// directed-link slot (dirDelta's convention) of the hop from pos toward
+// dest.
+func staircase(pos, dest layout.Coord) int8 {
+	switch {
+	case pos.Col < dest.Col:
+		return 0
+	case pos.Col > dest.Col:
+		return 1
+	case pos.Row < dest.Row:
+		return 2
+	default:
+		return 3
+	}
+}
+
+// TestPerfectTablesAreStaircase checks the perfect device's routing
+// tables at every power-of-two region count the Distributor accepts:
+// each node's next hop toward each destination is the staircase's
+// direction, and every in-bounds hop costs the base hop time.
+func TestPerfectTablesAreStaircase(t *testing.T) {
+	cfg := Config{Device: device.Perfect()}.withDefaults()
+	hop := cfg.HopCycles()
+	d := NewDistributor()
+	for regions := 1; regions <= maxRegions; regions *= 2 {
+		geo := d.geometryFor(regions)
+		d.ensureDevice(geo, cfg)
+		nodes := geo.rows * geo.cols
+		coord := func(n int) layout.Coord { return layout.Coord{Row: n / geo.cols, Col: n % geo.cols} }
+		for dst := 0; dst < nodes; dst++ {
+			for n := 0; n < nodes; n++ {
+				want := int8(-1)
+				if n != dst {
+					want = staircase(coord(n), coord(dst))
+				}
+				if got := d.nextHop[dst*nodes+n]; got != want {
+					t.Fatalf("%d regions: next hop %v -> %v = %d, want %d", regions, coord(n), coord(dst), got, want)
+				}
+			}
+		}
+		for n := 0; n < nodes; n++ {
+			for dir := int8(0); dir < 4; dir++ {
+				nb := dirDelta(coord(n), dir)
+				inBounds := nb.Row >= 0 && nb.Row < geo.rows && nb.Col >= 0 && nb.Col < geo.cols
+				if got := d.hopW[n*4+int(dir)]; inBounds && got != hop {
+					t.Fatalf("%d regions: hop %v -> %v costs %d cycles, want %d", regions, coord(n), nb, got, hop)
+				}
+			}
 		}
 	}
-	if steps != 4 {
-		t.Errorf("steps = %d, want 4 (Manhattan)", steps)
+}
+
+// TestRegionBoundRejectsBeforeTables hands a Distributor a schedule over
+// 2,048 regions: it must fail with ErrBadConfig before building a
+// next-hop table (4.5 MB at that size).
+func TestRegionBoundRejectsBeforeTables(t *testing.T) {
+	s := fixedSchedule(2*maxRegions, 2, []simd.Move{{Timestep: 1, Qubit: 0, From: 0, To: 2*maxRegions - 1}})
+	d := NewDistributor()
+	if _, err := d.DistributeContext(context.Background(), s, 0, Config{}); !errors.Is(err, scerr.ErrBadConfig) {
+		t.Fatalf("err = %v, want ErrBadConfig", err)
+	}
+	if d.nextHop != nil || d.hopW != nil {
+		t.Fatalf("rejected schedule built routing tables (%d next-hop entries)", len(d.nextHop))
 	}
 }

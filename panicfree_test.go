@@ -80,6 +80,7 @@ func TestCompileRejectsBadTargetsWithoutPanic(t *testing.T) {
 	cases := map[string]struct {
 		circuit  *surfcomm.Circuit
 		override func(*surfcomm.Target)
+		backend  string // the one backend the case runs on; "" for every backend
 	}{
 		"nil circuit":        {circuit: nil},
 		"zero qubits":        {circuit: surfcomm.NewCircuit("empty", 0)},
@@ -94,9 +95,14 @@ func TestCompileRejectsBadTargetsWithoutPanic(t *testing.T) {
 		"bad simd width":     {circuit: good, override: func(tg *surfcomm.Target) { tg.SIMD = surfcomm.SIMDConfig{Regions: 4, Width: -2} }},
 		"bad technology":     {circuit: good, override: func(tg *surfcomm.Target) { tg.Technology = surfcomm.Superconducting(-1) }},
 		"short placement":    {circuit: good, override: func(tg *surfcomm.Target) { tg.Placement = tiny }},
+		"simd regions above 1024": {circuit: good, backend: surfcomm.PlanarBackend{}.Name(),
+			override: func(tg *surfcomm.Target) { tg.SIMD = surfcomm.SIMDConfig{Regions: 2048, Width: 8} }},
 	}
 	for name, c := range cases {
 		for _, b := range surfcomm.Backends() {
+			if c.backend != "" && b.Name() != c.backend {
+				continue
+			}
 			t.Run(name+"/"+b.Name(), func(t *testing.T) {
 				var overrides []func(*surfcomm.Target)
 				if c.override != nil {

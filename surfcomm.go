@@ -338,8 +338,8 @@ func CustomDevice(name string, seed int64, build func(*DeviceTopology, *rand.Ran
 // the complete pattern; other graphs subtract edges.
 type CouplingGraph = device.CouplingGraph
 
-// SquareGraph returns the complete square coupling pattern (every
-// device realized on it stays on the perfect fast path).
+// SquareGraph returns the complete square coupling pattern (a device
+// on it is the perfect device).
 func SquareGraph() *CouplingGraph { return device.SquareGraph() }
 
 // HeavyHexGraph returns the heavy-hexagon coupling pattern: all
