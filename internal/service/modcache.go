@@ -59,9 +59,7 @@ func (a *svcModuleCache) GetModule(digest string) (surfcomm.Plan, bool) {
 
 func (a *svcModuleCache) PutModule(digest string, p surfcomm.Plan) {
 	a.s.cache.put(moduleLRUKey(digest), p)
-	// The store's decoder rejects degenerate plans (Cycles <= 0), so
-	// only persist plans it will accept back.
-	if a.persist && p.Cycles > 0 && p.Backend != "" {
+	if a.persist {
 		a.s.cache.disk.save(moduleDiskKey(digest), p)
 	}
 }

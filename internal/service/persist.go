@@ -22,10 +22,7 @@ func decodePlan(data []byte) (surfcomm.Plan, error) {
 	if err := json.Unmarshal(data, &ps); err != nil {
 		return surfcomm.Plan{}, fmt.Errorf("service: stored plan: %w", err)
 	}
-	if ps.Backend == "" || ps.Cycles <= 0 {
-		return surfcomm.Plan{}, fmt.Errorf("service: stored plan: missing backend/cycles")
-	}
-	return surfcomm.Plan{
+	p := surfcomm.Plan{
 		Backend:        ps.Backend,
 		Circuit:        ps.Circuit,
 		Distance:       ps.Distance,
@@ -35,8 +32,18 @@ func decodePlan(data []byte) (surfcomm.Plan, error) {
 		Seconds:        ps.Seconds,
 		PhysicalQubits: ps.PhysicalQubits,
 		CommOps:        ps.CommOps,
-	}, nil
+	}
+	if !persistable(p) {
+		return surfcomm.Plan{}, fmt.Errorf("service: stored plan: missing backend/cycles")
+	}
+	return p, nil
 }
+
+// persistable reports whether a plan reads back from the store: a plan
+// with no backend or no cycles (an empty circuit compiles to 0 cycles
+// on every backend) is refused by decodePlan, so the disk layer never
+// writes one.
+func persistable(p surfcomm.Plan) bool { return p.Backend != "" && p.Cycles > 0 }
 
 // diskLayer wires a store.Store under the in-memory LRU: read-through
 // on misses (a disk hit is served as cached and promoted into the LRU)
@@ -80,11 +87,11 @@ func (d *diskLayer) load(digest string) (surfcomm.Plan, bool) {
 	return plan, true
 }
 
-// save persists a plan asynchronously (write-behind); nil-safe. Saves
-// after close are dropped — shutdown flushes what was queued, it does
-// not accept new work.
+// save persists a plan asynchronously (write-behind); nil-safe. Plans
+// that would not read back are skipped. Saves after close are dropped —
+// shutdown flushes what was queued, it does not accept new work.
 func (d *diskLayer) save(digest string, p surfcomm.Plan) {
-	if d == nil {
+	if d == nil || !persistable(p) {
 		return
 	}
 	payload, err := json.Marshal(Summarize(p))

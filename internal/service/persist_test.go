@@ -1,7 +1,9 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"log"
 	"testing"
 
 	"surfcomm/internal/faultinject"
@@ -230,5 +232,39 @@ func TestDrainReadiness(t *testing.T) {
 	}
 	if reason != "draining" {
 		t.Fatalf("reason = %q, want draining", reason)
+	}
+}
+
+// TestEmptyPlanNotPersisted compiles an empty circuit, whose plan has
+// 0 cycles on every backend. The store would refuse that plan on read,
+// so it is never written: across a restart both compiles are plain
+// misses, the store takes no entry, and nothing is logged.
+func TestEmptyPlanNotPersisted(t *testing.T) {
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	dir := t.TempDir()
+	req := service.Request{QASM: "qubits 2\n"}
+	for run := 1; run <= 2; run++ {
+		svc := newService(t, service.Config{Store: openStore(t, dir, nil)})
+		resp, err := svc.Compile(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Close()
+		if resp.Cached || resp.Plan.Cycles != 0 {
+			t.Fatalf("run %d: cached=%v cycles=%d, want an uncached 0-cycle plan", run, resp.Cached, resp.Plan.Cycles)
+		}
+		if st := svc.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+			t.Fatalf("run %d: misses=%d disk_hits=%d, want 1 and 0", run, st.Misses, st.DiskHits)
+		}
+		if st := svc.StoreStats(); st.Puts != 0 || st.Hits != 0 {
+			t.Fatalf("run %d: store puts=%d hits=%d, want 0 and 0", run, st.Puts, st.Hits)
+		}
+	}
+	if logged.Len() > 0 {
+		t.Fatalf("empty plan logged:\n%s", logged.String())
 	}
 }
