@@ -27,10 +27,6 @@ type Config struct {
 	// the router escalates from dimension-ordered to adaptive routes.
 	// Zero selects one braid lifetime, 2(d+1).
 	AdaptTimeout int64
-	// DropTimeout is how long an event may be blocked before it is
-	// dropped and re-injected (demoted behind fresh events). Zero
-	// selects 8(d+1).
-	DropTimeout int64
 	// LocalTOps is the ablation knob: when true, T gates execute
 	// locally (magic states assumed pre-delivered) instead of braiding
 	// a state in from a factory port. The paper's model — and the
@@ -43,11 +39,6 @@ type Config struct {
 	// pipeline throughput. Zero selects d (factories continuously
 	// prepare states, paper §4.3).
 	FactoryRefill int64
-	// MaxAttemptsPerRound bounds failed placement attempts per
-	// scheduling round (greedy placement stops after this many misses;
-	// a full scan is forced whenever the network is idle). Zero
-	// selects 48.
-	MaxAttemptsPerRound int
 	// Device is the physical topology the machine is realized on: dead
 	// tiles are never placed or routed through, disabled links are
 	// excluded from routing, and link latency multipliers stretch braid
@@ -81,6 +72,17 @@ type Config struct {
 	RecordSchedule bool
 }
 
+const (
+	// dropTimeoutFactor sets how long an event may stay blocked before
+	// it is dropped and re-injected (demoted behind fresh events):
+	// dropTimeoutFactor·(d+1) cycles, four braid lifetimes.
+	dropTimeoutFactor = 8
+	// maxAttemptsPerRound bounds failed placement attempts per
+	// scheduling round: greedy placement stops after this many misses,
+	// and a full scan is forced whenever the network is idle.
+	maxAttemptsPerRound = 48
+)
+
 func (c Config) withDefaults() Config {
 	if c.Distance == 0 {
 		c.Distance = 9
@@ -88,14 +90,8 @@ func (c Config) withDefaults() Config {
 	if c.AdaptTimeout == 0 {
 		c.AdaptTimeout = int64(2 * (c.Distance + 1))
 	}
-	if c.DropTimeout == 0 {
-		c.DropTimeout = int64(8 * (c.Distance + 1))
-	}
 	if c.FactoryRefill == 0 {
 		c.FactoryRefill = int64(c.Distance)
-	}
-	if c.MaxAttemptsPerRound == 0 {
-		c.MaxAttemptsPerRound = 48
 	}
 	return c
 }
@@ -785,7 +781,7 @@ func (e *engine) trySchedule(full bool, heights []int) int {
 			e.atMaxRetireDeferred(&ev, &resorted)
 			continue
 		}
-		if age := e.now - ev.readySince; e.cfg.DropTimeout > 0 && age > e.cfg.DropTimeout {
+		if age := e.now - ev.readySince; age > dropTimeoutFactor*int64(e.cfg.Distance+1) {
 			ev.generation++
 			ev.readySince = e.now
 			e.reinjections++
@@ -793,7 +789,7 @@ func (e *engine) trySchedule(full bool, heights []int) int {
 		}
 		failures++
 		out = append(out, ev)
-		if !full && failures >= e.cfg.MaxAttemptsPerRound {
+		if !full && failures >= maxAttemptsPerRound {
 			stop = idx
 		}
 	}
