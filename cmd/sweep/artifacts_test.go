@@ -22,7 +22,7 @@ import (
 // the study flags that regenerate it (BENCH_serve.json is surfload's).
 var artifacts = []struct{ file, args string }{
 	{"BENCH_sweep.json", ""},
-	{"BENCH_planar.json", "-epr -decoder"},
+	{"BENCH_planar.json", "-epr"},
 	{"BENCH_yield.json", "-yield"},
 	{"BENCH_decode.json", "-decode"},
 	{"BENCH_calib.json", "-calib"},

@@ -11,13 +11,13 @@
 // studies: -table1 and -table2 print the communication-method
 // comparison and the application summary, -fig6 prints the Figure 6
 // braid-policy grid (every application under every policy, or one with
-// -app; -verify replay-validates every recorded schedule), -decoder the
-// §2.3 Monte Carlo error-model validation grid, -decode the decoder
-// strategy crossover, -modular the incremental-compilation study,
-// -yield the defective-device yield study and -calib the calibration
-// study (square vs heavy-hex coupling, uniform vs calibrated devices,
-// live-defect survival). Selected studies run in registry order,
-// whatever the flag order.
+// -app; -verify replay-validates every recorded schedule), -decode the
+// §2.3 decoding study (code-capacity failure counts and work-ops of the
+// mwpm and unionfind strategies, and their work-op crossover), -modular
+// the incremental-compilation study, -yield the defective-device yield
+// study and -calib the calibration study (square vs heavy-hex coupling,
+// uniform vs calibrated devices, live-defect survival). Selected
+// studies run in registry order, whatever the flag order.
 //
 // The studies run on a shared surfcomm.Toolchain: the grids evaluate on
 // its worker pool (-workers, default GOMAXPROCS) and results are
@@ -53,7 +53,6 @@ func main() {
 		selected[i] = flag.Bool(st.Name, false, st.Help)
 	}
 	verify := flag.Bool("verify", false, "record each -fig6 static schedule and replay-validate it")
-	decStrategy := flag.String("decoder-strategy", "", "decoding strategy for -decoder: mwpm or unionfind (default mwpm)")
 	defectFrac := flag.String("defect-frac", "", "comma-separated defect fractions for -yield (default 0,0.02,0.05)")
 	app := flag.String("app", "", "application for -fig6, -yield and -calib (default: every app for -fig6, GSE otherwise)")
 	clustered := flag.Bool("clustered", false, "use clustered defects instead of random yield for -yield")
@@ -96,7 +95,6 @@ func main() {
 		surfcomm.WithSeed(*seed),
 		surfcomm.WithWorkers(*workers),
 		surfcomm.WithTechnology(surfcomm.Superconducting(*pp)),
-		surfcomm.WithDecoderStrategy(*decStrategy),
 	}
 	if *progress {
 		opts = append(opts, surfcomm.WithProgress(func(ev surfcomm.Event) {

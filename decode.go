@@ -23,10 +23,6 @@ const (
 	DecoderStrategyUnionFind = decoder.StrategyUnionFind
 )
 
-// DecoderStrategies lists the registered decoding strategy names,
-// sorted.
-func DecoderStrategies() []string { return decoder.StrategyNames() }
-
 // StreamDecoder is the streaming face of the space-time decoder: push
 // syndrome rounds as they are measured; every `window` rounds the
 // accumulated change volume decodes as one space-time batch. Not safe
@@ -48,19 +44,17 @@ func NewStreamDecoder(d, window int, strategy string) (*StreamDecoder, error) {
 	return decoder.NewWindowDecoder(l, window, s)
 }
 
-// measureLogicalRate runs the decoding Monte Carlo: trials syndrome
-// histories of the given rounds on a distance-d lattice, with data
-// error rate p and measurement error rate q, drawn from seed and
-// decoded as space-time volumes under cfg. Rounds 1 with q = 0 is the
-// code-capacity measurement behind Toolchain.MeasureLogicalErrorRate
-// and the decoder studies' cells; MeasureLogicalErrorRateHistory passes
-// its own. The failure count depends on the seed and strategy, never on
-// cfg.Workers.
-func measureLogicalRate(ctx context.Context, d, rounds int, p, q float64, trials int, seed int64, cfg decoder.Config) (DecoderResult, error) {
+// measureLogicalRate runs the code-capacity decoding Monte Carlo behind
+// Toolchain.MeasureLogicalErrorRate and the decode study's cells:
+// trials one-round syndrome histories on a distance-d lattice, with
+// data error rate p and perfect measurements, drawn from seed and
+// decoded under cfg. The failure count depends on the seed and
+// strategy, never on cfg.Workers.
+func measureLogicalRate(ctx context.Context, d int, p float64, trials int, seed int64, cfg decoder.Config) (DecoderResult, error) {
 	l, err := decoder.NewLattice(d)
 	if err != nil {
 		return DecoderResult{}, err
 	}
-	mc := &decoder.HistoryMonteCarlo{Lattice: l, Rounds: rounds, Rng: rand.New(rand.NewSource(seed)), Config: cfg}
-	return mc.RunContext(ctx, p, q, trials)
+	mc := &decoder.HistoryMonteCarlo{Lattice: l, Rounds: 1, Rng: rand.New(rand.NewSource(seed)), Config: cfg}
+	return mc.RunContext(ctx, p, 0, trials)
 }

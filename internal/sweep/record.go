@@ -23,9 +23,8 @@ type CellResult struct {
 	// always-present fields: pre-device records gain a byte-compatible
 	// `"device": "perfect"` suffix.
 	Device string `json:"device"`
-	// Strategy names the decoding strategy for decoder/decode-study
-	// cells. It is omitted when empty, so records predating the
-	// strategy field (implicitly MWPM) stay byte-identical.
+	// Strategy names the decoding strategy of a decode-study cell; the
+	// other studies' records omit it.
 	Strategy string `json:"strategy,omitempty"`
 }
 

@@ -46,9 +46,8 @@ const (
 	// curveDecades is the K axis of Figures 7–8: one point per decade
 	// from K = 1 to 1e24.
 	curveDecades = 24
-	// The decoder grids' trial counts, and the rate the decode study's
-	// work-op crossover is measured at.
-	decoderTrials       = 400
+	// The decode study's trial counts, and the rate its work-op
+	// crossover is measured at.
 	decodeParityTrials  = 400
 	decodeCrossTrials   = 60
 	decodeCrossoverRate = 0.08
@@ -60,8 +59,6 @@ const (
 // The grid axes the studies fix by design.
 var (
 	yieldFractions        = []float64{0, 0.02, 0.05}
-	decoderDistances      = []int{3, 5, 7}
-	decoderRates          = []float64{0.02, 0.05, 0.10}
 	decodeParityDistances = []int{3, 5, 7}
 	decodeParityRates     = []float64{0.03, 0.05, 0.08}
 	decodeCrossDistances  = []int{9, 13, 17}
@@ -454,12 +451,12 @@ func runEPR(ctx context.Context, s *studyRun) error {
 // decoderLabel names a (distance, physical rate) decoding cell.
 func decoderLabel(d int, p float64) string { return fmt.Sprintf("d=%d/p=%.2e", d, p) }
 
-// decoderGrid measures the logical error rate of every cell of a
-// distance-major (distance × rate) grid under strategy, appending suffix
-// to each cell's label. Cell i runs its Monte Carlo serially (the grid
-// itself fans across the pool) at CellSeed(seed, i), so the grid is
-// bit-identical at any worker count.
-func (s *studyRun) decoderGrid(ctx context.Context, distances []int, rates []float64, trials int, suffix string, strategy decoder.Strategy) ([]DecoderResult, []string, error) {
+// decodeGrid measures the logical error rate of every cell of a
+// distance-major (distance × rate) grid under strategy, labelling each
+// cell with its distance, rate and strategy name. Cell i runs its Monte
+// Carlo serially (the grid itself fans across the pool) at
+// CellSeed(seed, i), so the grid is bit-identical at any worker count.
+func (s *studyRun) decodeGrid(ctx context.Context, distances []int, rates []float64, trials int, strategy decoder.Strategy) ([]DecoderResult, []string, error) {
 	type cell struct {
 		d int
 		p float64
@@ -469,52 +466,23 @@ func (s *studyRun) decoderGrid(ctx context.Context, distances []int, rates []flo
 	for _, d := range distances {
 		for _, p := range rates {
 			cells = append(cells, cell{d, p})
-			labels = append(labels, decoderLabel(d, p)+suffix)
+			labels = append(labels, decoderLabel(d, p)+"/"+strategy.Name())
 		}
 	}
 	results, err := sweep.Map(ctx, s.opts(labels), cells, func(i int, c cell) (DecoderResult, error) {
 		cfg := decoder.Config{Workers: 1, Strategy: strategy}
-		return measureLogicalRate(ctx, c.d, 1, c.p, 0, trials, CellSeed(s.tc.seed, i), cfg)
+		return measureLogicalRate(ctx, c.d, c.p, trials, CellSeed(s.tc.seed, i), cfg)
 	})
 	return results, labels, err
 }
 
-func runDecoder(ctx context.Context, s *studyRun) error {
-	results, labels, err := s.decoderGrid(ctx, decoderDistances, decoderRates, decoderTrials, "", s.tc.decodeStrategy)
-	if err != nil {
-		return err
-	}
-	// The default strategy leaves the records' strategy empty, keeping
-	// them byte-identical to records that predate strategies.
-	strategy, recorded := DecoderStrategyMWPM, ""
-	if s.tc.decodeStrategy != nil {
-		strategy = s.tc.decodeStrategy.Name()
-		recorded = strategy
-	}
-	s.printf("§2.3: Monte Carlo error-model validation (logical rate per decode round, %s)\n", strategy)
-	s.println(strings.Repeat("-", 56))
-	s.printf("%-6s %10s %10s %12s %10s\n", "d", "p", "failures", "trials", "p_L")
-	for i, r := range results {
-		s.printf("%-6d %10.2f %10d %12d %10.4f\n",
-			r.Distance, r.PhysicalRate, r.Failures, r.Trials, r.LogicalRate)
-		rec := s.record("decoder", labels[i], map[string]float64{
-			"failures":     float64(r.Failures),
-			"logical_rate": r.LogicalRate,
-			"trials":       float64(r.Trials),
-		})
-		rec.Seed, rec.Strategy = CellSeed(s.tc.seed, i), recorded
-	}
-	s.println("Paper: below threshold, each distance step suppresses the logical rate.")
-	return nil
-}
-
-// runDecode runs the decoder-strategy comparison behind
-// BENCH_decode.json: parity cells at small distances (same per-cell
-// seeds for both strategies, so the failure counts are directly
-// comparable) plus a work-op curve at the crossover rate out to d=17,
-// from which the union-find crossover distance is derived. Work-ops —
-// not wall clock — are recorded so the artifact is byte-identical on
-// any machine.
+// runDecode is the §2.3 decoding study behind BENCH_decode.json: it
+// counts code-capacity logical failures and decoder work-ops for each
+// strategy on parity cells at small distances (the same per-cell seeds
+// for both strategies, so the failure counts compare directly) and on a
+// work-op curve at the crossover rate out to d=17, from which it
+// derives the union-find crossover distance. Work-ops — not wall clock
+// — are recorded so the artifact is byte-identical on any machine.
 func runDecode(ctx context.Context, s *studyRun) error {
 	grids := []struct {
 		distances []int
@@ -526,7 +494,7 @@ func runDecode(ctx context.Context, s *studyRun) error {
 	}
 	// ops[strategy][d] is the work-ops per trial at the crossover rate.
 	ops := map[string]map[int]float64{}
-	s.println("Decoder strategy benchmark: mwpm vs unionfind")
+	s.println("§2.3: code-capacity decoding, failures and work-ops per strategy")
 	s.println(strings.Repeat("-", 72))
 	s.printf("%-10s %-6s %10s %10s %12s %14s\n", "strategy", "d", "p", "failures", "trials", "workops/trial")
 	for _, name := range []string{DecoderStrategyMWPM, DecoderStrategyUnionFind} {
@@ -536,7 +504,7 @@ func runDecode(ctx context.Context, s *studyRun) error {
 		}
 		ops[name] = map[int]float64{}
 		for _, g := range grids {
-			results, labels, err := s.decoderGrid(ctx, g.distances, g.rates, g.trials, "/"+name, strategy)
+			results, labels, err := s.decodeGrid(ctx, g.distances, g.rates, g.trials, strategy)
 			if err != nil {
 				return err
 			}

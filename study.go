@@ -32,11 +32,12 @@ type Study struct {
 
 // StudyParams carries the study settings no ToolchainOption covers: the
 // cmd/sweep flags that pick a workload or shape one study's grid.
-// Distance, technology, seed, workers and decoder strategy come from
-// the Toolchain. Study cells compile through the Backends at targets
-// the studies build themselves, each on the devices its study fixes, so
-// WithDevice, WithCalibration and WithDefectSchedule do not apply to
-// studies. The zero value runs every study at its defaults.
+// Distance, technology, seed and workers come from the Toolchain. Study
+// cells compile through the Backends at targets the studies build
+// themselves, each on the devices its study fixes, so WithDevice,
+// WithCalibration and WithDefectSchedule do not apply to studies, and
+// the decode study runs both strategies whatever WithDecoderStrategy
+// selects. The zero value runs every study at its defaults.
 type StudyParams struct {
 	// App restricts fig6 to one application and picks the yield and
 	// calib workload (case-insensitive; empty selects every application
@@ -67,8 +68,7 @@ var studies = []Study{
 	{Name: "fig8", Help: "Figure 8: resource ratios and crossover", Default: true, models: true, run: runFigure8},
 	{Name: "fig9", Help: "Figure 9: crossover boundaries", Default: true, models: true, run: runFigure9},
 	{Name: "epr", Help: "§8.1: EPR window sweep", Default: true, run: runEPR},
-	{Name: "decoder", Help: "§2.3: Monte Carlo error-model validation grid (opt-in)", run: runDecoder},
-	{Name: "decode", Help: "decoder strategy benchmark: parity + work-op crossover for mwpm vs unionfind (opt-in)", run: runDecode},
+	{Name: "decode", Help: "§2.3: code-capacity failure counts and work-ops for mwpm and unionfind, plus their work-op crossover (opt-in)", run: runDecode},
 	{Name: "modular", Help: "hierarchical incremental-compilation study: monolithic vs per-module caching (opt-in)", run: runModular},
 	{Name: "yield", Help: "communication-yield study: braid compiles on defective devices (opt-in)", run: runYield},
 	{Name: "calib", Help: "calibration study: square vs heavy-hex, uniform vs calibrated, live-defect survival (opt-in)", run: runCalib},

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -39,7 +41,6 @@ func TestStudiesWorkerParity(t *testing.T) {
 		"fig6":           {params: surfcomm.StudyParams{Verify: true}, device: device.PresetPerfect},
 		"fig7+fig8+fig9": {device: device.PresetPerfect},
 		"epr":            {device: device.PresetPerfect},
-		"decoder":        {device: device.PresetPerfect},
 		"decode":         {device: device.PresetPerfect},
 		"modular":        {device: device.PresetPerfect},
 		"yield":          {params: surfcomm.StudyParams{Clustered: true}, device: realized},
@@ -139,6 +140,52 @@ func stripWallClock(recs []surfcomm.SweepCellResult, table []byte) ([]surfcomm.S
 		out.WriteString(line + "\n")
 	}
 	return recs, out.Bytes()
+}
+
+// TestDecodeStudyMatchesMonteCarlo checks that the decode study
+// measures through the public Monte Carlo: every parity record at
+// d <= 5 must be what MeasureLogicalErrorRate returns at the record's
+// seed and strategy, failures and work-ops alike.
+func TestDecodeStudyMatchesMonteCarlo(t *testing.T) {
+	ctx := context.Background()
+	tc, err := surfcomm.NewToolchain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := tc.RunStudies(ctx, []string{"decode"}, surfcomm.StudyParams{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := map[string]int{}
+	for _, rec := range recs {
+		var d int
+		var p float64
+		var strategy string
+		if _, err := fmt.Sscanf(strings.ReplaceAll(rec.Cell, "/", " "), "d=%d p=%g %s", &d, &p, &strategy); err != nil {
+			continue // the crossover record
+		}
+		if d > 5 {
+			continue
+		}
+		mc, err := surfcomm.NewToolchain(surfcomm.WithSeed(rec.Seed), surfcomm.WithDecoderStrategy(rec.Strategy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := mc.MeasureLogicalErrorRate(ctx, d, p, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if float64(r.Failures) != rec.Metrics["failures"] || float64(r.WorkOps) != rec.Metrics["workops"] {
+			t.Errorf("%s: MeasureLogicalErrorRate gives %d failures and %d work-ops, the study recorded %v and %v",
+				rec.Cell, r.Failures, r.WorkOps, rec.Metrics["failures"], rec.Metrics["workops"])
+		}
+		checked[rec.Strategy]++
+	}
+	for _, strategy := range []string{surfcomm.DecoderStrategyMWPM, surfcomm.DecoderStrategyUnionFind} {
+		if checked[strategy] != 6 {
+			t.Errorf("%s: checked %d parity records at d <= 5, want 6", strategy, checked[strategy])
+		}
+	}
 }
 
 // TestRunStudiesUnknownStudy asserts an unknown study name fails with

@@ -432,15 +432,6 @@ type DecoderResult = decoder.Result
 // NewDecoderLattice returns a distance-d lattice (d odd, >= 3).
 func NewDecoderLattice(d int) (*DecoderLattice, error) { return decoder.NewLattice(d) }
 
-// MeasureLogicalErrorRateHistory runs the syndrome-history Monte Carlo
-// (§2.3 space-time decoding): rounds noisy measurement rounds with data
-// error rate p and measurement error rate q, decoded in a space-time
-// volume. Trials decode across GOMAXPROCS workers with a failure count
-// identical to a serial run.
-func MeasureLogicalErrorRateHistory(d, rounds int, p, q float64, trials int, seed int64) (DecoderResult, error) {
-	return measureLogicalRate(context.TODO(), d, rounds, p, q, trials, seed, decoder.Config{})
-}
-
 // --- QASM interchange ---
 
 // WriteQASM serializes a circuit in the flat QASM dialect.

@@ -137,18 +137,12 @@ func WithSeed(s int64) ToolchainOption {
 }
 
 // WithDecoderStrategy selects the decoding algorithm behind
-// MeasureLogicalErrorRate and the decoder study by name: "mwpm" (the
-// matching-based default) or "unionfind" (the almost-linear-time
-// union-find decoder). Unknown names fail with ErrBadConfig listing
-// the registered strategies; the empty name keeps the default.
+// MeasureLogicalErrorRate by name: "mwpm" (the matching-based default)
+// or "unionfind" (the almost-linear-time union-find decoder). Unknown
+// names fail with ErrBadConfig listing the registered strategies; the
+// empty name selects the default.
 func WithDecoderStrategy(name string) ToolchainOption {
 	return func(tc *Toolchain) error {
-		if name == "" || name == decoder.StrategyMWPM {
-			// Explicit default: leave the strategy nil so records stay
-			// byte-identical to pre-strategy runs.
-			tc.decodeStrategy = nil
-			return nil
-		}
 		s, err := decoder.StrategyByName(name)
 		if err != nil {
 			return err
@@ -354,7 +348,7 @@ func (tc *Toolchain) Models(ctx context.Context) ([]AppModel, error) {
 // is drawn sequentially; only the decoding work is pooled).
 func (tc *Toolchain) MeasureLogicalErrorRate(ctx context.Context, d int, p float64, trials int) (DecoderResult, error) {
 	cfg := decoder.Config{Workers: tc.workers, Strategy: tc.decodeStrategy}
-	res, err := measureLogicalRate(ctx, d, 1, p, 0, trials, tc.seed, cfg)
+	res, err := measureLogicalRate(ctx, d, p, trials, tc.seed, cfg)
 	if err != nil {
 		return DecoderResult{}, fmt.Errorf("toolchain: %w", err)
 	}

@@ -495,8 +495,9 @@ func TestCompileEmitsCompileEvent(t *testing.T) {
 // TestDecoderWorkerParity pins the Monte Carlo exposed through the
 // Toolchain: the failure count must be bit-identical at every worker
 // count (trial randomness is drawn sequentially from the seed; only
-// decoding work is pooled). The decoder study's grid is pinned by
-// TestStudiesWorkerParity.
+// decoding work is pooled). The decode study's grid is pinned by
+// TestStudiesWorkerParity and tied to this path by
+// TestDecodeStudyMatchesMonteCarlo.
 func TestDecoderWorkerParity(t *testing.T) {
 	ctx := context.Background()
 	var refResult surfcomm.DecoderResult
