@@ -75,6 +75,13 @@ func (c Config) HopCycles() int64 {
 // 33×32 node grid with the factory row).
 const maxRegions = 1024
 
+// maxTimesteps bounds a schedule's length: the per-timestep scratch
+// holds two int64s per timestep (64 MB at the bound). A SIMD timestep
+// places at least one gate, and a gate line costs at least 6 bytes of a
+// JSON request body ("h q0" and an escaped newline), so a 16 MB request
+// compiles to fewer than 2.8 M timesteps.
+const maxTimesteps = 1 << 22
+
 // PrefetchAll is a window value large enough to launch every pair at
 // cycle zero — the "distribute as early as possible" baseline the ~24×
 // qubit-saving claim of §8.1 is measured against.
@@ -311,6 +318,36 @@ func (d *Distributor) ensureDevice(geo geometry, cfg Config) {
 	}
 }
 
+// checkSchedule fails with an error matching scerr.ErrBadConfig when a
+// hand-built schedule is nil, sized outside the bounds, or lists a move
+// whose regions or timestep lie outside it: a move leaves a SIMD region
+// or the magic-state factory (MagicSource) and lands in a SIMD region.
+// Compiled schedules always pass; the check keeps the simulator's
+// indexing in range for the others.
+func checkSchedule(s *simd.Schedule) error {
+	if s == nil {
+		return scerr.BadConfig("teleport: nil schedule")
+	}
+	regions := s.Config.Regions
+	if regions < 1 || regions > maxRegions {
+		return scerr.BadConfig("teleport: schedule has %d regions, want 1 to %d", regions, maxRegions)
+	}
+	if s.Timesteps < 0 || s.Timesteps > maxTimesteps {
+		return scerr.BadConfig("teleport: schedule has %d timesteps, want 0 to %d", s.Timesteps, maxTimesteps)
+	}
+	for m, mv := range s.Moves {
+		if mv.From != simd.MagicSource && (mv.From < 0 || mv.From >= regions) || mv.To < 0 || mv.To >= regions {
+			return scerr.BadConfig("teleport: move %d from region %d to %d outside schedule of %d regions",
+				m, mv.From, mv.To, regions)
+		}
+		if mv.Timestep < 0 || mv.Timestep >= s.Timesteps {
+			return scerr.BadConfig("teleport: move %d at timestep %d outside schedule of %d",
+				m, mv.Timestep, s.Timesteps)
+		}
+	}
+	return nil
+}
+
 // checkRoutable fails with an error matching scerr.ErrUnroutable when
 // any move endpoint (or the EPR factory itself) is dead or cut off on
 // the region grid.
@@ -349,8 +386,8 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 	if window < 0 {
 		return Result{}, scerr.BadConfig("teleport: negative window %d", window)
 	}
-	if s.Config.Regions < 1 || s.Config.Regions > maxRegions {
-		return Result{}, scerr.BadConfig("teleport: schedule has %d regions, want 1 to %d", s.Config.Regions, maxRegions)
+	if err := checkSchedule(s); err != nil {
+		return Result{}, err
 	}
 	geo := d.geometryFor(s.Config.Regions)
 	d.ensureDevice(geo, cfg)
@@ -377,10 +414,6 @@ func (d *Distributor) DistributeContext(ctx context.Context, s *simd.Schedule, w
 	epr := int32(geo.nodeIndex(geo.epr))
 	sorted := true
 	for m, mv := range s.Moves {
-		if mv.Timestep < 0 || mv.Timestep >= s.Timesteps {
-			return Result{}, scerr.BadConfig("teleport: move %d at timestep %d outside schedule of %d",
-				m, mv.Timestep, s.Timesteps)
-		}
 		at := int64(mv.Timestep)*cfg.StepCycles() - window
 		if at < 0 {
 			at = 0

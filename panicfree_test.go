@@ -7,6 +7,7 @@ import (
 
 	"surfcomm"
 	"surfcomm/internal/apps"
+	"surfcomm/internal/simd"
 )
 
 // TestValidatingConstructorsRejectBadConfigs pins the panic-free
@@ -114,5 +115,34 @@ func TestCompileRejectsBadTargetsWithoutPanic(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSweepEPRWindowsRejectsMalformedSchedules hands the facade's EPR
+// sweep hand-built 4-region schedules that once panicked or were
+// accepted: each must fail with ErrBadConfig.
+func TestSweepEPRWindowsRejectsMalformedSchedules(t *testing.T) {
+	schedule := func(timesteps, from, to int) *surfcomm.SIMDSchedule {
+		return &surfcomm.SIMDSchedule{
+			Config:    surfcomm.SIMDConfig{Regions: 4, Width: 8},
+			Timesteps: timesteps,
+			Moves:     []surfcomm.SIMDMove{{From: from, To: to}},
+		}
+	}
+	cases := map[string]*surfcomm.SIMDSchedule{
+		"move to region 9":          schedule(2, 0, 9),
+		"move from region -7":       schedule(2, -7, 1),
+		"move from region 4":        schedule(2, 4, 1),
+		"nil schedule":              nil,
+		"move to the magic factory": schedule(2, 0, simd.MagicSource),
+		"timesteps past the bound":  schedule(1<<50, 0, 1),
+	}
+	for name, s := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := surfcomm.SweepEPRWindows(s, []int64{0, surfcomm.PrefetchAll}, surfcomm.TeleportConfig{})
+			if !errors.Is(err, surfcomm.ErrBadConfig) {
+				t.Errorf("error = %v, want ErrBadConfig", err)
+			}
+		})
 	}
 }
