@@ -162,7 +162,7 @@ func (rt *Router) doGroup(r *http.Request, ranked []*replica, subBody []byte, sl
 		}
 		rep.br.Success()
 		rep.served.Add(1)
-		payload, rerr := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+		payload, rerr := io.ReadAll(io.LimitReader(resp.Body, service.MaxBodyBytes))
 		resp.Body.Close()
 		if rerr != nil {
 			rep.failed.Add(1)

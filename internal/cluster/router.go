@@ -23,11 +23,6 @@ import (
 // balance, and operators use it to attribute tail latency.
 const ReplicaHeader = "X-Surfcomm-Replica"
 
-// maxProxyBody caps the buffered request body, mirroring the replicas'
-// own decode cap so the router never buffers more than a replica would
-// accept.
-const maxProxyBody = 16 << 20
-
 // ReplicaConfig names one surfcommd replica.
 type ReplicaConfig struct {
 	Name string // stable identity on the ring (survives URL changes)
@@ -349,12 +344,12 @@ func (rt *Router) refuse(w http.ResponseWriter, retryAfter, msg string) {
 // readBody buffers a request body up to the replicas' own size cap. On
 // failure it has already answered the client.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, service.MaxBodyBytes+1))
 	if err != nil {
 		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
-	if len(body) > maxProxyBody {
+	if len(body) > service.MaxBodyBytes {
 		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
 		return nil, false
 	}
