@@ -1,15 +1,13 @@
 // Command qasm emits the benchmark applications in the toolchain's flat
-// QASM dialect for inspection or interchange, or parses a QASM file and
-// reports its frontend statistics.
+// QASM dialect for inspection or interchange, or parses QASM files and
+// prints their frontend statistics (the Table 2 columns that the table2
+// study and the /estimate endpoint also report).
 //
 //	qasm -app IM -n 16 -steps 1 > im.qasm
 //	qasm -stats im.qasm
 //
-// Like the other commands, it takes the unified -seed/-json flags:
-// `-json FILE` writes the frontend-statistics record of the generated
-// circuit (or of every -stats file) in the BENCH_*.json cell format,
-// stamped with -seed. A malformed size (e.g. an odd -n for SQ) exits 1
-// with the validation error instead of crashing.
+// A malformed size (e.g. an odd -n for SQ) exits 1 with the validation
+// error instead of crashing.
 package main
 
 import (
@@ -35,11 +33,7 @@ func main() {
 	rounds := flag.Int("rounds", 1, "compression rounds (SHA-1)")
 	width := flag.Int("width", 16, "word width (SHA-1)")
 	stats := flag.Bool("stats", false, "read QASM files from args and print frontend statistics")
-	seed := flag.Int64("seed", 1, "seed stamped into -json records")
-	jsonPath := flag.String("json", "", "write frontend-statistics records to this JSON file")
 	flag.Parse()
-
-	var records []surfcomm.SweepCellResult
 
 	if *stats {
 		if flag.NArg() == 0 {
@@ -51,32 +45,15 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("%s: %s\n", path, est)
-			// Key the cell by file path: circuit names are optional in
-			// QASM (and may collide across files).
-			records = append(records, record(*seed, path, est))
 		}
-	} else {
-		c, err := generate(*app, *n, *steps, *iters, *rounds, *width)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := surfcomm.WriteQASM(os.Stdout, c); err != nil {
-			log.Fatal(err)
-		}
-		if *jsonPath != "" {
-			est, err := surfcomm.EstimateCircuit(c)
-			if err != nil {
-				log.Fatal(err)
-			}
-			records = append(records, record(*seed, est.Name, est))
-		}
+		return
 	}
-
-	if *jsonPath != "" {
-		if err := surfcomm.WriteSweepRecordsFile(*jsonPath, records); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %d records to %s", len(records), *jsonPath)
+	c, err := generate(*app, *n, *steps, *iters, *rounds, *width)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := surfcomm.WriteQASM(os.Stdout, c); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -116,22 +93,4 @@ func fileStats(path string) (surfcomm.Estimate, error) {
 		return surfcomm.Estimate{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return est, nil
-}
-
-// record converts a frontend estimate to the shared cell format.
-func record(seed int64, cell string, est surfcomm.Estimate) surfcomm.SweepCellResult {
-	return surfcomm.SweepCellResult{
-		Study:  "frontend",
-		Cell:   cell,
-		Seed:   seed,
-		Device: "perfect",
-		Metrics: map[string]float64{
-			"logical_qubits": float64(est.LogicalQubits),
-			"logical_ops":    float64(est.LogicalOps),
-			"t_count":        float64(est.TCount),
-			"two_qubit_ops":  float64(est.TwoQubitOps),
-			"critical_path":  float64(est.CriticalPath),
-			"parallelism":    est.Parallelism,
-		},
-	}
 }
