@@ -53,10 +53,10 @@ func FuzzDistributeSchedule(f *testing.F) {
 		} else {
 			s = fixedSchedule(regions, timesteps, nil)
 			malformed = malformed || regions < 1 || regions > maxRegions || timesteps < 0 || timesteps > maxTimesteps
+			inRegions := func(r int) bool { return r >= 0 && r < regions }
 			for i := 0; i+3 <= len(raw); i += 3 {
 				mv := simd.Move{Timestep: int(int8(raw[i])), Qubit: i / 3, From: int(int8(raw[i+1])), To: int(int8(raw[i+2]))}
 				s.Moves = append(s.Moves, mv)
-				inRegions := func(r int) bool { return r >= 0 && r < regions }
 				malformed = malformed || !inRegions(mv.To) || mv.From != simd.MagicSource && !inRegions(mv.From) ||
 					mv.Timestep < 0 || mv.Timestep >= timesteps
 				touchesDead = touchesDead || mv.From == 0 || mv.To == 0
