@@ -2,13 +2,16 @@ package braid
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"surfcomm/internal/apps"
 	"surfcomm/internal/circuit"
+	"surfcomm/internal/device"
 	"surfcomm/internal/layout"
+	"surfcomm/internal/scerr"
 )
 
 func mustSimulate(t *testing.T, c *circuit.Circuit, p Policy, cfg Config) Result {
@@ -286,9 +289,11 @@ func routeWorkShapes() []apps.Workload {
 }
 
 // pinnedRouteWork holds {route queries that reach a path check, adaptive
-// searches} per compile at d = 9, Policy 6, seed 1. Both counts are
-// deterministic; a rise means the router is asking questions again that
-// it could have refused.
+// searches} per compile at d = 9, Policy 6, seed 1, keyed
+// [device/]shape/timing; the perfect grid's cells carry no device
+// prefix. Both counts are deterministic; a rise means the router is
+// asking questions again that it could have refused. routeUnroutable
+// pins a compile that must fail with ErrUnroutable.
 var pinnedRouteWork = map[string][2]int64{
 	"GSE-40/braid":     {6632, 156},
 	"GSE-40/surgery":   {7199, 415},
@@ -296,23 +301,86 @@ var pinnedRouteWork = map[string][2]int64{
 	"Ising-64/surgery": {13276, 4192},
 	"SQ-48/braid":      {2401, 27},
 	"SQ-48/surgery":    {2887, 97},
+
+	"yield/GSE-40/braid":     {6926, 946},
+	"yield/GSE-40/surgery":   {6982, 1113},
+	"yield/Ising-64/braid":   {11538, 3662},
+	"yield/Ising-64/surgery": {17520, 7736},
+	"yield/SQ-48/braid":      {2095, 386},
+	"yield/SQ-48/surgery":    {2396, 567},
+
+	"clustered/GSE-40/braid":     {6649, 1256},
+	"clustered/GSE-40/surgery":   {7044, 1544},
+	"clustered/Ising-64/braid":   {11746, 5652},
+	"clustered/Ising-64/surgery": {17102, 10702},
+	"clustered/SQ-48/braid":      {2110, 381},
+	"clustered/SQ-48/surgery":    {2785, 804},
+
+	"heavy-hex/GSE-40/braid":     {6220, 1569},
+	"heavy-hex/GSE-40/surgery":   {6381, 1645},
+	"heavy-hex/Ising-64/braid":   {8070, 4834},
+	"heavy-hex/Ising-64/surgery": {13576, 9386},
+	"heavy-hex/SQ-48/braid":      {2042, 719},
+	"heavy-hex/SQ-48/surgery":    {2464, 1143},
+
+	"calibrated/GSE-40/braid":     {7392, 244},
+	"calibrated/GSE-40/surgery":   {7252, 510},
+	"calibrated/Ising-64/braid":   {11846, 2570},
+	"calibrated/Ising-64/surgery": {13322, 4418},
+	"calibrated/SQ-48/braid":      {3464, 74},
+	"calibrated/SQ-48/surgery":    {3276, 204},
+
+	"live/GSE-40/braid":     {6739, 624},
+	"live/GSE-40/surgery":   {6850, 832},
+	"live/Ising-64/braid":   {8733, 2520},
+	"live/Ising-64/surgery": {12602, 5567},
+	"live/SQ-48/braid":      {2354, 75},
+	"live/SQ-48/surgery":    {2660, 203},
 }
 
+// routeUnroutable is the pinnedRouteWork value of a compile that fails
+// with ErrUnroutable.
+var routeUnroutable = [2]int64{-1, -1}
+
 // TestRouteWorkPinned pins the router's work on the serve-miss shapes
-// under braid and surgery timing.
+// under braid and surgery timing: on the perfect grid, on
+// TestPlanDigestsPinned's random-yield, clustered, heavy-hex and
+// calibrated devices, and on the perfect grid under live coupler deaths.
 func TestRouteWorkPinned(t *testing.T) {
-	for _, w := range routeWorkShapes() {
-		for _, surgery := range []bool{false, true} {
-			key := w.Name + "/braid"
-			if surgery {
-				key = w.Name + "/surgery"
-			}
-			_, e, err := simulate(context.Background(), w.Circuit, Policy6, Config{Distance: 9, Seed: 1, Surgery: surgery})
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			if got := [2]int64{e.routeQueries, e.searches}; got != pinnedRouteWork[key] {
-				t.Errorf("%q: {%d, %d}, // pinned %v", key, got[0], got[1], pinnedRouteWork[key])
+	devices := []struct {
+		prefix  string
+		dev     *device.Device
+		defects *device.DefectSchedule
+	}{
+		{"", nil, nil},
+		{"yield/", device.RandomYield(0.03, 7), nil},
+		{"clustered/", device.ClusteredDefects(0.2, 7), nil},
+		{"heavy-hex/", device.HeavyHex(7), nil},
+		{"calibrated/", device.Perfect().WithCalibration(device.SyntheticCalibration(7, 16, 16)), nil},
+		// Eight coupler deaths on Ising-64's junction grid in the first
+		// 3000 cycles; each shape meets the ones inside its own mesh.
+		{"live/", nil, device.RandomDefectSchedule(1, 9, 11, 8, 3000)},
+	}
+	for _, d := range devices {
+		for _, w := range routeWorkShapes() {
+			for _, surgery := range []bool{false, true} {
+				key := d.prefix + w.Name + "/braid"
+				if surgery {
+					key = d.prefix + w.Name + "/surgery"
+				}
+				cfg := Config{Distance: 9, Seed: 1, Surgery: surgery, Device: d.dev, Defects: d.defects}
+				got := routeUnroutable
+				_, e, err := simulate(context.Background(), w.Circuit, Policy6, cfg)
+				switch {
+				case errors.Is(err, scerr.ErrUnroutable):
+				case err != nil:
+					t.Fatalf("%s: %v", key, err)
+				default:
+					got = [2]int64{e.routeQueries, e.searches}
+				}
+				if want, ok := pinnedRouteWork[key]; !ok || got != want {
+					t.Errorf("%q: {%d, %d}, // pinned %v", key, got[0], got[1], want)
+				}
 			}
 		}
 	}
