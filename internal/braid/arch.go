@@ -34,8 +34,9 @@ type Arch struct {
 	QubitTile          []layout.Coord // per logical qubit (physical grid coords)
 	FactoryTiles       []layout.Coord // factory ports, one tile each
 	// Topo is the realized device topology at junction-grid dims
-	// (TileRows+1 × TileCols+1); nil unless the device is degraded.
-	// NewMesh masks the channel mesh with it.
+	// (TileRows+1 × TileCols+1), attached by NewArchOn. NewMesh masks
+	// the channel mesh with it; a bare NewArch floorplan has none and
+	// masks nothing.
 	Topo *device.Topology
 }
 
@@ -96,15 +97,12 @@ func NewArch(p *layout.Placement) (*Arch, error) {
 // junction dims the placement implies). Factory ports whose attachment
 // junction is dead are dropped from the floorplan; a placement that
 // lands a qubit on a dead junction fails with an error matching
-// scerr.ErrUnroutable. A nil or non-degraded topology selects NewArch
-// exactly.
+// scerr.ErrUnroutable. On an all-alive topology the floorplan is
+// NewArch's.
 func NewArchOn(p *layout.Placement, topo *device.Topology) (*Arch, error) {
 	a, err := NewArch(p)
 	if err != nil {
 		return nil, err
-	}
-	if topo == nil || !topo.Degraded() {
-		return a, nil
 	}
 	if topo.Rows() != a.TileRows+1 || topo.Cols() != a.TileCols+1 {
 		return nil, fmt.Errorf("braid: topology dims %dx%d do not match junction grid %dx%d",
@@ -142,13 +140,11 @@ func (a *Arch) FactoryJunction(f int) mesh.Node {
 }
 
 // NewMesh returns an empty channel mesh spanning all tile corners,
-// masked with the floorplan's device topology when one is attached.
+// masked with the floorplan's device topology.
 func (a *Arch) NewMesh() *mesh.Mesh {
 	m := mesh.New(a.TileRows+1, a.TileCols+1)
-	if a.Topo != nil {
-		if err := m.ApplyTopology(a.Topo); err != nil {
-			panic(fmt.Sprintf("braid: arch/topology invariant broken: %v", err))
-		}
+	if err := m.ApplyTopology(a.Topo); err != nil {
+		panic(fmt.Sprintf("braid: arch/topology invariant broken: %v", err))
 	}
 	return m
 }

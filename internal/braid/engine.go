@@ -382,9 +382,7 @@ func simulate(ctx context.Context, c *circuit.Circuit, p Policy, cfg Config) (Re
 		ctx:     ctx,
 		done:    ctx.Done(),
 	}
-	if err := e.buildOps(c); err != nil {
-		return Result{}, nil, err
-	}
+	e.buildOps(c)
 	if err := e.checkRoutable(); err != nil {
 		return Result{}, nil, err
 	}
@@ -430,8 +428,7 @@ func simulate(ctx context.Context, c *circuit.Circuit, p Policy, cfg Config) (Re
 // view is the all-alive near-square grid. The data grid grows beyond
 // the near-square fit until enough tiles survive the defect map; a
 // yield too low to ever fit the circuit fails with an error matching
-// scerr.ErrUnroutable. The topology is returned only when it is
-// Degraded, so a defect-free device leaves the mesh unmasked.
+// scerr.ErrUnroutable.
 func realizeDevice(dev *device.Device, qubits int, fixed *layout.Placement) (*device.Topology, *device.View, error) {
 	rows, cols := layout.GridFor(qubits)
 	if fixed != nil {
@@ -454,9 +451,6 @@ func realizeDevice(dev *device.Device, qubits int, fixed *layout.Placement) (*de
 			})
 		}
 		if view.AliveCount() >= qubits || fixed != nil {
-			if !topo.Degraded() {
-				topo = nil
-			}
 			return topo, view, nil
 		}
 		if rows*cols > 4*qubits+64 {
@@ -475,12 +469,8 @@ func realizeDevice(dev *device.Device, qubits int, fixed *layout.Placement) (*de
 // checkRoutable fails fast — with an error matching scerr.ErrUnroutable
 // — when any op's communication is impossible on the masked mesh even
 // when idle: braid endpoints in different connected components of the
-// defective fabric, or a magic destination cut off from every factory
-// port. Without a degraded topology it is a no-op.
+// fabric, or a magic destination cut off from every factory port.
 func (e *engine) checkRoutable() error {
-	if e.arch.Topo == nil {
-		return nil
-	}
 	comps := e.arch.Topo.Components()
 	jcols := e.arch.TileCols + 1
 	compOf := func(n mesh.Node) int32 { return comps[n.Row*jcols+n.Col] }
@@ -510,7 +500,7 @@ func (e *engine) checkRoutable() error {
 	return nil
 }
 
-func (e *engine) buildOps(c *circuit.Circuit) error {
+func (e *engine) buildOps(c *circuit.Circuit) {
 	e.ops = make([]op, len(c.Gates))
 	for i, g := range c.Gates {
 		o := &e.ops[i]
@@ -544,13 +534,6 @@ func (e *engine) buildOps(c *circuit.Circuit) error {
 	e.heap = make(completionHeap, 0, 16+len(c.Gates)/4)
 	e.ready.events = make([]event, 0, 16+len(c.Gates)/8)
 	e.ready.spare = make([]event, 0, 16+len(c.Gates)/8)
-	if !e.cfg.LocalTOps && len(e.arch.FactoryTiles) == 0 && e.arch.Topo == nil {
-		// On a degraded device dead factory ports only matter when the
-		// circuit actually braids magic states in — checkRoutable
-		// reports those per op with ErrUnroutable.
-		return fmt.Errorf("braid: magic traffic enabled but no factories provisioned")
-	}
-	return nil
 }
 
 // latencyWeight is the contention-free latency of gate i — the cost
@@ -654,14 +637,10 @@ func (e *engine) run() error {
 						h.opIndex, o.kind, h.phase, o.phase, o.qubits, o.factory,
 						e.tileBusy[e.tileIndex(e.arch.QubitTile[o.qubits[0]])], e.factoryBusy, e.factoryFreeAt)
 				}
-				if e.net.Masked() {
-					// The routability precheck passed, so this should be
-					// unreachable — but on a defective device a stall must
-					// surface as unroutable, never as a hang or panic.
-					return scerr.Unroutable("braid: no progress at t=%d with %d ops pending on masked mesh (%s)",
-						e.now, len(e.ops)-e.doneCount, detail)
-				}
-				return fmt.Errorf("braid: no progress at t=%d with %d ops pending, %d ready, idle network (%s)",
+				// The routability precheck passed, so only a live
+				// defect that cuts the fabric can stall the run: it
+				// surfaces as unroutable, never as a hang or panic.
+				return scerr.Unroutable("braid: no progress at t=%d with %d ops pending, %d ready, idle network (%s)",
 					e.now, len(e.ops)-e.doneCount, e.ready.Len(), detail)
 			}
 			continue
@@ -981,10 +960,10 @@ func (e *engine) commitPhase(ev *event, o *op, path mesh.Path) {
 // (mesh.PathCost; ties keep XY), so the router prefers fast, low-error
 // corridors; everywhere else XY. Once the event has been blocked past
 // the adaptivity timeout it escalates to the other dimension order and
-// then to adaptive search (paper §6.1). On a device-masked mesh the
-// escalation is immediate when the first path crosses a dead junction
-// or disabled link: that obstruction is permanent, so waiting out the
-// congestion timeout would only stall (or deadlock) the schedule.
+// then to adaptive search (paper §6.1). The escalation is immediate
+// when the first path crosses a dead junction or disabled link: that
+// obstruction is permanent, so waiting out the congestion timeout would
+// only stall (or deadlock) the schedule.
 // Candidates are built in pooled buffers: a successful route keeps its
 // buffer until the braid phase releases, the others return to the pool
 // — so routing allocates nothing once the pool has warmed up.
@@ -1005,11 +984,7 @@ func (e *engine) route(ev *event, src, dst mesh.Node) (mesh.Path, bool) {
 	if e.net.PathFree(p) {
 		return p, true
 	}
-	escalate := e.now-ev.readySince >= e.cfg.AdaptTimeout
-	if !escalate && e.net.Masked() && e.net.PathBlockedByMask(p) {
-		escalate = true
-	}
-	if escalate {
+	if e.now-ev.readySince >= e.cfg.AdaptTimeout || e.net.PathBlockedByMask(p) {
 		if yxFirst {
 			p = mesh.XYPathInto(p, src, dst)
 		} else {

@@ -15,10 +15,10 @@
 // defective-device sweeps are deterministic and their records
 // reproducible. The Perfect device realizes a defect-free grid and is
 // not a separate code path: placement, braid routing and EPR
-// distribution treat it like any other device (an all-alive View over
-// an unmasked mesh, next-hop tables over an all-alive region grid) and
-// branch only on what a realized Topology shows — dead cells, Degraded,
-// Calibrated.
+// distribution treat it like any other device (an all-alive View, a
+// braid mesh whose mask holds nothing, next-hop tables over an
+// all-alive region grid) and branch only on what a realized Topology
+// shows — dead cells, disabled links, link weights, Calibrated.
 package device
 
 import (
@@ -71,8 +71,8 @@ type Device struct {
 
 // Perfect returns the ideal uniform device: no dead tiles, no disabled
 // links, all link weights 1. A nil Device is the same device. It
-// realizes non-degraded topologies, so placement sees every tile alive
-// and routing an unmasked mesh.
+// realizes all-alive topologies, so placement sees every tile alive and
+// the braid mesh masks nothing.
 func Perfect() *Device { return &Device{preset: PresetPerfect} }
 
 // RandomYield returns a device where each tile and each link is

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestPerfectRealization pins the perfect fast-path contract: nil and
-// Perfect devices realize non-degraded topologies at any dims.
+// TestPerfectRealization pins the perfect-device contract: nil and
+// Perfect devices realize all-alive, unit-weight, uncalibrated
+// topologies at any dims.
 func TestPerfectRealization(t *testing.T) {
 	for _, d := range []*Device{nil, Perfect()} {
 		if !d.IsPerfect() {
@@ -16,7 +17,7 @@ func TestPerfectRealization(t *testing.T) {
 			t.Fatalf("String() = %q", d.String())
 		}
 		topo := d.Instance(5, 7)
-		if topo.Degraded() || topo.DeadTiles() != 0 || topo.DisabledLinks() != 0 {
+		if topo.DeadTiles() != 0 || topo.DisabledLinks() != 0 || topo.Calibrated() {
 			t.Fatalf("perfect instance degraded: %+v", topo)
 		}
 		if topo.MaxLinkWeight() != 1 {

@@ -11,7 +11,7 @@
 // absent resources from a Topology, so every downstream consumer — mesh
 // masking, the BFS route fallback, connected-component prechecks,
 // placement views — works unchanged, and the complete square graph
-// realizes a non-degraded topology: the perfect device.
+// realizes an all-alive topology: the perfect device.
 package device
 
 import (
@@ -66,7 +66,7 @@ func (g *CouplingGraph) HasEdge(rows, cols int, a, b Coord) bool {
 // Apply subtracts the pattern's absent resources from a realized
 // topology: absent nodes become dead cells, absent edges disabled
 // links. The complete square graph applies nothing, leaving the
-// topology non-degraded.
+// topology all-alive.
 func (g *CouplingGraph) Apply(t *Topology) {
 	rows, cols := t.Rows(), t.Cols()
 	if g.node != nil {

@@ -89,8 +89,8 @@ func TestHeavyHexGraphProperties(t *testing.T) {
 }
 
 // TestSquareGraphIsComplete pins the square preset: every node and edge
-// present, and realization leaves the topology non-degraded so perfect
-// devices stay on their bit-identical fast paths.
+// present, and realization leaves the topology all-alive, so the
+// square-graph device realizes exactly like the perfect device.
 func TestSquareGraphIsComplete(t *testing.T) {
 	g := SquareGraph()
 	for r := 0; r < 4; r++ {
@@ -106,7 +106,7 @@ func TestSquareGraphIsComplete(t *testing.T) {
 	}
 	topo := NewTopology(4, 4)
 	g.Apply(topo)
-	if topo.Degraded() {
+	if topo.DeadTiles() != 0 || topo.DisabledLinks() != 0 {
 		t.Fatal("square graph degraded the topology")
 	}
 }
@@ -162,15 +162,15 @@ func TestParseCouplingGraphRejections(t *testing.T) {
 }
 
 // TestHeavyHexDeviceInstance pins realization through the Device
-// facade: absent couplers realize as disabled links and the topology
-// reports degraded (so meshes mask it), while the square-graph device
-// realizes exactly like the perfect device.
+// facade: absent couplers realize as disabled links (so meshes mask
+// them), while the square-graph device realizes exactly like the
+// perfect device.
 func TestHeavyHexDeviceInstance(t *testing.T) {
 	topo := HeavyHex(1).Instance(5, 5)
 	if topo == nil {
 		t.Fatal("heavy-hex realized no topology")
 	}
-	if !topo.Degraded() {
+	if topo.DisabledLinks() == 0 {
 		t.Fatal("heavy-hex instance not degraded")
 	}
 	g := HeavyHexGraph()

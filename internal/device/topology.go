@@ -9,9 +9,7 @@ import "fmt"
 // convention (horizontal link (r,c)–(r,c+1), vertical (r,c)–(r+1,c)).
 //
 // A freshly built Topology is perfect; defects are applied through
-// DisableTile/DisableLink/SetLinkWeight. Once any defect or non-unit
-// weight exists the topology reports Degraded, which is the flag
-// consumers use to leave their ideal-grid fast paths.
+// DisableTile/DisableLink/SetLinkWeight.
 type Topology struct {
 	rows, cols int
 	dead       []bool
@@ -20,13 +18,11 @@ type Topology struct {
 	deadTiles  int
 	disabled   int
 	maxWeight  float64
-	degraded   bool
 
 	// Calibration overlay (nil/false until a snapshot is applied):
 	// per-cell effective physical error rates and per-link gate error
-	// rates. A calibrated topology reports Degraded even with no dead
-	// cells, so consumers leave their uniform fast paths and price the
-	// heterogeneity.
+	// rates. Consumers read Calibrated to price the heterogeneity per
+	// traversed link.
 	tileErr    []float64
 	eH, eV     []float64
 	calibrated bool
@@ -89,7 +85,6 @@ func (t *Topology) DisableTile(c Coord) {
 	}
 	t.dead[t.index(c)] = true
 	t.deadTiles++
-	t.degraded = true
 	for _, n := range [4]Coord{
 		{Row: c.Row, Col: c.Col + 1}, {Row: c.Row, Col: c.Col - 1},
 		{Row: c.Row + 1, Col: c.Col}, {Row: c.Row - 1, Col: c.Col},
@@ -124,7 +119,6 @@ func (t *Topology) DisableLink(a, b Coord) {
 	if !s[i] {
 		s[i] = true
 		t.disabled++
-		t.degraded = true
 	}
 }
 
@@ -173,16 +167,7 @@ func (t *Topology) SetLinkWeight(a, b Coord, w float64) {
 	if w > t.maxWeight {
 		t.maxWeight = w
 	}
-	if w > 1 {
-		t.degraded = true
-	}
 }
-
-// Degraded reports whether the topology differs from the perfect grid
-// in any way — dead cells, disabled links, non-unit weights, or a
-// calibration overlay — the flag consumers use to stay on (or leave)
-// their ideal-grid fast paths.
-func (t *Topology) Degraded() bool { return t.degraded || t.calibrated }
 
 // Calibrated reports whether a calibration snapshot has been applied:
 // per-cell and per-link error rates are meaningful and consumers should

@@ -103,9 +103,6 @@ func TestMaskedPathChecks(t *testing.T) {
 	if err := m.ApplyTopology(topo); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Masked() {
-		t.Fatal("mesh not masked")
-	}
 	xy := XYPathInto(nil, Node{Row: 0, Col: 0}, Node{Row: 0, Col: 3})
 	if m.PathFree(xy) {
 		t.Fatal("path across disabled link reported free")
@@ -135,18 +132,6 @@ func TestMaskedPathChecks(t *testing.T) {
 	}
 	if m.BusyLinks() != 0 {
 		t.Fatalf("failed reserve left %d busy links", m.BusyLinks())
-	}
-}
-
-// TestPerfectTopologyNoMask asserts applying a defect-free topology
-// leaves the mesh on the unmasked fast path.
-func TestPerfectTopologyNoMask(t *testing.T) {
-	m := New(5, 5)
-	if err := m.ApplyTopology(device.Perfect().Instance(5, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Masked() {
-		t.Fatal("perfect topology masked the mesh")
 	}
 }
 

@@ -93,12 +93,10 @@ type Mesh struct {
 	linkOwnerV []int // vertical links: (r,c)-(r+1,c), (rows-1)×cols
 	busyLinks  int
 
-	// Device mask (inactive on a perfect device): dead junctions and
-	// disabled links are permanently unusable, independent of the
-	// reservation state. The mask is one bool test per resource on the
-	// hot path, so the perfect-device fast path stays allocation-free
-	// and bit-identical.
-	masked   bool
+	// Device mask: dead junctions and disabled links are permanently
+	// unusable, independent of the reservation state. An all-alive
+	// topology masks nothing. The mask is one bool test per resource on
+	// the hot path, so routing stays allocation-free.
 	topo     *device.Topology
 	deadNode []bool
 	maskH    []bool
@@ -134,6 +132,9 @@ func New(rows, cols int) *Mesh {
 		nodeOwner:  make([]int, rows*cols),
 		linkOwnerH: make([]int, rows*(cols-1)),
 		linkOwnerV: make([]int, (rows-1)*cols),
+		deadNode:   make([]bool, rows*cols),
+		maskH:      make([]bool, rows*(cols-1)),
+		maskV:      make([]bool, (rows-1)*cols),
 	}
 	for i := range m.nodeOwner {
 		m.nodeOwner[i] = Free
@@ -185,11 +186,21 @@ func (m *Mesh) linkOwner(l Link) *int {
 	return &m.linkOwnerV[i]
 }
 
-// linkMasked reports whether a link is disabled by the device mask.
-func (m *Mesh) linkMasked(l Link) bool {
-	if !m.masked {
+// linkFree reports whether a link is inside the mesh, unclaimed and
+// not disabled by the device mask.
+func (m *Mesh) linkFree(l Link) bool {
+	h, i, ok := m.linkIndex(l)
+	if !ok {
 		return false
 	}
+	if h {
+		return m.linkOwnerH[i] == Free && !m.maskH[i]
+	}
+	return m.linkOwnerV[i] == Free && !m.maskV[i]
+}
+
+// linkMasked reports whether a link is disabled by the device mask.
+func (m *Mesh) linkMasked(l Link) bool {
 	h, i, ok := m.linkIndex(l)
 	if !ok {
 		return false
@@ -200,37 +211,24 @@ func (m *Mesh) linkMasked(l Link) bool {
 	return m.maskV[i]
 }
 
-// ApplyTopology masks the mesh with a device topology at junction dims:
-// dead cells become unusable junctions, disabled links unusable
-// channels. The topology is retained for link-weight queries. Applying
-// a perfect (non-degraded) topology leaves the mesh unmasked, so the
-// ideal-grid behavior is bit-identical.
+// ApplyTopology masks the mesh with a device topology at junction dims,
+// replacing any earlier mask: dead cells become unusable junctions,
+// disabled links unusable channels. The topology is retained for
+// link-weight queries. A nil topology masks nothing and prices every
+// link at 1.
 func (m *Mesh) ApplyTopology(t *device.Topology) error {
-	m.floodFloor = m.stamp
-	if t == nil {
-		// Nil means perfect everywhere in the device layer: drop any
-		// previously applied mask.
-		m.masked = false
-		m.topo = nil
-		m.deadNode, m.maskH, m.maskV = nil, nil, nil
-		return nil
-	}
-	if t.Rows() != m.rows || t.Cols() != m.cols {
+	if t != nil && (t.Rows() != m.rows || t.Cols() != m.cols) {
 		return fmt.Errorf("mesh: topology dims %dx%d do not match junction grid %dx%d",
 			t.Rows(), t.Cols(), m.rows, m.cols)
 	}
-	if !t.Degraded() {
-		// Clear any previously applied mask: the mesh is now perfect.
-		m.masked = false
-		m.topo = nil
-		m.deadNode, m.maskH, m.maskV = nil, nil, nil
+	m.floodFloor = m.stamp
+	m.topo = t
+	clear(m.deadNode)
+	clear(m.maskH)
+	clear(m.maskV)
+	if t == nil {
 		return nil
 	}
-	m.masked = true
-	m.topo = t
-	m.deadNode = make([]bool, m.rows*m.cols)
-	m.maskH = make([]bool, len(m.linkOwnerH))
-	m.maskV = make([]bool, len(m.linkOwnerV))
 	for r := 0; r < m.rows; r++ {
 		for c := 0; c < m.cols; c++ {
 			n := Node{Row: r, Col: c}
@@ -248,19 +246,10 @@ func (m *Mesh) ApplyTopology(t *device.Topology) error {
 	return nil
 }
 
-// Masked reports whether a device mask is active.
-func (m *Mesh) Masked() bool { return m.masked }
-
 // NodeMasked reports whether the junction is disabled by the device
 // mask (out-of-bounds junctions count as masked).
 func (m *Mesh) NodeMasked(n Node) bool {
-	if !m.masked {
-		return false
-	}
-	if !m.InBounds(n) {
-		return true
-	}
-	return m.deadNode[m.nodeIndex(n)]
+	return !m.InBounds(n) || m.deadNode[m.nodeIndex(n)]
 }
 
 // PathBlockedByMask reports whether the path crosses a masked junction
@@ -268,9 +257,6 @@ func (m *Mesh) NodeMasked(n Node) bool {
 // reservation. The braid router uses it to escalate straight to the BFS
 // fallback instead of waiting out the congestion timeout.
 func (m *Mesh) PathBlockedByMask(p Path) bool {
-	if !m.masked {
-		return false
-	}
 	for i, n := range p {
 		if m.NodeMasked(n) {
 			return true
@@ -283,9 +269,9 @@ func (m *Mesh) PathBlockedByMask(p Path) bool {
 }
 
 // PathMaxWeight returns the largest device link-latency multiplier
-// along the path (1 on a perfect device).
+// along the path (1 when no link of the topology is weighted).
 func (m *Mesh) PathMaxWeight(p Path) float64 {
-	if m.topo == nil {
+	if m.topo == nil || m.topo.MaxLinkWeight() <= 1 {
 		return 1
 	}
 	w := 1.0
@@ -325,24 +311,13 @@ func (m *Mesh) PathCost(p Path) float64 {
 
 // MaskLink disables one link at runtime — a coupler death from a
 // live-defect schedule. Unlike ApplyTopology it composes with the
-// current mask (or creates one on a previously perfect mesh) without
-// touching reservation state: a braid currently holding the link keeps
-// its claim until the engine tears it down and re-routes. Out-of-mesh
-// links are ignored.
+// current mask without touching reservation state: a braid currently
+// holding the link keeps its claim until the engine tears it down and
+// re-routes. Out-of-mesh links are ignored.
 func (m *Mesh) MaskLink(a, b Node) {
 	h, i, ok := m.linkIndex(NewLink(a, b))
 	if !ok {
 		return
-	}
-	if !m.masked {
-		m.masked = true
-		if m.deadNode == nil {
-			m.deadNode = make([]bool, m.rows*m.cols)
-		}
-		if m.maskH == nil {
-			m.maskH = make([]bool, len(m.linkOwnerH))
-			m.maskV = make([]bool, len(m.linkOwnerV))
-		}
 	}
 	if h {
 		m.maskH[i] = true
@@ -375,24 +350,18 @@ func (m *Mesh) LinkOwner(l Link) int {
 }
 
 // PathFree reports whether every junction and link along the path is
-// unclaimed and inside the mesh. Links are walked in place — no
-// intermediate slice — so the check never allocates.
+// inside the mesh, unclaimed and not masked. Links are walked in place
+// — no intermediate slice — so the check never allocates.
 func (m *Mesh) PathFree(p Path) bool {
 	for i, n := range p {
-		if !m.InBounds(n) || m.nodeOwner[m.nodeIndex(n)] != Free {
+		if !m.InBounds(n) {
 			return false
 		}
-		if m.masked && m.deadNode[m.nodeIndex(n)] {
+		if ni := m.nodeIndex(n); m.nodeOwner[ni] != Free || m.deadNode[ni] {
 			return false
 		}
-		if i > 0 {
-			l := NewLink(p[i-1], n)
-			if o := m.linkOwner(l); o == nil || *o != Free {
-				return false
-			}
-			if m.linkMasked(l) {
-				return false
-			}
+		if i > 0 && !m.linkFree(NewLink(p[i-1], n)) {
+			return false
 		}
 	}
 	return true
@@ -416,15 +385,14 @@ func (m *Mesh) checkPath(p Path) error {
 			return fmt.Errorf("mesh: path revisits junction %v", n)
 		}
 		m.visitedAt[ni] = m.stamp
-		if m.nodeOwner[ni] != Free || (m.masked && m.deadNode[ni]) {
+		if m.nodeOwner[ni] != Free || m.deadNode[ni] {
 			return fmt.Errorf("mesh: path not free")
 		}
 		if i > 0 {
 			if !adjacent(p[i-1], n) {
 				return fmt.Errorf("mesh: path jump %v -> %v", p[i-1], n)
 			}
-			l := NewLink(p[i-1], n)
-			if *m.linkOwner(l) != Free || m.linkMasked(l) {
+			if !m.linkFree(NewLink(p[i-1], n)) {
 				return fmt.Errorf("mesh: path not free")
 			}
 		}
@@ -492,10 +460,7 @@ func (m *Mesh) Unreachable(a, b Node) bool {
 		return true
 	}
 	ai, bi := m.nodeIndex(a), m.nodeIndex(b)
-	if m.nodeOwner[ai] != Free || m.nodeOwner[bi] != Free {
-		return true
-	}
-	if m.masked && (m.deadNode[ai] || m.deadNode[bi]) {
+	if m.nodeOwner[ai] != Free || m.nodeOwner[bi] != Free || m.deadNode[ai] || m.deadNode[bi] {
 		return true
 	}
 	if m.floodID == nil {

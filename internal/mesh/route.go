@@ -6,11 +6,11 @@ package mesh
 // component without reaching the other); otherwise dimension-ordered
 // routes are tried first, and when the network is congested the engine
 // escalates to an adaptive shortest-path search over currently-free
-// resources. On a device-masked mesh (ApplyTopology) the same
-// stamp-scratch BFS doubles as the defect fallback: dead junctions and
-// disabled links are never entered, and the engine escalates to it
-// immediately when a dimension-ordered path is blocked by the mask
-// rather than by congestion (PathBlockedByMask).
+// resources. The same stamp-scratch BFS is the defect fallback: dead
+// junctions and disabled links (ApplyTopology, MaskLink) are never
+// entered, and the engine escalates to it immediately when a
+// dimension-ordered path is blocked by the mask rather than by
+// congestion (PathBlockedByMask).
 //
 // Every routine writes the route into a caller-supplied buffer (reusing
 // its capacity; nil allocates a fresh one) so the braid engine's
@@ -102,11 +102,10 @@ func (m *Mesh) AdaptiveRouteInto(dst Path, a, b Node) (Path, bool) {
 			if m.visitedAt[ni] == m.stamp {
 				continue
 			}
-			if m.nodeOwner[ni] != Free || (m.masked && m.deadNode[ni]) {
+			if m.nodeOwner[ni] != Free || m.deadNode[ni] {
 				continue
 			}
-			l := NewLink(cur, next)
-			if *m.linkOwner(l) != Free || m.linkMasked(l) {
+			if !m.linkFree(NewLink(cur, next)) {
 				continue
 			}
 			m.visitedAt[ni] = m.stamp
