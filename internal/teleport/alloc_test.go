@@ -42,4 +42,7 @@ func TestDistributeZeroAlloc(t *testing.T) {
 			t.Errorf("window %d: Distribute allocates %.1f times per run, want 0", w, allocs)
 		}
 	}
+	if allocs := testing.AllocsPerRun(20, func() { JITWindow(s, cfg) }); allocs > 0 {
+		t.Errorf("JITWindow allocates %.1f times per run, want 0", allocs)
+	}
 }

@@ -111,17 +111,22 @@ type geometry struct {
 	cols   int
 }
 
+// geometryDims returns the geometry grid of a region count: the
+// near-square region grid, at least two columns wide, plus the factory
+// row.
+func geometryDims(regions int) (rows, cols int) {
+	rows, cols = layout.GridFor(regions)
+	return rows + 1, max(cols, 2)
+}
+
 func newGeometry(regions int) geometry {
-	rows, cols := layout.GridFor(regions)
-	if cols < 2 {
-		cols = 2
-	}
-	g := geometry{rows: rows + 1, cols: cols}
+	rows, cols := geometryDims(regions)
+	g := geometry{rows: rows, cols: cols}
 	for r := 0; r < regions; r++ {
 		g.coords = append(g.coords, layout.Coord{Row: r / cols, Col: r % cols})
 	}
-	g.magic = layout.Coord{Row: rows, Col: 0}
-	g.epr = layout.Coord{Row: rows, Col: cols - 1}
+	g.magic = layout.Coord{Row: rows - 1, Col: 0}
+	g.epr = layout.Coord{Row: rows - 1, Col: cols - 1}
 	return g
 }
 
@@ -621,10 +626,14 @@ func SweepWindowsContext(ctx context.Context, s *simd.Schedule, windows []int64,
 // JITWindow returns a just-in-time window heuristic for a schedule: the
 // network diameter's traversal time plus one timestep of slack — deep
 // enough to hide distribution latency, shallow enough to cap live
-// pairs.
+// pairs. It reads only the region count and allocates nothing. A nil
+// schedule gets 0; DistributeContext rejects the schedule itself with
+// an error matching scerr.ErrBadConfig.
 func JITWindow(s *simd.Schedule, cfg Config) int64 {
+	if s == nil {
+		return 0
+	}
 	cfg = cfg.withDefaults()
-	geo := newGeometry(s.Config.Regions)
-	diameter := int64(geo.rows + geo.cols)
-	return diameter*cfg.HopCycles() + cfg.StepCycles()
+	rows, cols := geometryDims(s.Config.Regions)
+	return int64(rows+cols)*cfg.HopCycles() + cfg.StepCycles()
 }

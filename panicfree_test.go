@@ -119,8 +119,9 @@ func TestCompileRejectsBadTargetsWithoutPanic(t *testing.T) {
 }
 
 // TestSweepEPRWindowsRejectsMalformedSchedules hands the facade's EPR
-// sweep hand-built 4-region schedules that once panicked or were
-// accepted: each must fail with ErrBadConfig.
+// sweep hand-built schedules that once panicked or were accepted: each
+// must fail with ErrBadConfig, also at the JIT window, whose heuristic
+// must answer each without panicking or allocating per region.
 func TestSweepEPRWindowsRejectsMalformedSchedules(t *testing.T) {
 	schedule := func(timesteps, from, to int) *surfcomm.SIMDSchedule {
 		return &surfcomm.SIMDSchedule{
@@ -136,10 +137,12 @@ func TestSweepEPRWindowsRejectsMalformedSchedules(t *testing.T) {
 		"nil schedule":              nil,
 		"move to the magic factory": schedule(2, 0, simd.MagicSource),
 		"timesteps past the bound":  schedule(1<<50, 0, 1),
+		"regions past the bound":    {Config: surfcomm.SIMDConfig{Regions: 1 << 40, Width: 8}},
 	}
 	for name, s := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := surfcomm.SweepEPRWindows(s, []int64{0, surfcomm.PrefetchAll}, surfcomm.TeleportConfig{})
+			jit := surfcomm.JITWindow(s, surfcomm.TeleportConfig{})
+			_, err := surfcomm.SweepEPRWindows(s, []int64{0, jit, surfcomm.PrefetchAll}, surfcomm.TeleportConfig{})
 			if !errors.Is(err, surfcomm.ErrBadConfig) {
 				t.Errorf("error = %v, want ErrBadConfig", err)
 			}
