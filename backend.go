@@ -36,14 +36,9 @@ type Target struct {
 	// zero or JITWindowAuto selects the just-in-time heuristic.
 	// (Explicit zero-window studies go through the EPR window sweep.)
 	Window int64
-	// LinkBandwidth is EPR halves per link per cycle; zero selects 4.
-	LinkBandwidth int
 	// SIMD overrides the Multi-SIMD machine shape; the zero value
 	// sizes the machine from the circuit (the Fig. 3a rule).
 	SIMD SIMDConfig
-	// LocalTOps is the magic-state ablation: T-gate ancillas assumed
-	// pre-delivered instead of braided in from factories.
-	LocalTOps bool
 	// RecordSchedule captures the static schedule in the Plan's braid
 	// result so it can be replay-validated.
 	RecordSchedule bool
@@ -83,8 +78,10 @@ func (t Target) withDefaults() Target {
 // name entries by those digests, so the output must stay stable.
 func (t Target) WriteFingerprint(w io.Writer, backend string) {
 	fmt.Fprintf(w, "backend=%s\n", backend)
-	fmt.Fprintf(w, "d=%d policy=%d seed=%d window=%d bw=%d local=%t record=%t\n",
-		t.Distance, int(t.Policy), t.Seed, t.Window, t.LinkBandwidth, t.LocalTOps, t.RecordSchedule)
+	// "bw=0 local=false" names two retired fields at their only values,
+	// so digests and store entry names stay byte-identical.
+	fmt.Fprintf(w, "d=%d policy=%d seed=%d window=%d bw=0 local=false record=%t\n",
+		t.Distance, int(t.Policy), t.Seed, t.Window, t.RecordSchedule)
 	fmt.Fprintf(w, "tech=%g/%g/%g/%g/%g/%g\n",
 		t.Technology.PhysicalErrorRate, t.Technology.Threshold, t.Technology.Prefactor,
 		t.Technology.Gate1Q, t.Technology.Gate2Q, t.Technology.Meas)
@@ -106,9 +103,6 @@ func (t Target) validate() error {
 	}
 	if t.Window < 0 && t.Window != JITWindowAuto {
 		return scerr.BadConfig("target: negative window %d", t.Window)
-	}
-	if t.LinkBandwidth < 0 {
-		return scerr.BadConfig("target: negative link bandwidth %d", t.LinkBandwidth)
 	}
 	if t.SIMD != (SIMDConfig{}) {
 		if err := t.SIMD.Validate(); err != nil {
@@ -258,7 +252,6 @@ func braidCompile(ctx context.Context, c *Circuit, t *Target, surgery bool) (Pla
 	res, err := braid.SimulateContext(ctx, c, tt.Policy, braid.Config{
 		Distance:       tt.Distance,
 		Seed:           tt.Seed,
-		LocalTOps:      tt.LocalTOps,
 		RecordSchedule: tt.RecordSchedule,
 		Placement:      tt.Placement,
 		Surgery:        surgery,
@@ -307,7 +300,7 @@ func (PlanarBackend) Compile(ctx context.Context, c *Circuit, t *Target) (Plan, 
 	if err != nil {
 		return Plan{}, err
 	}
-	tcfg := teleport.Config{Distance: tt.Distance, LinkBandwidth: tt.LinkBandwidth, Device: tt.Device}
+	tcfg := teleport.Config{Distance: tt.Distance, Device: tt.Device}
 	window := tt.Window
 	if window == JITWindowAuto {
 		window = teleport.JITWindow(sched, tcfg)

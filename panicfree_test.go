@@ -91,7 +91,6 @@ func TestCompileRejectsBadTargetsWithoutPanic(t *testing.T) {
 		"distance above 999": {circuit: good, override: func(tg *surfcomm.Target) { tg.Distance = 1001 }},
 		"unknown policy":     {circuit: good, override: func(tg *surfcomm.Target) { tg.Policy = 42 }},
 		"negative window":    {circuit: good, override: func(tg *surfcomm.Target) { tg.Window = -7 }},
-		"negative bandwidth": {circuit: good, override: func(tg *surfcomm.Target) { tg.LinkBandwidth = -1 }},
 		"bad simd regions":   {circuit: good, override: func(tg *surfcomm.Target) { tg.SIMD = surfcomm.SIMDConfig{Regions: 3, Width: 8} }},
 		"bad simd width":     {circuit: good, override: func(tg *surfcomm.Target) { tg.SIMD = surfcomm.SIMDConfig{Regions: 4, Width: -2} }},
 		"bad technology":     {circuit: good, override: func(tg *surfcomm.Target) { tg.Technology = surfcomm.Superconducting(-1) }},

@@ -173,9 +173,6 @@ const (
 // AllBraidPolicies lists the seven policies (the Figure 6 x-axis).
 var AllBraidPolicies = braid.AllPolicies
 
-// BraidConfig tunes a braid simulation.
-type BraidConfig = braid.Config
-
 // BraidResult reports one braid simulation (one Figure 6 bar).
 type BraidResult = braid.Result
 
